@@ -74,7 +74,6 @@ int run_matrix(bench::Bench& bench) {
         for (auto& t : app.program.tasks) t.kernel = nullptr;
         exec::ExecConfig ecfg = bench.config(exec::ExecMode::kSpmd, cost);
         ecfg.mapper = cell.mapper;
-        ecfg.workers = cell.workers;
         ecfg.check = true;
         exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
         return run.run();

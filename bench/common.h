@@ -160,23 +160,6 @@ struct BenchOptions {
   // (ExecutionResult::metrics) plus makespan and attribution as one
   // BENCH_metrics JSON document — the bench_diff input. Empty = off.
   std::string metrics_path;
-  // --workers=<n>: run SPMD executions on the windowed multi-worker
-  // simulation backend with <n> host threads. 0 (default) keeps the
-  // sequential reference loop. Any n produces bit-identical results.
-  int64_t workers = 0;
-  // --pin: topology-pin the windowed backend's host threads to distinct
-  // physical cores (ExecConfig::pin_workers). Host-side only.
-  bool pin = false;
-  // --global-window: run the windowed backend with the global-window
-  // reference policy instead of adaptive per-lane lookahead
-  // (ExecConfig::adaptive_window = false). Equivalence-testing knob;
-  // virtual results are bit-identical either way.
-  bool global_window = false;
-  // --no-elide: disable boundary elision in the windowed backend
-  // (ExecConfig::elide_boundaries = false), forcing the full serial
-  // park/drain/release protocol at every window boundary.
-  // Equivalence-testing knob; virtual results are bit-identical.
-  bool no_elide = false;
   // --replay: capture & replay steady-state dependence-analysis traces
   // (ExecConfig::trace_replay). Only engages for implicit runs that
   // track dependences; virtual results are bit-identical either way.
@@ -190,25 +173,10 @@ struct BenchOptions {
   // heterogeneous/faulty-node scenario once per registered policy and
   // emit one BENCH_mapper.<app>.<policy>.json artifact per cell.
   bool mapper_matrix = false;
-  // --host-trace[=<path>]: host-phase profiling of the windowed backend
-  // (requires --workers >= 1 to have any effect). Writes a second Chrome
-  // trace of the host timeline at <path> plus the HOST_phases report
-  // (host_report_path) that tools/window_report consumes. Host-side
-  // only: virtual results are bit-identical either way. Empty = off.
-  std::string host_trace_path;
-  // --host-report=<path>: where the HOST_phases JSON goes (defaults to
-  // HOST_phases.<app>.json; only written when --host-trace is on).
-  std::string host_report_path;
-  // --watchdog=<ms>: stall watchdog for the windowed backend — abort
-  // with a flight-recorder dump if no execution progress for this many
-  // wall milliseconds (0 = off).
-  int64_t watchdog_ms = 0;
-
   // Default artifact names carry the app name so several benches run
   // from one directory (CI) never clobber each other's output.
   void register_flags(FlagSet& flags, const std::string& app) {
     analysis_path = "BENCH_analysis." + app + ".json";
-    host_report_path = "HOST_phases." + app + ".json";
     flags.add_string("trace", "<path>",
                      "write Chrome trace JSON + breakdown per run",
                      &trace_path, "trace." + app + ".json");
@@ -227,35 +195,6 @@ struct BenchOptions {
     flags.add_flag("replay",
                    "capture & replay steady-state dependence traces",
                    &replay);
-    flags.add_int("workers", "<n>",
-                  "simulation worker threads for SPMD runs (0 = sequential)",
-                  &workers);
-    flags.add_flag("pin",
-                   "pin simulation workers to distinct physical cores",
-                   &pin);
-    flags.add_flag("global-window",
-                   "use the global-window reference policy (no adaptive "
-                   "per-lane lookahead)",
-                   &global_window);
-    flags.add_flag("no-elide",
-                   "disable window-boundary elision (full serial "
-                   "boundary at every window)",
-                   &no_elide);
-    flags.add_string("host-trace", "<path>",
-                     "host-phase profile of the windowed backend "
-                     "(Chrome trace + HOST_phases report)",
-                     &host_trace_path, "host_trace." + app + ".json");
-    flags.add("host-report", "=<path>",
-              "HOST_phases JSON path (with --host-trace)",
-              [this](const std::string& value, bool has_value) {
-                if (!has_value || value.empty()) return false;
-                host_report_path = value;
-                return true;
-              });
-    flags.add_int("watchdog", "<ms>",
-                  "stall watchdog budget for the windowed backend "
-                  "(0 = off)",
-                  &watchdog_ms);
     flags.add("mapper", "=<name>",
               "placement policy (default, balanced, adversarial, random)",
               [this](const std::string& value, bool has_value) {
@@ -333,16 +272,6 @@ class Bench {
     if (mode == exec::ExecMode::kSpmd && options_.check_mutate >= 0) {
       cfg.check_mutate = static_cast<ir::SyncId>(options_.check_mutate);
     }
-    if (mode == exec::ExecMode::kSpmd && options_.workers > 0) {
-      cfg.workers = static_cast<uint32_t>(options_.workers);
-      cfg.pin_workers = options_.pin;
-      cfg.host_profile = !options_.host_trace_path.empty();
-      if (options_.watchdog_ms > 0) {
-        cfg.watchdog_ms = static_cast<uint64_t>(options_.watchdog_ms);
-      }
-    }
-    cfg.adaptive_window = !options_.global_window;
-    cfg.elide_boundaries = !options_.no_elide;
     cfg.trace_replay = options_.replay;
     cfg.mapper.name = options_.mapper;
     cfg.mapper.seed = static_cast<uint64_t>(options_.mapper_seed);
@@ -357,19 +286,6 @@ class Bench {
     if (options_.selftime) {
       last_analysis_.valid = true;
       last_analysis_.stats = r.analysis;
-    }
-    if (r.host_profile != nullptr && !options_.host_trace_path.empty()) {
-      // With repeated runs of one configuration the last (largest)
-      // windowed run wins, matching the trace/metrics artifact policy.
-      r.host_profile->write_chrome_json(options_.host_trace_path);
-      r.host_profile->write_json(options_.host_report_path, app_);
-      std::fprintf(stderr,
-                   "  host phases: %s (serial fraction %.3f over %llu "
-                   "windows), trace: %s\n",
-                   options_.host_report_path.c_str(),
-                   r.host_profile->serial_fraction,
-                   (unsigned long long)r.host_profile->windows,
-                   options_.host_trace_path.c_str());
     }
     if (!options_.metrics_path.empty()) {
       last_metrics_.valid = true;

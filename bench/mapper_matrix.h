@@ -6,9 +6,9 @@
 // configs raise tasks/node well above cores/node) so placement quality
 // shows up as queueing: node 0 runs at half speed, node 1 suffers an
 // injected 2x slowdown window early in the run, and active-message
-// handlers jitter by up to 200 ns. All three knobs only ADD delay, so
-// the windowed backend's conservative lookahead stays sound and every
-// cell replays bit-identically at any --workers.
+// handlers jitter by up to 200 ns. All three knobs are deterministic
+// functions of virtual time and event identity, so every cell replays
+// bit-identically.
 #pragma once
 
 #include <cstdio>
@@ -30,7 +30,6 @@ namespace cr::bench {
 struct MatrixCell {
   uint32_t nodes = 0;
   rt::MapperOptions mapper;
-  uint32_t workers = 0;
   std::vector<double> node_speed;
   std::vector<sim::MachineConfig::NodeSlowdown> slowdowns;
   sim::Time am_jitter_ns = 0;
@@ -44,22 +43,11 @@ struct MatrixCell {
 };
 
 // Runs the app once for a cell (with the race checker on) and returns
-// the full result; the harness compares worker counts and writes the
-// artifact.
+// the full result; the harness checks it and writes the artifact.
 using MatrixRunFn =
     std::function<exec::ExecutionResult(const MatrixCell& cell)>;
 
 namespace detail {
-
-// Window-shaped gauges recorded only by the windowed backend (the
-// sequential --workers=0 loop has no windows); strip them before
-// comparing worker counts, mirroring the equivalence tests.
-inline std::map<std::string, double> without_window_shape(
-    std::map<std::string, double> m) {
-  m.erase("sim.queue.max_depth");
-  m.erase("sim.windows");
-  return m;
-}
 
 inline void write_matrix_json(const std::string& path,
                               const std::string& app,
@@ -109,10 +97,8 @@ inline MatrixCell matrix_scenario(uint32_t nodes) {
   return cell;
 }
 
-// Runs the (mapper x scenario) matrix: every cell executes under the
-// sequential reference loop AND the windowed backend (4 workers) and
-// must agree bit-for-bit on the makespan and the window-shape-stripped
-// metrics; the race checker must come back clean. Writes
+// Runs the (mapper x scenario) matrix: the race checker must come back
+// clean on every cell. Writes
 // BENCH_mapper.<app>.<policy>.json per cell and hard-fails (nonzero)
 // if the balanced policy does not beat the adversarial one on makespan.
 inline int run_mapper_matrix(Bench& bench, uint32_t nodes,
@@ -125,36 +111,18 @@ inline int run_mapper_matrix(Bench& bench, uint32_t nodes,
     MatrixCell cell = matrix_scenario(nodes);
     cell.mapper.name = policy;
     cell.mapper.seed = static_cast<uint64_t>(bench.options().mapper_seed);
-    std::fprintf(stderr, "  [matrix] %s, %u nodes, workers=0...\n",
-                 policy.c_str(), nodes);
-    cell.workers = 0;
-    const exec::ExecutionResult seq = run(cell);
-    std::fprintf(stderr, "  [matrix] %s, %u nodes, workers=4...\n",
-                 policy.c_str(), nodes);
-    cell.workers = 4;
-    const exec::ExecutionResult par = run(cell);
-    if (par.makespan_ns != seq.makespan_ns ||
-        detail::without_window_shape(par.metrics) !=
-            detail::without_window_shape(seq.metrics)) {
-      std::fprintf(stderr,
-                   "FAIL: %s cell diverges across worker counts "
-                   "(%llu vs %llu ns)\n",
-                   policy.c_str(),
-                   static_cast<unsigned long long>(seq.makespan_ns),
-                   static_cast<unsigned long long>(par.makespan_ns));
+    std::fprintf(stderr, "  [matrix] %s, %u nodes...\n", policy.c_str(),
+                 nodes);
+    const exec::ExecutionResult res = run(cell);
+    if (res.check == nullptr || !res.check->ok()) {
+      std::fprintf(stderr, "FAIL: %s cell raced (or checker off)\n",
+                   policy.c_str());
       ok = false;
     }
-    for (const exec::ExecutionResult* r : {&seq, &par}) {
-      if (r->check == nullptr || !r->check->ok()) {
-        std::fprintf(stderr, "FAIL: %s cell raced (or checker off)\n",
-                     policy.c_str());
-        ok = false;
-      }
-    }
-    makespans[policy] = seq.makespan_ns;
+    makespans[policy] = res.makespan_ns;
     detail::write_matrix_json(
         "BENCH_mapper." + bench.app() + "." + policy + ".json", bench.app(),
-        policy, nodes, seq);
+        policy, nodes, res);
   }
   std::printf("mapper matrix [%s, %u nodes]\n", bench.app().c_str(), nodes);
   for (const std::string& policy : policies) {

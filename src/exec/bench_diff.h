@@ -25,8 +25,8 @@ struct DiffOptions {
   // all_pct (see host_pct below).
   double all_pct = -1;
   // Host-time gate: metrics whose key starts with "host." are measured
-  // wall-clock quantities (seconds, slowdown ratios) from
-  // tools/parallel_speedup — real but noisy, so they get their own
+  // wall-clock quantities (seconds, slowdown ratios) — real but noisy,
+  // so they get their own
   // threshold, typically much looser than the virtual-time gates. < 0
   // (the default) leaves them ungated. "info."-prefixed keys (rates,
   // rep counts) are never gated: they are context, not costs.

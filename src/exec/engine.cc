@@ -1,10 +1,8 @@
 #include "exec/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <deque>
-#include <mutex>
 
 #include "exec/trace_replay.h"
 #include "passes/shard_creation.h"
@@ -12,7 +10,6 @@
 #include "support/check.h"
 #include "support/hash.h"
 #include "support/metrics.h"
-#include "support/topology.h"
 #include "support/trace.h"
 
 namespace cr::exec {
@@ -33,12 +30,6 @@ struct Engine::Impl {
         p_(program),
         cost_(config.cost),
         mode_(config.mode),
-        workers_(config.workers),
-        adaptive_window_(config.adaptive_window),
-        elide_boundaries_(config.elide_boundaries),
-        pin_workers_(config.pin_workers),
-        host_profile_(config.host_profile),
-        watchdog_ms_(config.watchdog_ms),
         check_(config.check),
         mutant_(config.check_mutate),
         m_barrier_gens_(rt.metrics().counter("rt.barrier.generations")),
@@ -265,13 +256,11 @@ struct Engine::Impl {
     if (shard == kMainEnv || e.shard == kMainEnv) return false;
     return e.shard != shard;
   }
-  // --- node-affinity routing (multi-worker backend, SPMD mode) ---------
-  // Under the windowed backend an inline Event::merge must complete on
-  // one node's worker, and an operation's side effects must run on the
-  // node that owns the touched state. Two helpers keep every operation's
-  // wiring single-node; both are identity in implicit mode and for
-  // same-node issues, so the sequential wiring (and its timeline) is
-  // unchanged wherever it was already local.
+  // --- cross-node notifies (SPMD timing of the simulated machine) ------
+  // A shard control thread that issues an operation executing on another
+  // node, or waits on one that completed there, only learns of it over
+  // the network. These two helpers charge that message; both are
+  // identity in implicit mode and for same-node issues.
 
   // Merge the issuing control thread's preconditions (control chain,
   // captured scalar readys) into the executing node's precondition set.
@@ -424,8 +413,6 @@ struct Engine::Impl {
 
     m.counter("sim.events_processed").set(sim().events_processed());
     m.gauge("sim.queue.max_depth").set(sim().max_queue_depth());
-    m.counter("sim.windows").set(sim().windows());
-    m.counter("sim.windows_elided").set(sim().elided_boundaries());
     m.counter("sim.net.messages").set(rt_.network().messages_sent());
     m.counter("sim.net.bytes").set(rt_.network().bytes_sent());
     support::Histogram& busy = m.histogram("sim.proc.busy_ns");
@@ -553,13 +540,8 @@ struct Engine::Impl {
 
   // Quiescence tracking: every issued operation must complete by the end
   // of the run; a nonzero count at drain means an event cycle (a
-  // transformation or executor bug), which must fail loudly. The
-  // completion subscriptions fire on whichever simulator worker runs the
-  // final cascade, so the bookkeeping is thread-safe (registration is
-  // unroll-time single-threaded; only the erase path is concurrent).
+  // transformation or executor bug), which must fail loudly.
   struct LiveOps {
-    std::atomic<uint64_t> count{0};
-    std::mutex mu;
     std::map<uint64_t, std::string> stuck;  // id -> label
     uint64_t next = 0;
   };
@@ -567,13 +549,8 @@ struct Engine::Impl {
   void track(sim::Event completion, std::string label = {}) {
     auto live = live_ops_;
     const uint64_t id = live->next++;
-    live->count.fetch_add(1, std::memory_order_relaxed);
     live->stuck.emplace(id, std::move(label));
-    completion.subscribe([live, id](sim::Time) {
-      live->count.fetch_sub(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(live->mu);
-      live->stuck.erase(id);
-    });
+    completion.subscribe([live, id](sim::Time) { live->stuck.erase(id); });
   }
 
   // =====================================================================
@@ -666,7 +643,7 @@ struct Engine::Impl {
       }
       // Shards start once the main task has issued them. The launch of a
       // remote shard is a real network dispatch: localize the handoff so
-      // the shard's control chain starts on its own node (and worker).
+      // the shard's control chain starts on its own node.
       shards[x].last = localize(main[0].last, main[0].node, shards[x].node);
       // Per-shard cost of the complete intersections for owned pairs
       // (paper §3.3: computed inside the individual shards).
@@ -1462,12 +1439,6 @@ struct Engine::Impl {
   const ir::Program& p_;
   CostModel cost_;
   ExecMode mode_;
-  const uint32_t workers_;      // 0 = sequential loop, N = windowed backend
-  const bool adaptive_window_;  // per-lane horizons vs global reference
-  const bool elide_boundaries_;  // fuse serial-free window boundaries
-  const bool pin_workers_;      // topology-pin the backend's host threads
-  const bool host_profile_;     // host-phase spans on the windowed run
-  const uint64_t watchdog_ms_;  // stall watchdog budget (0 = off)
   const bool check_;            // record accesses + HB graph, run checker
   const ir::SyncId mutant_;     // sync op deleted by fault injection
   // Cached registry counters bumped during unroll (avoids the by-name
@@ -1621,56 +1592,9 @@ ExecutionResult Engine::run() {
     impl_->graph_.clear();
     impl_->sim().set_event_graph(&impl_->graph_);
   }
-  const uint32_t workers = impl_->workers_;
-  // Host-phase profiler: lives for the duration of this run only; the
-  // simulator records spans into it and the aggregate lands on the
-  // result. Wall-clock observation only — attach/detach cannot affect
-  // virtual time (equivalence-tested).
-  support::HostProfiler host_prof;
-  bool profiling = false;
-  if (workers > 0) {
-    CR_CHECK_MSG(impl_->mode_ == ExecMode::kSpmd,
-                 "the multi-worker backend requires SPMD mode");
-    sim::Simulator& s = impl_->sim();
-    // The partitioned queues must exist before the unroll schedules
-    // anything; the lookahead is the network's minimum cross-node
-    // influence delay (wire latency + handler cost).
-    if (!s.windowed()) {
-      s.begin_windowed(impl_->rt_.machine().nodes(),
-                       impl_->rt_.network().min_cross_node_delay());
-    }
-    s.set_adaptive_window(impl_->adaptive_window_);
-    s.set_elide_boundaries(impl_->elide_boundaries_);
-    if (impl_->pin_workers_) {
-      // Host-side placement only (virtual time is unaffected): spread
-      // the backend's threads across distinct physical cores.
-      s.set_worker_cpus(support::CpuTopology::probe().plan(workers));
-    }
-    if (impl_->host_profile_) {
-      s.set_host_profiler(&host_prof);
-      profiling = true;
-    }
-    if (impl_->watchdog_ms_ > 0) {
-      sim::Simulator::WatchdogOptions wd;
-      wd.budget_ms = impl_->watchdog_ms_;
-      s.set_watchdog(std::move(wd));
-    }
-  }
   impl_->unroll();
-  impl_->result_.makespan_ns =
-      (workers > 0 ? impl_->sim().run_windowed(workers)
-                   : impl_->sim().run()) -
-      run_start;
-  if (workers > 0) {
-    sim::Simulator& s = impl_->sim();
-    if (profiling) {
-      s.set_host_profiler(nullptr);
-      impl_->result_.host_profile =
-          std::make_shared<support::HostProfile>(host_prof.profile());
-    }
-    if (impl_->watchdog_ms_ > 0) s.set_watchdog({});
-  }
-  if (impl_->live_ops_->count != 0) {
+  impl_->result_.makespan_ns = impl_->sim().run() - run_start;
+  if (!impl_->live_ops_->stuck.empty()) {
     std::string msg = "execution did not quiesce; stuck ops:";
     int shown = 0;
     for (const auto& [id, label] : impl_->live_ops_->stuck) {

@@ -31,7 +31,6 @@
 #include "rt/barrier.h"
 #include "rt/collective.h"
 #include "rt/runtime.h"
-#include "support/host_clock.h"
 #include "support/trace.h"
 
 namespace cr::exec {
@@ -57,11 +56,6 @@ struct ExecutionResult {
   // after all of the above are mirrored in. Virtual-time and count
   // quantities only (safe to diff across hosts).
   std::map<std::string, double> metrics;
-  // Host-phase profile of the windowed backend; set only when
-  // ExecConfig::host_profile was enabled with workers >= 1. Wall-clock
-  // quantities — deliberately kept out of `metrics` (that snapshot must
-  // be bit-identical across hosts and worker counts).
-  std::shared_ptr<support::HostProfile> host_profile;
 };
 
 class Engine {

@@ -30,35 +30,6 @@ struct ExecConfig {
   // this field is the only way to configure placement (one-struct rule).
   rt::MapperOptions mapper;
 
-  // Simulation backend: 0 = the sequential reference event loop; N >= 1
-  // = the windowed multi-worker backend with N host threads (SPMD mode
-  // only). Any N — including 1 — produces bit-identical virtual-time
-  // results, metrics and traces; see DESIGN.md "Deterministic
-  // multi-worker backend".
-  uint32_t workers = 0;
-
-  // Window policy for the multi-worker backend: true (default) = adaptive
-  // per-lane lookahead horizons; false = the global-window reference
-  // policy (PR 5 behavior), kept for equivalence testing. Both produce
-  // bit-identical virtual timelines; adaptive runs far fewer windows.
-  bool adaptive_window = true;
-
-  // Boundary elision for the multi-worker backend (backend v3, adaptive
-  // policy only): fuse runs of windows whose boundaries provably have
-  // no serial work into one barrier cycle, rolling lanes between
-  // pre-planned horizons through a cheap symmetric rendezvous. True
-  // (default) = elide; false = the full-boundary reference protocol,
-  // kept for equivalence testing. Bit-identical virtual timelines
-  // either way; only host-side boundary cost and the window-shape
-  // gauges (sim.windows, sim.windows_elided, sim.queue.max_depth)
-  // differ.
-  bool elide_boundaries = true;
-
-  // Pin the backend's host threads to distinct physical cores (probed
-  // via support/topology.h; no-op where unsupported). Host-side only:
-  // never affects virtual time.
-  bool pin_workers = false;
-
   // Steady-state launch-stream trace capture & replay (see
   // exec/trace_replay.h). Only engages under kImplicit with
   // cost.track_dependences — elsewhere it is a structural no-op. Replay
@@ -77,15 +48,6 @@ struct ExecConfig {
   // analysis-neutrality tests).
   bool trace = false;  // record the timeline (Engine::write_trace)
   bool check = false;  // record accesses + HB graph, run the race checker
-  // Host-phase profiler for the windowed backend (workers >= 1 only):
-  // per-worker per-window wall-clock spans, aggregated on
-  // ExecutionResult::host_profile (never into the bit-stable metrics
-  // snapshot — these are wall-clock quantities). See support/host_clock.h.
-  bool host_profile = false;
-  // Stall watchdog budget for the windowed backend: abort with a
-  // flight-recorder dump if no execution progress for this many wall
-  // milliseconds (0 = disabled). See Simulator::WatchdogOptions.
-  uint64_t watchdog_ms = 0;
   // Fault injection for the checker: delete/weaken the sync op with this
   // id (see ir::SyncId) — the mutant run must then report a race.
   ir::SyncId check_mutate = ir::kNoSyncId;

@@ -62,6 +62,13 @@ class SequentialExecutorImpl {
       case ir::StmtKind::kScalarOp:
         s.scalar_fn(result_.scalars_, result_.scalars_);
         return;
+      case ir::StmtKind::kCopy:
+        // A source copy between two partitions of one region: both name
+        // the same data, which the oracle stores once per root.
+        CR_CHECK_MSG(s.copy_src != rt::kNoId && s.copy_dst != rt::kNoId &&
+                         !s.copy_reduction,
+                     "compiler statement in source program");
+        return;
       default:
         CR_UNREACHABLE("compiler statement in source program");
     }

@@ -107,6 +107,22 @@ void ProgramBuilder::single_task(TaskId task,
   current().push_back(std::move(s));
 }
 
+void ProgramBuilder::copy(rt::PartitionId src, rt::PartitionId dst,
+                          std::vector<rt::FieldId> fields) {
+  const rt::RegionForest& f = *program_.forest;
+  CR_CHECK_MSG(f.region(f.partition(src).parent).root ==
+                   f.region(f.partition(dst).parent).root,
+               "copy endpoints must share a region tree");
+  Stmt s;
+  s.kind = StmtKind::kCopy;
+  s.copy_src = src;
+  s.copy_dst = dst;
+  s.copy_fields = std::move(fields);
+  s.label = "copy";
+  root_provenance(s);
+  current().push_back(std::move(s));
+}
+
 void ProgramBuilder::scalar_op(
     std::vector<ScalarId> reads, std::vector<ScalarId> writes,
     std::function<void(const std::vector<double>&, std::vector<double>&)> fn,

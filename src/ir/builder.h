@@ -1,7 +1,8 @@
 // Fluent builder for source programs: the public API applications use to
 // express the implicitly parallel form (the paper's Figure 2). Only the
-// source statement kinds can be built here; compiler-introduced forms are
-// produced by the passes.
+// source statement kinds (and explicit partition-to-partition copies) can
+// be built here; the other compiler-introduced forms are produced by the
+// passes.
 #pragma once
 
 #include <string>
@@ -40,6 +41,13 @@ class ProgramBuilder {
   // Call `task` once on concrete regions (init/output steps).
   void single_task(TaskId task, std::vector<rt::RegionId> regions,
                    std::vector<ScalarId> scalar_args = {});
+
+  // Explicit copy of `fields` from partition `src` into partition `dst`
+  // of the same region tree. Both name the same logical data, so the
+  // copy changes no values; it refreshes `dst`'s instances from `src`'s,
+  // like the copies data replication inserts.
+  void copy(rt::PartitionId src, rt::PartitionId dst,
+            std::vector<rt::FieldId> fields);
 
   // Straight-line scalar computation: writes = fn(env).
   void scalar_op(std::vector<ScalarId> reads, std::vector<ScalarId> writes,

@@ -148,7 +148,8 @@ enum class StmtKind : uint8_t {
   kIndexLaunch,  // forall-style loop of task calls
   kSingleTask,   // one task call on whole regions (outside CR fragments)
   kScalarOp,     // straight-line scalar computation
-  // compiler-introduced:
+  // compiler-introduced (kCopy also as an explicit source copy between
+  // two partitions of one region tree, see ProgramBuilder::copy):
   kCopy,        // partition <-> partition / root data movement
   kFill,        // initialize partition fields to a constant
   kBarrier,     // full inter-shard barrier (naive sync, Fig. 4c)

@@ -105,6 +105,14 @@ bool statement_replicable(const ir::Program& program, const ir::Stmt& stmt,
     case ir::StmtKind::kSingleTask:
       if (why) *why = "single task " + program.task(stmt.task).name;
       return false;
+    case ir::StmtKind::kCopy:
+      // An explicit partition-to-partition copy moves no values, only
+      // instance contents; the passes treat it like their own copies.
+      if (stmt.copy_src != rt::kNoId && stmt.copy_dst != rt::kNoId &&
+          !stmt.copy_reduction) {
+        return true;
+      }
+      [[fallthrough]];
     default:
       // Compiler-introduced forms are not expected in source programs.
       if (why) *why = "unexpected compiler statement in source program";

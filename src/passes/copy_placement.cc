@@ -50,14 +50,16 @@ class Placement {
   // --- loop-invariant code motion -----------------------------------
 
   void hoist_invariant(std::vector<ir::Stmt>& parent, size_t& loop_idx) {
-    ir::Stmt& loop = parent[loop_idx];
-    for (size_t c = 0; c < loop.body.size();) {
-      if (!hoistable(loop.body, c)) {
+    // Every hoist inserts into `parent`, which may reallocate it: the
+    // loop is re-taken by index on each iteration, never held across.
+    for (size_t c = 0; c < parent[loop_idx].body.size();) {
+      std::vector<ir::Stmt>& body = parent[loop_idx].body;
+      if (!hoistable(body, c)) {
         ++c;
         continue;
       }
-      ir::Stmt copy = std::move(loop.body[c]);
-      loop.body.erase(loop.body.begin() + static_cast<long>(c));
+      ir::Stmt copy = std::move(body[c]);
+      body.erase(body.begin() + static_cast<long>(c));
       if (copy.prov.valid()) copy.prov.passes.push_back("copy-placement");
       parent.insert(parent.begin() + static_cast<long>(loop_idx),
                     std::move(copy));

@@ -29,7 +29,7 @@ class DataReplicator {
     // partition *read anywhere* in the fragment — a read earlier in the
     // loop body still consumes the write on the next iteration. At this
     // point the fragment is a source program, so every write in the
-    // summary comes from a task.
+    // summary comes from a task or an explicit source copy.
     for (size_t i = fragment.begin; i < fragment.end; ++i) {
       AccessSummary sum = summarize(program_.body[i]);
       merge_into(all_.reads, sum.reads);
@@ -153,6 +153,10 @@ class DataReplicator {
     // copies re-synchronize after every write), so emission order across
     // partitions does not affect the result.
     for (const auto& [p, fields] : all_.writes) {
+      // A partition written only by source copies holds values copied
+      // from another partition of its region: nothing new flows back,
+      // and its replica may be older than the partition it came from.
+      if (!last_write_.count(p)) continue;
       ir::Stmt s;
       s.kind = ir::StmtKind::kCopy;
       s.copy_src = p;

@@ -29,10 +29,12 @@ bool fields_overlap(const std::vector<rt::FieldId>& a,
 // inter-shard copy touches. `aligned` marks identity-projection
 // index-launch arguments on disjoint partitions — the one case where
 // the accessing shard is statically known (point i runs on the shard
-// owning color i).
+// owning color i). The field list is held by value: the statements it
+// came from may live in a body that barrier insertion reallocates while
+// the access is still in use.
 struct PriorAccess {
   rt::PartitionId partition = rt::kNoId;
-  const std::vector<rt::FieldId>* fields = nullptr;  // null = all fields
+  std::vector<rt::FieldId> fields;
   bool write = false;  // any non-read privilege
   bool aligned = false;
 };
@@ -151,7 +153,7 @@ class SyncInserter {
         for (const ir::RegionArg& a : s.args) {
           PriorAccess pa;
           pa.partition = a.partition;
-          pa.fields = &a.fields;
+          pa.fields = a.fields;
           pa.write = a.privilege != rt::Privilege::kReadOnly;
           pa.aligned =
               a.proj.identity() && f.partition(a.partition).disjoint &&
@@ -167,13 +169,13 @@ class SyncInserter {
         if (s.copy_src != rt::kNoId) {
           PriorAccess src;
           src.partition = s.copy_src;
-          src.fields = &s.copy_fields;
+          src.fields = s.copy_fields;
           out.push_back(src);
         }
         if (s.copy_dst != rt::kNoId) {
           PriorAccess dst;
           dst.partition = s.copy_dst;
-          dst.fields = &s.copy_fields;
+          dst.fields = s.copy_fields;
           dst.write = true;
           out.push_back(dst);
         }
@@ -182,7 +184,7 @@ class SyncInserter {
       case ir::StmtKind::kFill: {
         PriorAccess pa;
         pa.partition = s.fill_dst;
-        pa.fields = &s.fill_fields;
+        pa.fields = s.fill_fields;
         pa.write = true;
         out.push_back(pa);
         break;
@@ -207,9 +209,7 @@ class SyncInserter {
   // the destination writes can cross shards.
   bool cross_shard_conflict(const PriorAccess& a, const ir::Stmt& c) const {
     if (a.partition == rt::kNoId) return false;  // master instances
-    if (a.fields != nullptr && !fields_overlap(*a.fields, c.copy_fields)) {
-      return false;
-    }
+    if (!fields_overlap(a.fields, c.copy_fields)) return false;
     // Destination writes land on the producer shard, not the owner of
     // the written color: any shared-instance conflict can cross shards.
     if (a.partition == c.copy_dst) return true;

@@ -25,15 +25,11 @@ void PhaseBarrier::maybe_wire(Generation& g) {
   CR_CHECK_MSG(g.arrivals.size() == participants_,
                "barrier generation over-subscribed");
   g.wired = true;
-  // Arrivals trigger on different nodes' workers: use the remote merge,
-  // which defers completion to a serial phase.
+  // Arrivals trigger on different nodes: use the remote merge, which
+  // defers completion to its own scheduled event.
   sim::Event all = sim::Event::merge_remote(*sim_, g.arrivals);
   // Fan-in + fan-out over a binary tree of participants.
   const sim::Time latency = 2 * net_->tree_latency(participants_);
-  // Adaptive-window contract: the completion's first possible node-side
-  // effect (the release fan-out waking waiters) is `latency` after the
-  // completion time; the simulator caps lane run-ahead accordingly.
-  sim_->note_global_influence_floor(latency);
   sim::UserEvent* done = g.done.get();
   Generation* gp = &g;
   all.subscribe([this, latency, done, gp](sim::Time now) {

@@ -35,13 +35,10 @@ void DynamicCollective::contribute(uint64_t generation, uint32_t rank,
 void DynamicCollective::maybe_wire(Generation& g) {
   if (g.wired || g.arrivals.size() < participants_) return;
   g.wired = true;
-  // Contributions trigger on different nodes' workers: remote merge.
+  // Contributions trigger on different nodes: remote merge.
   sim::Event all = sim::Event::merge_remote(*sim_, g.arrivals);
   g.gather_uid = all.uid();
   const sim::Time latency = 2 * net_->tree_latency(participants_);
-  // Adaptive-window contract: node-side waiters see the reduced value
-  // no earlier than `latency` after the gather completes.
-  sim_->note_global_influence_floor(latency);
   Generation* gp = &g;
   ReduceOp op = op_;
   all.subscribe([this, gp, op, latency](sim::Time now) {

@@ -25,9 +25,8 @@ sim::Event CopyEngine::issue(const CopyRequest& req,
     InstanceManager* insts = instances_;
     // Capture by value: the request may be a temporary at the caller.
     // The payload is gathered from the source instance on the source
-    // side at injection, and scattered into the destination at delivery
-    // (the two run on different host threads under the multi-worker
-    // backend). Reading at inject instead of delivery is equivalent:
+    // side at injection, and scattered into the destination at delivery.
+    // Reading at inject instead of delivery is equivalent:
     // anti-dependences order any writer of the source after the copy.
     auto r = std::make_shared<CopyRequest>(req);
     auto staged = std::make_shared<PhysicalInstance::StagedPayload>();

@@ -9,9 +9,8 @@
 // Contract (see DESIGN.md "Mapping"):
 //  - A mapper is a pure function of its constructor inputs (machine
 //    shape, per-node speed factors, MapperOptions) and the per-call
-//    arguments. It must not read wall clock, global mutable state, or
-//    anything that varies with --workers; placements are queried only
-//    during the single-threaded unroll.
+//    arguments. It must not read wall clock or global mutable state;
+//    placements are queried only during the unroll.
 //  - node_of_color decides both where a launch's point task executes
 //    and where the backing subregion instance lives; per-launch
 //    LaunchShape weights let a policy respond to skewed partitions.

@@ -62,11 +62,10 @@ class PhysicalInstance {
 
   // A gathered payload: one column per requested field, values in
   // point-iteration order. Copies gather on the source side at network
-  // injection and scatter on the destination side at delivery — under
-  // the multi-worker backend the two ends run on different host
-  // threads, so the delivery must not touch the source instance.
-  // (Equivalent to reading at delivery time: anti-dependences order any
-  // writer of the source after the copy completes.)
+  // injection and scatter on the destination side at delivery, the way
+  // RDMA reads the payload when the message is injected. (Equivalent to
+  // reading at delivery time: anti-dependences order any writer of the
+  // source after the copy completes.)
   struct StagedPayload {
     std::vector<std::variant<std::vector<double>, std::vector<int64_t>>>
         cols;

@@ -1,7 +1,6 @@
 #include "sim/event.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "sim/simulator.h"
@@ -41,10 +40,8 @@ Event Event::merge(Simulator& sim, const std::vector<Event>& events) {
   if (pending == 0) return Event();
 
   UserEvent merged(sim);
-  // The counter is shared by the subscriptions below. Atomic so a
-  // contract violation under the windowed backend (inputs triggering on
-  // two node workers at once) cannot corrupt the count silently.
-  auto remaining = std::make_shared<std::atomic<size_t>>(pending);
+  // The countdown is shared by the subscriptions below.
+  auto remaining = std::make_shared<size_t>(pending);
   Simulator* simp = &sim;
   const uint64_t merged_uid = merged.event().uid();
   if (EventGraph* g = sim.event_graph()) {
@@ -58,7 +55,7 @@ Event Event::merge(Simulator& sim, const std::vector<Event>& events) {
     const uint64_t input_uid = e.uid();
     e.subscribe([merged, remaining, simp, merged_uid,
                  input_uid](Time) mutable {
-      if (remaining->fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      if (--*remaining == 0) {
         // The input that completes the merge is its critical
         // predecessor; record the identity for critical-path analysis.
         if (support::Tracer* t = simp->tracer()) {
@@ -78,14 +75,8 @@ Event Event::merge_remote(Simulator& sim, const std::vector<Event>& events) {
   }
   if (pending == 0) return Event();
 
-  // Until the countdown completes and the deferred completion entry is
-  // actually scheduled, this merge can mint a global-lane entry at an
-  // unknown future time — the window planner must not elide boundaries
-  // while any such merge is outstanding (schedule_merge_completion
-  // drops the count).
-  sim.note_merge_armed();
   UserEvent merged(sim);
-  auto remaining = std::make_shared<std::atomic<size_t>>(pending);
+  auto remaining = std::make_shared<size_t>(pending);
   Simulator* simp = &sim;
   const uint64_t merged_uid = merged.event().uid();
   if (EventGraph* g = sim.event_graph()) {
@@ -93,22 +84,21 @@ Event Event::merge_remote(Simulator& sim, const std::vector<Event>& events) {
   }
   // The completion closure scans the inputs once everything triggered:
   // the alias choice depends only on trigger times and input order,
-  // never on which worker's countdown decrement happened to be last.
+  // never on which input happened to trigger last.
   auto inputs = std::make_shared<std::vector<Event>>(events);
   for (const Event& e : events) {
     if (e.has_triggered()) continue;
     e.subscribe([merged, remaining, simp, merged_uid,
                  inputs](Time) mutable {
-      if (remaining->fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-      // All inputs have triggered (the acq_rel countdown orders their
-      // state writes before this read); the merge completes at the max
-      // trigger time regardless of which decrement arrived last.
+      if (--*remaining != 0) return;
+      // All inputs have triggered; the merge completes at the max
+      // trigger time regardless of which one arrived last.
       Time when = 0;
       for (const Event& in : *inputs) {
         when = std::max(when, in.trigger_time());
       }
-      simp->schedule_merge_completion(
-          when, merged_uid, [merged, simp, merged_uid, inputs]() mutable {
+      simp->schedule_at(
+          when, [merged, simp, merged_uid, inputs]() mutable {
             if (support::Tracer* t = simp->tracer()) {
               // Latest trigger wins; ties keep the first input.
               Time best = 0;

@@ -43,26 +43,20 @@ class Event {
 
   // Merge: an event that triggers when all inputs have triggered, at the
   // max of their trigger times. The merged trigger runs synchronously in
-  // the last input's trigger cascade, so under the windowed backend all
-  // untriggered inputs must trigger on one node affinity (plus any
-  // number of serial-phase/global events) — the engine's edge routing
-  // guarantees this for every merge it builds.
+  // the last input's trigger cascade.
   static Event merge(Simulator& sim, const std::vector<Event>& events);
 
-  // Merge for inputs that trigger on *different* nodes (barrier and
-  // collective fan-ins): the completion is deferred to a scheduled
-  // serial-phase entry keyed by the merged event's uid, so the result is
-  // identical no matter which host thread completes the countdown. The
+  // Merge for fan-ins across nodes (barriers and collectives): the
+  // completion is deferred to its own scheduled entry at the max of the
+  // input trigger times, one extra event at the same virtual time. The
   // critical-predecessor alias is chosen deterministically (latest
-  // trigger time, ties by input order). Timing is unchanged: the merged
-  // event still triggers at the max of the input trigger times.
+  // trigger time, ties by input order).
   static Event merge_remote(Simulator& sim, const std::vector<Event>& events);
 
   friend bool operator==(const Event&, const Event&) = default;
 
  private:
   friend class UserEvent;
-  friend class Simulator;
   explicit Event(std::shared_ptr<detail::EventState> state)
       : state_(std::move(state)) {}
   std::shared_ptr<detail::EventState> state_;

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -24,14 +23,9 @@ namespace cr::sim {
 class EventGraph {
  public:
   // Record "from happens-before to". Edges touching the no-event
-  // (uid 0) carry no information and are dropped. Thread-safe: under
-  // the multi-worker backend several workers record edges at once. The
-  // edge *list order* depends on the interleaving, but consumers (the
-  // race checker, critical-path analysis) only use the edge *set* —
-  // reachability is order-insensitive.
+  // (uid 0) carry no information and are dropped.
   void edge(uint64_t from, uint64_t to) {
     if (from == 0 || to == 0 || from == to) return;
-    std::lock_guard<std::mutex> lock(mu_);
     edges_.push_back({from, to});
   }
 
@@ -40,13 +34,9 @@ class EventGraph {
     return edges_;
   }
 
-  void clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    edges_.clear();
-  }
+  void clear() { edges_.clear(); }
 
  private:
-  std::mutex mu_;
   std::vector<std::pair<uint64_t, uint64_t>> edges_;
 };
 

@@ -24,7 +24,7 @@ struct MachineConfig {
   std::vector<double> node_speed = {};
   // Injected transient slowdowns: during [begin, end) in virtual time,
   // work starting on `node`'s cores runs `factor`x longer. Deterministic
-  // and replay-stable under any worker count (see sim::SlowdownWindow).
+  // and replay-stable (see sim::SlowdownWindow).
   struct NodeSlowdown {
     uint32_t node = 0;
     Time begin = 0;

@@ -47,15 +47,10 @@ Event Network::send(uint32_t src, uint32_t dst, uint64_t bytes,
                    : nullptr;
   const uint64_t pre_uid = precondition.uid();
   const uint64_t delivered_uid = delivered.event().uid();
-  // Arm before subscribing: the subscription may run inline when the
-  // precondition has already triggered, and the fired note must never
-  // precede its arm. While armed, the source lane's queue front bounds
-  // its outbound influence (the adaptive window input).
-  if (src != dst) sim_->note_cross_send_armed(src);
   precondition.subscribe([this, src, dst, bytes, work, stage, delivered,
                           pre_uid, delivered_uid](Time ready) mutable {
-    messages_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    ++messages_;
+    bytes_ += bytes;
     if (stage) (*stage)();
     Time arrive;
     support::Tracer* t = sim_->tracer();
@@ -95,16 +90,10 @@ Event Network::send(uint32_t src, uint32_t dst, uint64_t bytes,
         t->bind(delivered_uid, span);
       }
     }
-    // The delivery runs on the destination node: its side effects (the
-    // payload landing, the consumer cascade) belong to dst's partition.
-    sim_->schedule_at_affine(arrive, dst, [work, delivered]() mutable {
+    sim_->schedule_at(arrive, [work, delivered]() mutable {
       if (work) (*work)();
       delivered.trigger();
     });
-    // Disarm only after the delivery is enqueued: from this point the
-    // message's influence is visible to the window computation as a
-    // pending destination entry instead of an armed source send.
-    if (src != dst) sim_->note_cross_send_fired(src);
   });
   return delivered.event();
 }
@@ -112,9 +101,7 @@ Event Network::send(uint32_t src, uint32_t dst, uint64_t bytes,
 Time Network::handler_jitter(uint64_t delivered_uid) const {
   if (config_.am_jitter_ns == 0) return 0;
   // Pure function of the delivery event's uid (assigned during the
-  // single-threaded unroll) and the configured seed: bit-identical under
-  // any --workers=N. Always >= 0, so min_cross_node_delay remains the
-  // true lower bound on cross-node influence.
+  // unroll) and the configured seed, so runs are bit-identical.
   const uint64_t h = support::hash_mix(
       delivered_uid ^ (config_.jitter_seed * 0x9e3779b97f4a7c15ull) ^
       0x616d6a69747465ull);

@@ -12,7 +12,6 @@
 // the literature (LogP-style).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -30,9 +29,8 @@ struct NetworkConfig {
   Time am_handler_ns = 300;            // active-message handler cost
   // Scenario knob: deterministic per-message AM-handler jitter in
   // [0, am_jitter_ns], hashed from the delivery event's uid (allocated
-  // at the unroll-time send() call, so identical under any worker
-  // count). Strictly additive — min_cross_node_delay stays a sound
-  // conservative lookahead. The analytic helpers (transfer_time,
+  // at the unroll-time send() call). Strictly additive. The analytic
+  // helpers (transfer_time,
   // tree_latency) stay unjittered: they model dedicated collective
   // hardware, not per-message handler scheduling.
   Time am_jitter_ns = 0;
@@ -47,9 +45,9 @@ class Network {
   // event triggers on delivery. `on_delivery` (optional) runs at delivery
   // time (real side effect, e.g. the actual memcpy of region data).
   // `on_inject` (optional) runs on the source side when the message is
-  // injected: under the windowed backend the delivery callback executes
-  // on the *destination* node's worker, so any read of source-side state
-  // (RDMA gathering the payload) must happen here instead.
+  // injected, at the ready time: a copy gathers its source data here, as
+  // RDMA reads the payload at injection, so later writes to the source
+  // cannot leak into the in-flight message.
   Event send(uint32_t src, uint32_t dst, uint64_t bytes, Event precondition,
              std::function<void()> on_delivery = nullptr,
              std::function<void()> on_inject = nullptr);
@@ -66,30 +64,17 @@ class Network {
   // `participants` nodes (used by barriers and dynamic collectives).
   Time tree_latency(uint32_t participants, uint32_t fanin = 2) const;
 
-  uint64_t messages_sent() const {
-    return messages_.load(std::memory_order_relaxed);
-  }
-  uint64_t bytes_sent() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
+  uint64_t messages_sent() const { return messages_; }
+  uint64_t bytes_sent() const { return bytes_; }
 
   const NetworkConfig& config() const { return config_; }
-
-  // The minimum cross-node influence delay: no callback on one node can
-  // affect another node's state earlier than this after it runs. The
-  // windowed backend's conservative lookahead.
-  Time min_cross_node_delay() const {
-    return config_.latency_ns + config_.am_handler_ns;
-  }
 
  private:
   Simulator* sim_;
   NetworkConfig config_;
   std::vector<Time> nic_free_;  // per-node injection availability
-  // Commutative tallies, bumped from whichever worker runs the send
-  // callback; sums are order-independent, so still deterministic.
-  std::atomic<uint64_t> messages_{0};
-  std::atomic<uint64_t> bytes_{0};
+  uint64_t messages_ = 0;
+  uint64_t bytes_ = 0;
 };
 
 }  // namespace cr::sim

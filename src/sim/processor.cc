@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "sim/simulator.h"
-#include "support/check.h"
 #include "support/trace.h"
 
 namespace cr::sim {
@@ -20,20 +19,9 @@ Event Processor::spawn(Event precondition, Time duration,
                           tag = std::move(tag)](Time ready) mutable {
     // FIFO in ready order: the core picks this item up when it next goes
     // idle at or after `ready`.
-    // This pickup mutates the core's schedule (next_free_, busy_): under
-    // the windowed backend it must run either on the owning node's
-    // worker or in a serial phase. A pickup arriving on another node's
-    // worker means the spawn's precondition was wired to trigger
-    // remotely — a host race waiting to happen.
-    if (sim_->windowed()) {
-      const uint32_t aff = Simulator::debug_affinity();
-      CR_CHECK_MSG(aff == kNoAffinity || aff == id_.node,
-                   "processor spawn picked up on a foreign node's worker");
-    }
     const Time start = std::max(ready, next_free_);
     // Scenario scaling (heterogeneous speed, injected slowdowns): a pure
-    // function of the virtual start time, so the effective duration is
-    // identical under every worker count.
+    // function of the virtual start time.
     const Time eff = perf_ != nullptr ? perf_->scale(start, duration)
                                       : duration;
     const Time end = start + eff;
@@ -46,16 +34,10 @@ Event Processor::spawn(Event precondition, Time duration,
       t->edge(pre_uid, span);
       t->bind(done_uid, span);
     }
-    // Both entries are affine to this core's node: the work side effects
-    // and the completion cascade (which picks up queued successors on
-    // this node) must execute on the node's worker even when the pickup
-    // itself ran in a serial phase (e.g. a barrier release).
     if (work_ptr) {
-      sim_->schedule_at_affine(start, id_.node,
-                               [work_ptr] { (*work_ptr)(); });
+      sim_->schedule_at(start, [work_ptr] { (*work_ptr)(); });
     }
-    sim_->schedule_at_affine(end, id_.node,
-                             [done]() mutable { done.trigger(); });
+    sim_->schedule_at(end, [done]() mutable { done.trigger(); });
   });
   return done.event();
 }

@@ -27,8 +27,7 @@ struct ProcId {
 // A virtual-time interval during which a node's cores run slower
 // (an injected transient fault / interference burst). An item whose
 // *start* falls inside [begin, end) has its duration multiplied by
-// `factor` (>= 1: scenarios may only slow work down — speedups would
-// have to prove they cannot shrink the cross-node lookahead).
+// `factor` (>= 1: scenarios may only slow work down).
 struct SlowdownWindow {
   Time begin = 0;
   Time end = 0;
@@ -38,7 +37,7 @@ struct SlowdownWindow {
 // Per-node performance scenario: a static speed factor (heterogeneous
 // machines; 1.0 = nominal, 0.5 = half speed) plus injected slowdown
 // windows. Durations are scaled deterministically from virtual times
-// only, so every worker count replays the same timeline.
+// only, so every run replays the same timeline.
 struct NodePerf {
   double speed = 1.0;
   std::vector<SlowdownWindow> slowdowns;

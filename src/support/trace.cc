@@ -12,12 +12,6 @@
 
 namespace cr::support {
 
-namespace {
-// The lane this thread records into; -1 = direct. Process-wide: only
-// one Tracer is ever in sharded mode at a time (the active simulator's).
-thread_local int32_t tls_trace_lane = -1;
-}  // namespace
-
 const char* trace_category_name(TraceCategory c) {
   switch (c) {
     case TraceCategory::kCompute:
@@ -30,70 +24,9 @@ const char* trace_category_name(TraceCategory c) {
   return "?";
 }
 
-Tracer::LaneBuffer* Tracer::lane() {
-  if (!sharded_ || tls_trace_lane < 0) return nullptr;
-  CR_DCHECK(static_cast<size_t>(tls_trace_lane) < lanes_.size());
-  return &lanes_[static_cast<size_t>(tls_trace_lane)];
-}
-
-void Tracer::set_thread_lane(int32_t lane) { tls_trace_lane = lane; }
-
-void Tracer::begin_sharded(uint32_t lanes) {
-  CR_CHECK_MSG(!sharded_, "begin_sharded() while already sharded");
-  CR_CHECK(lanes > 0);
-  lanes_ = std::vector<LaneBuffer>(lanes);
-  sharded_ = true;
-}
-
-void Tracer::end_sharded() {
-  CR_CHECK_MSG(sharded_, "end_sharded() without begin_sharded()");
-  sharded_ = false;
-  // Lane-local span indices become global ids at per-lane bases; lanes
-  // merge in index order, so the result only depends on lane contents.
-  std::vector<SpanId> base(lanes_.size());
-  SpanId next = static_cast<SpanId>(spans_.size());
-  for (size_t i = 0; i < lanes_.size(); ++i) {
-    base[i] = next;
-    next += static_cast<SpanId>(lanes_[i].spans.size());
-  }
-  for (size_t i = 0; i < lanes_.size(); ++i) {
-    LaneBuffer& lb = lanes_[i];
-    for (TraceSpan& s : lb.spans) {
-      tracks_.try_emplace({s.pid, s.tid}, TrackInfo{"", s.pid != kRuntimePid});
-      spans_.push_back(std::move(s));
-    }
-    for (TraceInstant& in : lb.instants) instants_.push_back(std::move(in));
-    for (LaneDecl& d : lb.tracks) {
-      declare_track(d.pid, d.tid, std::move(d.name), d.hardware);
-    }
-    for (auto& [pid, name] : lb.process_names) {
-      process_names_[pid] = std::move(name);
-    }
-    for (const auto& [uid, local] : lb.binds) {
-      producer_[uid] = base[i] + local;
-    }
-    for (const auto& [derived, original] : lb.aliases) {
-      aliases_.emplace(derived, original);
-    }
-    for (const auto& [uid, local] : lb.edges) {
-      edges_.emplace_back(uid, base[i] + local);
-    }
-    for (auto& [uid, attr] : lb.attrs) {
-      attr_uids_.emplace(uid, attr.first);
-      attr_labels_.emplace(attr.first, std::move(attr.second));
-    }
-  }
-  lanes_.clear();
-}
-
 SpanId Tracer::add_span(uint32_t pid, uint32_t tid, TraceCategory category,
                         std::string name, TraceTime start, TraceTime end) {
   CR_DCHECK(start <= end);
-  if (LaneBuffer* lb = lane()) {
-    const SpanId local = static_cast<SpanId>(lb->spans.size());
-    lb->spans.push_back({pid, tid, category, start, end, std::move(name)});
-    return local;
-  }
   const SpanId id = static_cast<SpanId>(spans_.size());
   spans_.push_back({pid, tid, category, start, end, std::move(name)});
   tracks_.try_emplace({pid, tid}, TrackInfo{"", pid != kRuntimePid});
@@ -102,66 +35,38 @@ SpanId Tracer::add_span(uint32_t pid, uint32_t tid, TraceCategory category,
 
 void Tracer::add_instant(uint32_t pid, uint32_t tid, std::string name,
                          TraceTime time) {
-  if (LaneBuffer* lb = lane()) {
-    lb->instants.push_back({pid, tid, time, std::move(name)});
-    return;
-  }
   instants_.push_back({pid, tid, time, std::move(name)});
 }
 
 void Tracer::declare_track(uint32_t pid, uint32_t tid, std::string name,
                            bool hardware) {
-  if (LaneBuffer* lb = lane()) {
-    lb->tracks.push_back({pid, tid, std::move(name), hardware});
-    return;
-  }
   TrackInfo& info = tracks_[{pid, tid}];
   info.name = std::move(name);
   info.hardware = hardware && pid != kRuntimePid;
 }
 
 void Tracer::set_process_name(uint32_t pid, std::string name) {
-  if (LaneBuffer* lb = lane()) {
-    lb->process_names.emplace_back(pid, std::move(name));
-    return;
-  }
   process_names_[pid] = std::move(name);
 }
 
 void Tracer::bind(uint64_t uid, SpanId span) {
   if (uid == 0 || span == kNoSpan) return;
-  if (LaneBuffer* lb = lane()) {
-    lb->binds.emplace_back(uid, span);
-    return;
-  }
   producer_[uid] = span;
 }
 
 void Tracer::alias(uint64_t derived, uint64_t original) {
   if (derived == 0 || original == 0 || derived == original) return;
-  if (LaneBuffer* lb = lane()) {
-    lb->aliases.emplace_back(derived, original);
-    return;
-  }
   aliases_.emplace(derived, original);
 }
 
 void Tracer::edge(uint64_t uid, SpanId to) {
   if (uid == 0 || to == kNoSpan) return;
-  if (LaneBuffer* lb = lane()) {
-    lb->edges.emplace_back(uid, to);
-    return;
-  }
   edges_.emplace_back(uid, to);
 }
 
 void Tracer::attribute(uint64_t uid, uint32_t source,
                        const std::string& label) {
   if (uid == 0) return;
-  if (LaneBuffer* lb = lane()) {
-    lb->attrs.emplace_back(uid, std::make_pair(source, label));
-    return;
-  }
   attr_uids_.emplace(uid, source);
   attr_labels_.emplace(source, label);
 }

@@ -143,21 +143,6 @@ class Tracer {
                      bool hardware = true);
   void set_process_name(uint32_t pid, std::string name);
 
-  // --- sharded recording (multi-worker simulator backend) --------------
-  // Between begin_sharded(lanes) and end_sharded(), a thread that has
-  // declared a lane (set_thread_lane) buffers its recording calls into
-  // that lane; end_sharded() merges the lanes in index order. The merged
-  // record is a pure function of per-lane contents, so it is identical
-  // no matter how host threads interleaved. SpanIds handed out while
-  // sharded are lane-local and remapped during the merge — callers only
-  // ever use them immediately, on the same lane, for bind()/edge().
-
-  void begin_sharded(uint32_t lanes);
-  void end_sharded();
-  // Routes this thread's recording to `lane`; -1 restores direct
-  // recording. A process-wide thread attribute (one active Tracer).
-  static void set_thread_lane(int32_t lane);
-
   // --- dependence bookkeeping ------------------------------------------
   // Keys are simulator event uids (sim::Event::uid). uid 0 (the
   // no-event) is ignored everywhere.
@@ -207,26 +192,6 @@ class Tracer {
     std::string name;
     bool hardware = true;
   };
-  struct LaneDecl {
-    uint32_t pid = 0;
-    uint32_t tid = 0;
-    std::string name;
-    bool hardware = true;
-  };
-  // One worker lane's buffered recording; bind/edge span ids are local
-  // indices into `spans` until the end_sharded() merge.
-  struct LaneBuffer {
-    std::vector<TraceSpan> spans;
-    std::vector<TraceInstant> instants;
-    std::vector<LaneDecl> tracks;
-    std::vector<std::pair<uint32_t, std::string>> process_names;
-    std::vector<std::pair<uint64_t, SpanId>> binds;
-    std::vector<std::pair<uint64_t, uint64_t>> aliases;
-    std::vector<std::pair<uint64_t, SpanId>> edges;
-    std::vector<std::pair<uint64_t, std::pair<uint32_t, std::string>>> attrs;
-  };
-  LaneBuffer* lane();  // nullptr when recording directly
-
   uint64_t resolve_alias(uint64_t uid) const;
   SpanId producer_of(uint64_t uid) const;
   // Deterministic span -> source-statement resolution of attr_uids_
@@ -242,8 +207,6 @@ class Tracer {
   std::vector<std::pair<uint64_t, SpanId>> edges_;  // pre uid -> consumer
   std::unordered_map<uint64_t, uint32_t> attr_uids_;  // event uid -> source
   std::unordered_map<uint32_t, std::string> attr_labels_;  // source -> label
-  std::vector<LaneBuffer> lanes_;
-  bool sharded_ = false;
 };
 
 }  // namespace cr::support

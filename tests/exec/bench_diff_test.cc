@@ -216,9 +216,8 @@ TEST(BenchDiff, HostMetricsGateOnlyViaHostPct) {
 }
 
 TEST(BenchDiff, BarrierWaitRegressionCaughtOnlyByHostGate) {
-  // The host-phase profiler's keys (host.phase.*) ride the same routing
-  // as the older host.run_seconds: a doubled barrier-wait time — the
-  // canonical symptom of a backend synchronization regression that is
+  // Any host.* key rides the same routing as host.run_seconds: a
+  // doubled barrier-wait time — a host-side regression that is
   // invisible in virtual time — must be caught by --host, and only by
   // --host. Virtual-time quantities in the same point stay identical,
   // so the default and all_pct gates have nothing to flag.

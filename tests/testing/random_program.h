@@ -1,9 +1,8 @@
 // Shared random-program generator for the property tests: arbitrary
 // region sizes, aliased image partitions through random pointer maps,
 // random task sequences with random privileges, optional region and
-// scalar reductions. The fuzz test checks the generated programs against
-// the sequential oracle; the parallel-backend property test checks that
-// every worker count replays the same per-node event order.
+// scalar reductions, and loop-invariant copies. The fuzz test checks the
+// generated programs against the sequential oracle.
 #pragma once
 
 #include <cmath>
@@ -238,6 +237,25 @@ inline RandomProgram make_random_program(rt::RegionForest& forest,
       b.index_launch(plan.id, colors, std::move(args),
                      std::move(scalar_args));
     }
+  }
+  // A loop-invariant copy from the primary of a region no task writes
+  // or reduces into inside the loop to one of its images: copy placement
+  // can hoist it (the source is never written in the loop and the copy
+  // is the destination's only writer). Drawn after everything else, so
+  // the rest of the program does not depend on whether one is emitted.
+  std::vector<size_t> read_only;
+  for (size_t r = 0; r < out.regions.size(); ++r) {
+    bool modified = out.regions[r].images.empty();
+    for (const TaskPlan& plan : plans) {
+      modified |= plan.write_region == r ||
+                  plan.reduce_region == static_cast<int>(r);
+    }
+    if (!modified) read_only.push_back(r);
+  }
+  if (!read_only.empty()) {
+    const auto& rr = out.regions[read_only[rng.next_below(read_only.size())]];
+    b.copy(rr.primary, rr.images[rng.next_below(rr.images.size())],
+           {rr.field});
   }
   b.end_for_time();
   out.program = b.finish();
