@@ -68,27 +68,24 @@ double run_engine(bench::Bench& bench, uint32_t nodes, bool spmd) {
   return bench::steady_seconds(total, 2, 6);
 }
 
-// --selftime dependence study: the implicit master's dynamic dependence
-// analysis with the full tracker enabled, indexed vs exhaustive linear
-// scan, plus trace capture & replay on top of the index. Virtual time
-// is charged on pairs_scanned in every mode, so the makespans must be
-// bit-identical; the index reduces how many exact conflict tests
-// (pairs_tested) the host performs, and replay removes the steady-state
-// remainder entirely. Returns false if any makespan diverged.
-bool dependence_study(bench::Bench& bench,
-                      exec::ScalingReport& analysis_report) {
+// --selftime replay study: the implicit master's dynamic dependence
+// analysis with the full tracker enabled, indexed vs trace capture &
+// replay on top of the index. Virtual time is charged on pairs_scanned
+// either way, so the makespans must be bit-identical; replay removes the
+// steady-state exact conflict tests (pairs_tested) entirely. Returns
+// false if any makespan diverged.
+bool replay_study(bench::Bench& bench, exec::ScalingReport& analysis_report) {
   if (!bench.options().selftime) return true;
   const uint32_t nodes = cr::bench::node_counts().back();
   struct StudyRun {
     exec::ExecutionResult res;
     double host_seconds = 0;
   };
-  auto run_one = [&](bool linear, bool replay, uint64_t steps) {
+  auto run_one = [&](bool replay, uint64_t steps) {
     exec::CostModel cost = exec::CostModel::piz_daint();
     cost.track_dependences = true;
     Config cfg = make_config(nodes, steps);
     rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
-    rt.deps().set_linear_scan(linear);
     apps::stencil::App app = apps::stencil::build(rt, cfg);
     for (auto& t : app.program.tasks) t.kernel = nullptr;
     exec::ExecConfig ecfg = bench.config(exec::ExecMode::kImplicit, cost);
@@ -104,52 +101,19 @@ bool dependence_study(bench::Bench& bench,
             .count();
     return out;
   };
-  std::fprintf(stderr, "  [dependence study] %u nodes...\n", nodes);
-  StudyRun linear = run_one(true, false, 4);
-  StudyRun indexed = run_one(false, false, 4);
-  linear.res.analysis.host_seconds = linear.host_seconds;
-  indexed.res.analysis.host_seconds = indexed.host_seconds;
-  bool same = linear.res.makespan_ns == indexed.res.makespan_ns;
-  const double drop =
-      indexed.res.analysis.dep_pairs_tested > 0
-          ? static_cast<double>(linear.res.analysis.dep_pairs_tested) /
-                static_cast<double>(indexed.res.analysis.dep_pairs_tested)
-          : 0;
-  std::printf(
-      "dependence study [implicit stencil, %u nodes, tracker on]\n"
-      "  linear scan:\n%s  indexed:\n%s"
-      "  pairs_tested reduction: %.1fx; makespans %s (%llu ns)\n\n",
-      nodes, linear.res.analysis.to_text().c_str(),
-      indexed.res.analysis.to_text().c_str(), drop,
-      same ? "identical" : "DIFFER",
-      static_cast<unsigned long long>(indexed.res.makespan_ns));
-  for (const auto* r : {&linear, &indexed}) {
-    exec::ScalingSeries s;
-    s.name = r == &linear ? "dep-study linear" : "dep-study indexed";
-    exec::ScalingPoint pt;
-    pt.nodes = nodes;
-    pt.seconds = exec::to_seconds(r->res.makespan_ns);
-    pt.work_per_node = kPaperPointsPerNode;
-    pt.iterations = 4;
-    pt.has_analysis = true;
-    pt.analysis = r->res.analysis;
-    pt.analysis.host_seconds = r->host_seconds;
-    s.points.push_back(pt);
-    analysis_report.series.push_back(std::move(s));
-  }
 
-  // Replay study: indexed vs indexed+replay at two step counts. The
-  // per-step difference isolates the steady state (capture warmup and
-  // the init launches cancel out), which is where iterative apps spend
-  // their time and where replay should drive pairs_tested to zero.
+  // Two step counts per leg: the per-step difference isolates the
+  // steady state (capture warmup and the init launches cancel out),
+  // which is where iterative apps spend their time and where replay
+  // should drive pairs_tested to zero.
   const uint64_t lo = 6, hi = 22;
   std::fprintf(stderr, "  [replay study] %u nodes...\n", nodes);
-  StudyRun idx_lo = run_one(false, false, lo);
-  StudyRun idx_hi = run_one(false, false, hi);
-  StudyRun rep_lo = run_one(false, true, lo);
-  StudyRun rep_hi = run_one(false, true, hi);
-  same = same && idx_lo.res.makespan_ns == rep_lo.res.makespan_ns &&
-         idx_hi.res.makespan_ns == rep_hi.res.makespan_ns;
+  StudyRun idx_lo = run_one(false, lo);
+  StudyRun idx_hi = run_one(false, hi);
+  StudyRun rep_lo = run_one(true, lo);
+  StudyRun rep_hi = run_one(true, hi);
+  const bool same = idx_lo.res.makespan_ns == rep_lo.res.makespan_ns &&
+                    idx_hi.res.makespan_ns == rep_hi.res.makespan_ns;
   auto steady = [&](const StudyRun& l, const StudyRun& h) {
     return static_cast<double>(h.res.analysis.dep_pairs_tested -
                                l.res.analysis.dep_pairs_tested) /
@@ -197,8 +161,7 @@ bool dependence_study(bench::Bench& bench,
     analysis_report.series.push_back(std::move(s));
   }
   if (!same) {
-    std::fprintf(stderr,
-                 "FAIL: dependence/replay study makespans diverged\n");
+    std::fprintf(stderr, "FAIL: replay study makespans diverged\n");
   }
   return same;
 }
@@ -256,7 +219,7 @@ int main(int argc, char** argv) {
       "Figure 6: Stencil weak scaling (40k^2 points/node)",
       "10^6 points/s per node", 1e6, kPaperPointsPerNode, 1.0, specs);
   std::printf("%s\n", report.to_table().c_str());
-  const bool study_ok = dependence_study(bench, report);
+  const bool study_ok = replay_study(bench, report);
   bench.write_analysis_json(report);
   bench.write_metrics_json(report);
   const int rc = bench.finish();

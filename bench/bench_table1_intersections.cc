@@ -7,9 +7,9 @@
 // the same quantities the paper's Table 1 reports. "Shallow" runs on one
 // node; "complete" is divided by the node count (it runs in parallel,
 // one shard per node, paper §3.3).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "apps/circuit/circuit.h"
@@ -115,14 +115,9 @@ int main(int argc, char** argv) {
   // line and answers with generated usage.
   cr::bench::FlagSet flags;
   if (!flags.parse(argc, argv)) return 2;
-  uint32_t big = 1024;
-  if (const char* env = std::getenv("CR_BENCH_MAX_NODES")) {
-    const uint32_t cap = static_cast<uint32_t>(std::atoi(env));
-    if (cap < big) big = cap;
-  }
+  const uint32_t big = std::min(1024u, cr::bench::max_nodes());
   std::vector<Row> rows;
   for (uint32_t nodes : {64u, big}) {
-    if (nodes == 0) continue;
     rows.push_back(run_circuit(nodes));
     rows.push_back(run_miniaero(nodes));
     rows.push_back(run_pennant(nodes));

@@ -7,9 +7,11 @@
 // Bench object the main function owns — there are no mutable globals.
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -311,21 +313,22 @@ class Bench {
 
   // Write the --selftime artifact: one JSON object per recorded point
   // with the analysis counters and host wall-clock. No-op unless
-  // --selftime.
-  void write_analysis_json(const exec::ScalingReport& report) const;
+  // --selftime. A failure to write it makes finish() return nonzero.
+  void write_analysis_json(const exec::ScalingReport& report);
 
   // Write the --metrics artifact: every recorded point's registry
   // snapshot, makespan and attribution rows. Strictly virtual-time
   // quantities (no host wall-clock), so the output is bit-stable across
   // machines and safe to commit as a bench_diff baseline. No-op unless
-  // --metrics.
-  void write_metrics_json(const exec::ScalingReport& report) const;
+  // --metrics. A failure to write it makes finish() return nonzero.
+  void write_metrics_json(const exec::ScalingReport& report);
 
-  // Prints the checker tally and returns the process exit code: with
-  // --check, nonzero when a race was found; with --check-mutate,
-  // nonzero when the mutant was NOT detected.
+  // Prints the checker tally and returns the process exit code: nonzero
+  // when a requested artifact could not be written; with --check, also
+  // when a race was found; with --check-mutate, also when the mutant was
+  // NOT detected.
   int finish() const {
-    if (!options_.check) return 0;
+    if (!options_.check) return artifact_failed_ ? 1 : 0;
     const bool mutating = options_.check_mutate >= 0;
     const bool detected = check_races_ > 0;
     std::fprintf(stderr,
@@ -338,7 +341,8 @@ class Bench {
                  mutating ? (detected ? " — mutant detected"
                                       : " — mutant NOT detected")
                           : (detected ? " — RACES" : " — ok"));
-    return mutating ? (detected ? 0 : 1) : (detected ? 1 : 0);
+    const bool check_failed = mutating ? !detected : detected;
+    return check_failed || artifact_failed_ ? 1 : 0;
   }
 
  private:
@@ -356,6 +360,7 @@ class Bench {
   uint64_t check_pairs_ = 0;
   uint64_t check_races_ = 0;
   uint64_t raced_runs_ = 0;
+  bool artifact_failed_ = false;
 };
 
 // RAII tracing for one engine run: attaches a Tracer to the runtime's
@@ -418,15 +423,31 @@ class TraceScope {
   std::unique_ptr<support::Tracer> tracer_;
 };
 
-// Node counts of the paper's weak-scaling plots, capped by the
-// CR_BENCH_MAX_NODES environment variable (default 1024).
-inline std::vector<uint32_t> node_counts() {
-  uint32_t max_nodes = 1024;
-  if (const char* env = std::getenv("CR_BENCH_MAX_NODES")) {
-    max_nodes = static_cast<uint32_t>(std::atoi(env));
+// The largest node count of a sweep: the CR_BENCH_MAX_NODES environment
+// variable, default 1024. Anything but a positive integer below 2^31
+// (so that node_counts()' doubling cannot wrap) exits with status 2.
+inline uint32_t max_nodes() {
+  const char* env = std::getenv("CR_BENCH_MAX_NODES");
+  if (env == nullptr) return 1024;
+  const char* end = env + std::strlen(env);
+  uint32_t value = 0;
+  const auto [ptr, ec] = std::from_chars(env, end, value);
+  if (ec != std::errc{} || ptr != end || value == 0 || value >= (1u << 31)) {
+    std::fprintf(stderr,
+                 "CR_BENCH_MAX_NODES must be a positive integer below "
+                 "2^31, got \"%s\"\n",
+                 env);
+    std::exit(2);
   }
+  return value;
+}
+
+// Node counts of the paper's weak-scaling plots: powers of two up to
+// max_nodes().
+inline std::vector<uint32_t> node_counts() {
+  const uint32_t max = max_nodes();
   std::vector<uint32_t> out;
-  for (uint32_t n = 1; n <= max_nodes; n *= 2) out.push_back(n);
+  for (uint32_t n = 1; n <= max; n *= 2) out.push_back(n);
   return out;
 }
 
@@ -495,13 +516,24 @@ inline exec::ScalingReport Bench::sweep(
   return report;
 }
 
-inline void Bench::write_analysis_json(
-    const exec::ScalingReport& report) const {
+// Closes an artifact opened for writing; false (with a message) when
+// anything written to it was lost.
+inline bool close_artifact(FILE* f, const std::string& path) {
+  const bool write_failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || write_failed) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+inline void Bench::write_analysis_json(const exec::ScalingReport& report) {
   if (!options_.selftime) return;
   FILE* f = std::fopen(options_.analysis_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n",
                  options_.analysis_path.c_str());
+    artifact_failed_ = true;
     return;
   }
   std::fprintf(f, "{\n  \"title\": \"%s\",\n  \"series\": [\n",
@@ -523,7 +555,10 @@ inline void Bench::write_analysis_json(
                  si + 1 < report.series.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  if (!close_artifact(f, options_.analysis_path)) {
+    artifact_failed_ = true;
+    return;
+  }
   std::fprintf(stderr, "  analysis counters: %s\n",
                options_.analysis_path.c_str());
 }
@@ -542,12 +577,12 @@ inline void write_json_number(FILE* f, double v) {
 
 }  // namespace detail
 
-inline void Bench::write_metrics_json(
-    const exec::ScalingReport& report) const {
+inline void Bench::write_metrics_json(const exec::ScalingReport& report) {
   if (options_.metrics_path.empty()) return;
   FILE* f = std::fopen(options_.metrics_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", options_.metrics_path.c_str());
+    artifact_failed_ = true;
     return;
   }
   std::fprintf(f, "{\n  \"app\": \"%s\",\n  \"series\": [\n", app_.c_str());
@@ -586,7 +621,10 @@ inline void Bench::write_metrics_json(
     std::fprintf(f, "\n    ]}%s\n", si + 1 < report.series.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  if (!close_artifact(f, options_.metrics_path)) {
+    artifact_failed_ = true;
+    return;
+  }
   std::fprintf(stderr, "  metrics snapshot: %s\n",
                options_.metrics_path.c_str());
 }

@@ -49,14 +49,15 @@ using MatrixRunFn =
 
 namespace detail {
 
-inline void write_matrix_json(const std::string& path,
+// False when the artifact could not be written.
+inline bool write_matrix_json(const std::string& path,
                               const std::string& app,
                               const std::string& mapper, uint32_t nodes,
                               const exec::ExecutionResult& res) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
+    return false;
   }
   std::fprintf(f,
                "{\n  \"app\": \"%s\",\n  \"mapper\": \"%s\",\n"
@@ -75,8 +76,9 @@ inline void write_matrix_json(const std::string& path,
     first = false;
   }
   std::fprintf(f, "},\n       \"attribution\": []}\n    ]}\n  ]\n}\n");
-  std::fclose(f);
+  if (!close_artifact(f, path)) return false;
   std::fprintf(stderr, "  matrix cell: %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace detail
@@ -100,7 +102,8 @@ inline MatrixCell matrix_scenario(uint32_t nodes) {
 // Runs the (mapper x scenario) matrix: the race checker must come back
 // clean on every cell. Writes
 // BENCH_mapper.<app>.<policy>.json per cell and hard-fails (nonzero)
-// if the balanced policy does not beat the adversarial one on makespan.
+// if the balanced policy does not beat the adversarial one on makespan
+// or a cell's artifact cannot be written.
 inline int run_mapper_matrix(Bench& bench, uint32_t nodes,
                              const MatrixRunFn& run) {
   const std::vector<std::string> policies = {"default", "balanced",
@@ -120,9 +123,11 @@ inline int run_mapper_matrix(Bench& bench, uint32_t nodes,
       ok = false;
     }
     makespans[policy] = res.makespan_ns;
-    detail::write_matrix_json(
-        "BENCH_mapper." + bench.app() + "." + policy + ".json", bench.app(),
-        policy, nodes, res);
+    if (!detail::write_matrix_json(
+            "BENCH_mapper." + bench.app() + "." + policy + ".json",
+            bench.app(), policy, nodes, res)) {
+      ok = false;
+    }
   }
   std::printf("mapper matrix [%s, %u nodes]\n", bench.app().c_str(), nodes);
   for (const std::string& policy : policies) {

@@ -9,8 +9,8 @@
 #include <cstdio>
 
 #include "apps/circuit/circuit.h"
+#include "exec/implicit_exec.h"
 #include "exec/sequential_exec.h"
-#include "exec/spmd_exec.h"
 
 using namespace cr;
 
@@ -38,7 +38,10 @@ int main() {
       (unsigned long long)app.pieces, cfg.nodes);
 
   exec::SequentialResult oracle = exec::run_sequential(app.program);
-  exec::PreparedRun run = exec::prepare_spmd(rt, app.program, cost, {});
+  exec::ExecConfig ecfg;
+  ecfg.cost = cost;
+  ecfg.mode = exec::ExecMode::kSpmd;
+  exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
   exec::ExecutionResult res = run.run();
 
   double vc0 = 0, vc1 = 0;

@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "apps/stencil/stencil.h"
-#include "exec/spmd_exec.h"
+#include "exec/implicit_exec.h"
 
 using namespace cr;
 
@@ -27,9 +27,10 @@ int main() {
     exec::CostModel cost = exec::CostModel::piz_daint();
     rt::Runtime rt(exec::runtime_config(cfg.nodes, 12, cost, true));
     apps::stencil::App app = apps::stencil::build(rt, cfg);
-    exec::PreparedRun prepared =
-        with_cr ? exec::prepare_spmd(rt, app.program, cost, {})
-                : exec::prepare_implicit(rt, app.program, cost, {});
+    exec::ExecConfig ecfg;
+    ecfg.cost = cost;
+    ecfg.mode = with_cr ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit;
+    exec::PreparedRun prepared = exec::prepare(rt, app.program, ecfg);
     exec::ExecutionResult res = prepared.run();
 
     // Validate against the PRK closed form at a few interior points.

@@ -10,8 +10,8 @@
 #include <cstdio>
 
 #include "apps/pennant/pennant.h"
+#include "exec/implicit_exec.h"
 #include "exec/sequential_exec.h"
-#include "exec/spmd_exec.h"
 
 using namespace cr;
 
@@ -36,7 +36,10 @@ int main() {
     rt::Runtime rt(exec::runtime_config(cfg.nodes, 12, cost, true));
     apps::pennant::App app = apps::pennant::build(rt, cfg);
     exec::SequentialResult oracle = exec::run_sequential(app.program);
-    exec::PreparedRun run = exec::prepare_spmd(rt, app.program, cost, {});
+    exec::ExecConfig ecfg;
+    ecfg.cost = cost;
+    ecfg.mode = exec::ExecMode::kSpmd;
+    exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
     run.run();
     const double dt_spmd = run.engine->scalar(app.s_dt);
     const double dt_seq = oracle.scalar(app.s_dt);

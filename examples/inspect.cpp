@@ -15,7 +15,7 @@
 #include "apps/miniaero/miniaero.h"
 #include "apps/pennant/pennant.h"
 #include "apps/stencil/stencil.h"
-#include "exec/spmd_exec.h"
+#include "exec/implicit_exec.h"
 #include "ir/printer.h"
 
 using namespace cr;
@@ -29,7 +29,10 @@ void inspect(rt::Runtime& rt, ir::Program program, const char* trace_path) {
   std::printf("==== implicitly parallel program ====\n%s\n",
               ir::to_string(program).c_str());
 
-  exec::PreparedRun run = exec::prepare_spmd(rt, std::move(program), cost, {});
+  exec::ExecConfig ecfg;
+  ecfg.cost = cost;
+  ecfg.mode = exec::ExecMode::kSpmd;
+  exec::PreparedRun run = exec::prepare(rt, std::move(program), ecfg);
   std::printf("==== after control replication ====\n%s\n",
               ir::to_string(*run.program).c_str());
   const passes::PipelineReport& r = run.report;

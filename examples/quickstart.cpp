@@ -11,8 +11,8 @@
 #include <cstdio>
 #include <memory>
 
+#include "exec/implicit_exec.h"
 #include "exec/sequential_exec.h"
-#include "exec/spmd_exec.h"
 #include "ir/builder.h"
 #include "ir/printer.h"
 #include "rt/partition.h"
@@ -103,7 +103,10 @@ int main() {
   exec::SequentialResult oracle = exec::run_sequential(program);
 
   // --- 2. control replication + SPMD execution --------------------------
-  exec::PreparedRun spmd = exec::prepare_spmd(runtime, program, cost, {});
+  exec::ExecConfig ecfg;
+  ecfg.cost = cost;
+  ecfg.mode = exec::ExecMode::kSpmd;
+  exec::PreparedRun spmd = exec::prepare(runtime, program, ecfg);
   std::printf("==== after control replication (compare Figure 4d) ====\n%s\n",
               ir::to_string(*spmd.program).c_str());
   exec::ExecutionResult spmd_res = spmd.run();

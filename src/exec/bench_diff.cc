@@ -108,21 +108,27 @@ void compare_point(const std::string& where, const support::JsonValue& base,
                    DiffResult& out) {
   check_host_seconds(where, "baseline", base, out);
   check_host_seconds(where, "current", cur, out);
+  // A baseline value that is missing or not a number would otherwise
+  // switch its gate off silently: report it instead.
   const support::JsonValue* bm = base.get("makespan_ns");
   const support::JsonValue* cm = cur.get("makespan_ns");
-  if (bm != nullptr && bm->is_number()) {
-    if (cm == nullptr || !cm->is_number()) {
-      out.errors.push_back(where + ": current point has no makespan_ns");
-    } else {
-      gate_metric(where, "makespan_ns", bm->num, cm->num,
-                  options.makespan_pct, options.zero_abs_eps, out);
-    }
+  if (bm == nullptr || !bm->is_number()) {
+    out.errors.push_back(where + ": baseline point has no numeric makespan_ns");
+  } else if (cm == nullptr || !cm->is_number()) {
+    out.errors.push_back(where + ": current point has no makespan_ns");
+  } else {
+    gate_metric(where, "makespan_ns", bm->num, cm->num, options.makespan_pct,
+                options.zero_abs_eps, out);
   }
   const support::JsonValue* bmet = base.get("metrics");
   if (bmet == nullptr || !bmet->is_object()) return;
   const support::JsonValue* cmet = cur.get("metrics");
   for (const auto& [key, value] : bmet->obj) {
-    if (!value.is_number()) continue;
+    if (!value.is_number()) {
+      out.errors.push_back(where + ": baseline metric \"" + key +
+                           "\" is not a number");
+      continue;
+    }
     // Prefix routing: "host." keys are wall-clock measurements gated
     // only by host_pct (virtual-time thresholds would misread their
     // noise); "info." keys are context and never gate. Explicit

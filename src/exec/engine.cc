@@ -1557,15 +1557,6 @@ Engine::Engine(rt::Runtime& rt, const ir::Program& program,
   if (config.trace) enable_trace();
 }
 
-Engine::Engine(rt::Runtime& rt, const ir::Program& program,
-               const CostModel& cost, ExecMode mode)
-    : Engine(rt, program, [&] {
-        ExecConfig config;
-        config.cost = cost;
-        config.mode = mode;
-        return config;
-      }()) {}
-
 Engine::~Engine() = default;
 
 ExecutionResult Engine::run() {

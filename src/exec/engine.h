@@ -66,9 +66,6 @@ class Engine {
   // runs the passes and then constructs the engine with the same config.
   Engine(rt::Runtime& rt, const ir::Program& program,
          const ExecConfig& config);
-  // Deprecated shim (pre-ExecConfig signature); prefer the above.
-  Engine(rt::Runtime& rt, const ir::Program& program, const CostModel& cost,
-         ExecMode mode);
   ~Engine();
 
   // Unrolls the program into the simulator and runs it to completion.

@@ -1,10 +1,7 @@
-// One configuration object for the whole prepare-and-execute path.
-//
-// Historically callers threaded passes::PipelineOptions into prepare_*,
-// a CostModel plus ExecMode into the Engine constructor, and flipped
-// instrumentation (tracing, the race checker) through separate calls.
-// ExecConfig collapses that plumbing: build one struct, hand it to
-// prepare() (see implicit_exec.h) or to the Engine directly.
+// One configuration object for the whole prepare-and-execute path:
+// pipeline options, cost model, execution mode, placement and
+// instrumentation. Build one struct and hand it to prepare() (see
+// implicit_exec.h) or to the Engine directly.
 #pragma once
 
 #include "exec/cost_model.h"

@@ -37,14 +37,4 @@ PreparedRun prepare(rt::Runtime& rt, ir::Program source,
   return out;
 }
 
-PreparedRun prepare_implicit(rt::Runtime& rt, ir::Program source,
-                             const CostModel& cost,
-                             passes::PipelineOptions options) {
-  ExecConfig config;
-  config.pipeline = options;
-  config.cost = cost;
-  config.mode = ExecMode::kImplicit;
-  return prepare(rt, std::move(source), config);
-}
-
 }  // namespace cr::exec

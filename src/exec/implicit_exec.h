@@ -1,8 +1,13 @@
-// The implicit-parallelism executor ("Regent w/o CR"): prepares the
-// source program for distributed memory (projection normalization, data
-// replication, reductions, placement, intersections — the work Legion's
-// runtime performs) and interprets it with a single control thread on
-// node 0 that issues every point task and every copy in the machine.
+// The one prepare-and-execute entry point for both execution modes:
+// prepare() transforms the source program per ExecConfig::mode and binds
+// an Engine to the result.
+//
+//  - kSpmd ("Regent with CR"): the full control replication pipeline,
+//    then one long-running shard control thread per node.
+//  - kImplicit ("Regent w/o CR"): distributed-memory preparation only
+//    (projection normalization, data replication, reductions, placement,
+//    intersections — the work Legion's runtime performs), then a single
+//    control thread on node 0 that issues every point task and copy.
 #pragma once
 
 #include <memory>
@@ -33,10 +38,5 @@ rt::RuntimeConfig runtime_config(uint32_t nodes, uint32_t cores_per_node,
 // per node.
 PreparedRun prepare(rt::Runtime& rt, ir::Program source,
                     const ExecConfig& config);
-
-// Deprecated shim (pre-ExecConfig signature); prefer prepare().
-PreparedRun prepare_implicit(rt::Runtime& rt, ir::Program source,
-                             const CostModel& cost,
-                             passes::PipelineOptions options = {});
 
 }  // namespace cr::exec

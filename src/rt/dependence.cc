@@ -27,13 +27,9 @@ std::vector<sim::Event> DependenceTracker::record(uint64_t op_id,
     // Candidate slots, in insertion order. The geometric candidate set
     // is a superset of every exactly-overlapping user (bounding extents
     // are conservative), so the conflicts found — and the epochs pruned
-    // — match the linear scan's exactly.
+    // — match the exhaustive scan's exactly.
     cand_.clear();
-    if (linear_) {
-      for (size_t i = 0; i < st.slots.size(); ++i) {
-        cand_.push_back(static_cast<uint32_t>(i));
-      }
-    } else if (!pts.empty()) {
+    if (!pts.empty()) {
       ++index_queries_;
       hits_.clear();
       st.tree.query(query, hits_);
@@ -178,11 +174,6 @@ void DependenceTracker::maybe_rebuild(FieldState& st) {
     st.dead = 0;
   }
   CR_DCHECK(st.slots.size() == st.alive);
-  if (linear_) {
-    // Compaction only (bounds memory); the reference mode never queries.
-    st.indexed_end = 0;
-    return;
-  }
   std::vector<IntervalTree::Entry> entries;
   entries.reserve(st.slots.size());
   for (size_t i = 0; i < st.slots.size(); ++i) {

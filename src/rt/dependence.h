@@ -18,15 +18,15 @@
 //    model — it models the implicit master and must not change when the
 //    host-side analysis gets faster.
 //  - pairs_tested(): exact conflict tests this implementation actually
-//    ran. The default indexed mode keeps an interval tree over each user
-//    list's bounding extents, so a new requirement only tests geometric
+//    ran. The tracker keeps an interval tree over each user list's
+//    bounding extents, so a new requirement only tests geometric
 //    candidates and pairs_tested() drops far below pairs_scanned() on
 //    mostly-disjoint access patterns.
 //
-// The indexed and linear modes find the identical dependence set in the
-// identical order and prune the identical epochs: a user whose bounding
-// extent misses the requirement's cannot overlap it exactly, so the
-// geometric candidate set is a superset of every conflicting user.
+// The index finds the same dependence set, in the same order, and prunes
+// the same epochs as the exhaustive scan: a user whose bounding extent
+// misses the requirement's cannot overlap it exactly, so the geometric
+// candidate set is a superset of every conflicting user.
 #pragma once
 
 #include <cstdint>
@@ -42,14 +42,6 @@ namespace cr::rt {
 class DependenceTracker {
  public:
   explicit DependenceTracker(const RegionForest& forest) : forest_(&forest) {}
-
-  // Fall back to the seed's exhaustive linear scan (reference semantics
-  // for property tests and ablations). Toggle before recording begins or
-  // right after reset(); the two modes return identical dependences and
-  // identical pairs_scanned(), and differ only in pairs_tested() and
-  // host time.
-  void set_linear_scan(bool linear) { linear_ = linear; }
-  bool linear_scan() const { return linear_; }
 
   // Capture of one record() call's analysis outcome, in a form that is
   // stable across loop iterations once the launch stream reaches steady
@@ -107,8 +99,7 @@ class DependenceTracker {
 
   // Exact conflict tests performed by this implementation.
   uint64_t pairs_tested() const { return pairs_tested_; }
-  // Pairs an exhaustive linear scan would have tested (virtual-time cost
-  // basis; identical in both modes).
+  // Pairs an exhaustive scan would have tested (virtual-time cost basis).
   uint64_t pairs_scanned() const { return pairs_scanned_; }
   uint64_t dependences_found() const { return dependences_found_; }
   uint64_t index_queries() const { return index_queries_; }
@@ -129,7 +120,7 @@ class DependenceTracker {
 
   // Per-(root, field) user list. Users append in issue order and retire
   // in place (tombstones), so a slot index is an insertion timestamp:
-  // candidate sets sorted by index reproduce the linear scan's order
+  // candidate sets sorted by index reproduce the exhaustive scan's order
   // exactly. The interval tree indexes the prefix [0, indexed_end);
   // younger users are scanned linearly until enough staleness (pending
   // appends + tombstones) accumulates to amortize a rebuild.
@@ -161,7 +152,6 @@ class DependenceTracker {
   std::map<std::pair<RegionId, FieldId>, FieldState> users_;
   std::vector<uint32_t> cand_;   // scratch: candidate slot indices
   std::vector<uint64_t> hits_;   // scratch: raw interval-tree payloads
-  bool linear_ = false;
   uint64_t pairs_tested_ = 0;
   uint64_t pairs_scanned_ = 0;
   uint64_t dependences_found_ = 0;

@@ -96,19 +96,6 @@ RegionId RegionForest::subregion(PartitionId p, uint64_t color) const {
   return node.subregions[color];
 }
 
-std::vector<RegionForest::PathStep> RegionForest::path_to_root(
-    RegionId r) const {
-  // Collected bottom-up, then reversed so paths compare root-down.
-  std::vector<PathStep> path;
-  RegionId cur = r;
-  while (regions_[cur].parent != kNoId) {
-    path.push_back({regions_[cur].parent, regions_[cur].color});
-    cur = partitions_[regions_[cur].parent].parent;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
 RegionForest::Relation RegionForest::relation_walk(RegionId a,
                                                    RegionId b) const {
   // Lift the deeper region to the shallower's depth; arriving at the
@@ -173,28 +160,6 @@ bool RegionForest::may_alias(RegionId a, RegionId b) const {
   return relation(a, b, counters_.alias_hits) != Relation::kDisjoint;
 }
 
-bool RegionForest::may_alias_uncached(RegionId a, RegionId b) const {
-  CR_CHECK(a < regions_.size() && b < regions_.size());
-  if (a == b) return true;
-  if (regions_[a].root != regions_[b].root) return false;  // separate trees
-  const auto pa = path_to_root(a);
-  const auto pb = path_to_root(b);
-  const size_t common = std::min(pa.size(), pb.size());
-  for (size_t k = 0; k < common; ++k) {
-    if (pa[k].partition != pb[k].partition) {
-      // Paths diverge into different partitions of the same region:
-      // nothing is known about their overlap.
-      return true;
-    }
-    if (pa[k].color != pb[k].color) {
-      // Same partition, different colors: disjoint iff the partition is.
-      return !partitions_[pa[k].partition].disjoint;
-    }
-  }
-  // One region is an ancestor of the other: they share elements.
-  return true;
-}
-
 bool RegionForest::overlaps_exact(RegionId a, RegionId b) const {
   CR_CHECK(a < regions_.size() && b < regions_.size());
   ++counters_.overlap_queries;
@@ -246,15 +211,6 @@ bool RegionForest::overlaps_exact(RegionId a, RegionId b) const {
   }
   slot = static_cast<uint8_t>(slot | 4u | (overlap ? 8u : 0u));
   return overlap;
-}
-
-bool RegionForest::overlaps_exact_uncached(RegionId a, RegionId b) const {
-  const RegionNode& na = region(a);
-  const RegionNode& nb = region(b);
-  // Distinct trees are distinct element name spaces: coordinates may
-  // coincide numerically but never denote the same data.
-  if (na.root != nb.root) return false;
-  return na.ispace.points().overlaps(nb.ispace.points());
 }
 
 bool RegionForest::partitions_may_alias(PartitionId p, PartitionId q) const {

@@ -90,12 +90,6 @@ class RegionForest {
   // remaining pair pays the exact interval merge at most once.
   bool overlaps_exact(RegionId a, RegionId b) const;
 
-  // Uncached reference implementations (the seed's path-vector LCA walk
-  // and the direct interval test). Used by property tests to validate
-  // the memoized versions and by nothing on the hot path.
-  bool may_alias_uncached(RegionId a, RegionId b) const;
-  bool overlaps_exact_uncached(RegionId a, RegionId b) const;
-
   // Export the memoization query/hit tallies into a metrics registry
   // under rt.alias.* / rt.overlap.* (idempotent set, not add — the
   // forest keeps the authoritative cumulative values). `fast`/`static`
@@ -114,14 +108,6 @@ class RegionForest {
   std::string to_string() const;
 
  private:
-  // Path from a region up to its root: region, (partition, color),
-  // region, ... encoded as alternating ids.
-  struct PathStep {
-    PartitionId partition;
-    uint64_t color;
-  };
-  std::vector<PathStep> path_to_root(RegionId r) const;
-
   // Structural relation of two distinct regions in one tree, computed by
   // an allocation-free depth-lockstep walk and memoized per pair.
   enum class Relation : uint8_t {

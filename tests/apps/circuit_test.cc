@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/implicit_exec.h"
 #include "exec/sequential_exec.h"
-#include "exec/spmd_exec.h"
 
 namespace cr::apps::circuit {
 namespace {
@@ -110,9 +110,9 @@ TEST_P(CircuitEquivalence, MatchesOracle) {
   cfg.leakage = 0.05;
   App app = build(rt, cfg);
   exec::SequentialResult oracle = exec::run_sequential(app.program);
-  exec::PreparedRun run =
-      spmd ? exec::prepare_spmd(rt, app.program, CostModel{}, {})
-           : exec::prepare_implicit(rt, app.program, CostModel{}, {});
+  exec::ExecConfig ecfg;
+  ecfg.mode = spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit;
+  exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
   run.run();
   for (uint64_t n = 0; n < app.graph.num_nodes(); ++n) {
     ASSERT_NEAR(run.engine->read_root_f64(app.rn, app.f_voltage, n),
@@ -145,8 +145,10 @@ TEST(Circuit, SpmdWithBarriersAndNoIntersectionsStillCorrect) {
   opt.p2p_sync = false;
   opt.intersection_opt = false;
   opt.copy_placement = false;
-  exec::PreparedRun run =
-      exec::prepare_spmd(rt, app.program, CostModel{}, opt);
+  exec::ExecConfig ecfg;
+  ecfg.mode = exec::ExecMode::kSpmd;
+  ecfg.pipeline = opt;
+  exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
   run.run();
   for (uint64_t n = 0; n < app.graph.num_nodes(); ++n) {
     ASSERT_NEAR(run.engine->read_root_f64(app.rn, app.f_voltage, n),
@@ -177,7 +179,10 @@ TEST_P(CircuitOptions, AllPipelineVariantsMatchOracle) {
   cfg.pct_cross = 0.2;
   App app = build(rt, cfg);
   exec::SequentialResult oracle = exec::run_sequential(app.program);
-  exec::PreparedRun run = exec::prepare_spmd(rt, app.program, CostModel{}, opt);
+  exec::ExecConfig ecfg;
+  ecfg.mode = exec::ExecMode::kSpmd;
+  ecfg.pipeline = opt;
+  exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
   run.run();
   for (uint64_t n = 0; n < app.graph.num_nodes(); ++n) {
     ASSERT_NEAR(run.engine->read_root_f64(app.rn, app.f_voltage, n),

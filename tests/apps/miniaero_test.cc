@@ -4,8 +4,8 @@
 
 #include <cmath>
 
+#include "exec/implicit_exec.h"
 #include "exec/sequential_exec.h"
-#include "exec/spmd_exec.h"
 
 namespace cr::apps::miniaero {
 namespace {
@@ -107,9 +107,9 @@ TEST_P(MiniAeroEquivalence, MatchesOracle) {
   cfg.steps = 2;
   App app = build(rt, cfg);
   exec::SequentialResult oracle = exec::run_sequential(app.program);
-  exec::PreparedRun run =
-      spmd ? exec::prepare_spmd(rt, app.program, CostModel{}, {})
-           : exec::prepare_implicit(rt, app.program, CostModel{}, {});
+  exec::ExecConfig ecfg;
+  ecfg.mode = spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit;
+  exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
   run.run();
   const uint64_t n = rt.forest().region(app.rc).ispace.size();
   for (uint64_t c = 0; c < n; ++c) {

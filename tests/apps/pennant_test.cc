@@ -4,8 +4,8 @@
 
 #include <cmath>
 
+#include "exec/implicit_exec.h"
 #include "exec/sequential_exec.h"
-#include "exec/spmd_exec.h"
 
 namespace cr::apps::pennant {
 namespace {
@@ -109,9 +109,9 @@ TEST_P(PennantEquivalence, MatchesOracle) {
   cfg.steps = 4;
   App app = build(rt, cfg);
   exec::SequentialResult oracle = exec::run_sequential(app.program);
-  exec::PreparedRun run =
-      spmd ? exec::prepare_spmd(rt, app.program, CostModel{}, {})
-           : exec::prepare_implicit(rt, app.program, CostModel{}, {});
+  exec::ExecConfig ecfg;
+  ecfg.mode = spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit;
+  exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
   run.run();
   // The timestep evolved through the dynamic collective identically.
   ASSERT_NEAR(run.engine->scalar(app.s_dt), oracle.scalar(app.s_dt), 1e-15);

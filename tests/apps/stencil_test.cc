@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/implicit_exec.h"
 #include "exec/sequential_exec.h"
-#include "exec/spmd_exec.h"
 
 namespace cr::apps::stencil {
 namespace {
@@ -79,9 +79,9 @@ TEST_P(StencilEquivalence, MatchesOracle) {
   cfg.steps = 3;
   App app = build(rt, cfg);
   exec::SequentialResult oracle = exec::run_sequential(app.program);
-  PreparedRun run =
-      spmd ? exec::prepare_spmd(rt, app.program, CostModel{}, {})
-           : exec::prepare_implicit(rt, app.program, CostModel{}, {});
+  exec::ExecConfig ecfg;
+  ecfg.mode = spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit;
+  PreparedRun run = exec::prepare(rt, app.program, ecfg);
   run.run();
   const uint64_t n = rt.forest().region(app.r_out).ispace.size();
   for (uint64_t p = 0; p < n; ++p) {
@@ -112,7 +112,9 @@ TEST(Stencil, SteadyStateTrafficIsPerimeterOnly) {
     cfg.tile_y = 16;
     cfg.steps = steps;
     App app = build(rt, cfg);
-    PreparedRun run = exec::prepare_spmd(rt, app.program, CostModel{}, {});
+    exec::ExecConfig ecfg;
+    ecfg.mode = exec::ExecMode::kSpmd;
+    PreparedRun run = exec::prepare(rt, app.program, ecfg);
     return run.run().bytes_moved;
   };
   const uint64_t delta = run_steps(4) - run_steps(2);
@@ -160,7 +162,9 @@ TEST_P(StencilRadius, SpmdMatchesClosedForm) {
   cfg.radius = radius;
   cfg.steps = 2;
   App app = build(rt, cfg);
-  PreparedRun run = exec::prepare_spmd(rt, app.program, CostModel{}, {});
+  exec::ExecConfig ecfg;
+  ecfg.mode = exec::ExecMode::kSpmd;
+  PreparedRun run = exec::prepare(rt, app.program, ecfg);
   run.run();
   const auto& e = rt.forest().region(app.r_out).ispace.extents();
   for (int64_t x = radius; x < static_cast<int64_t>(e.n[0]) - radius; ++x) {

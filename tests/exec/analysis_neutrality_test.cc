@@ -1,13 +1,14 @@
-// Virtual-time neutrality of the analysis fast path: tracing, the
-// indexed dependence tracker, the memoization caches, and the race
-// checker change how fast the host computes the schedule — never the
-// schedule itself. Every combination of {traced, untraced} x {indexed,
-// linear-scan} x {checked, unchecked} must produce bit-identical
-// simulated makespans and output data.
+// Virtual-time neutrality of the analysis fast path: tracing, trace
+// replay and the race checker change how fast the host computes the
+// schedule — never the schedule itself. Every combination of {traced,
+// untraced} x {checked, unchecked} x {replayed, analyzed} must produce
+// bit-identical simulated makespans and output data. (The indexed
+// dependence tracker and the alias memo are checked against exhaustive
+// references directly, in DependenceIndexEquivalence and
+// RegionTreeMemoization.)
 #include <gtest/gtest.h>
 
 #include "exec/implicit_exec.h"
-#include "exec/spmd_exec.h"
 #include "testing/fig2.h"
 
 namespace cr::exec {
@@ -21,13 +22,11 @@ struct Observed {
   std::vector<double> data;
 };
 
-Observed run_fig2(bool spmd, bool traced, bool linear_scan,
-                  bool check = false, bool replay = false,
-                  uint64_t steps = 3) {
+Observed run_fig2(bool spmd, bool traced, bool check = false,
+                  bool replay = false, uint64_t steps = 3) {
   CostModel cost;
   cost.track_dependences = true;
   rt::Runtime rt(runtime_config(4, 4, cost, /*real_data=*/true));
-  rt.deps().set_linear_scan(linear_scan);
   testing::Fig2 fig(rt.forest(), 48, 8, steps);
   ExecConfig cfg;
   cfg.cost = cost;
@@ -54,22 +53,15 @@ Observed run_fig2(bool spmd, bool traced, bool linear_scan,
 }
 
 TEST(AnalysisNeutrality, ImplicitInvariantAcrossTracingAndIndexing) {
-  const Observed ref =
-      run_fig2(/*spmd=*/false, /*traced=*/false, /*linear_scan=*/true);
+  const Observed ref = run_fig2(/*spmd=*/false, /*traced=*/false);
   EXPECT_GT(ref.dependences, 0u);  // the analysis actually ran
-  for (const bool traced : {false, true}) {
-    for (const bool linear : {true, false}) {
-      if (!traced && linear) continue;  // the reference itself
-      const Observed got = run_fig2(false, traced, linear);
-      EXPECT_EQ(got.makespan, ref.makespan)
-          << "traced=" << traced << " linear=" << linear;
-      EXPECT_EQ(got.bytes, ref.bytes);
-      EXPECT_EQ(got.messages, ref.messages);
-      EXPECT_EQ(got.data, ref.data);
-      // Same schedule implies the same dependences were discovered.
-      EXPECT_EQ(got.dependences, ref.dependences);
-    }
-  }
+  const Observed got = run_fig2(/*spmd=*/false, /*traced=*/true);
+  EXPECT_EQ(got.makespan, ref.makespan);
+  EXPECT_EQ(got.bytes, ref.bytes);
+  EXPECT_EQ(got.messages, ref.messages);
+  EXPECT_EQ(got.data, ref.data);
+  // Same schedule implies the same dependences were discovered.
+  EXPECT_EQ(got.dependences, ref.dependences);
 }
 
 // The race checker records every instance access plus the HB event
@@ -77,10 +69,8 @@ TEST(AnalysisNeutrality, ImplicitInvariantAcrossTracingAndIndexing) {
 // checker on must be bit-identical to the checker-off reference.
 TEST(AnalysisNeutrality, CheckerInvariantImplicitAndSpmd) {
   for (const bool spmd : {false, true}) {
-    const Observed ref =
-        run_fig2(spmd, /*traced=*/false, /*linear_scan=*/false);
-    const Observed got = run_fig2(spmd, /*traced=*/false,
-                                  /*linear_scan=*/false, /*check=*/true);
+    const Observed ref = run_fig2(spmd, /*traced=*/false);
+    const Observed got = run_fig2(spmd, /*traced=*/false, /*check=*/true);
     EXPECT_EQ(got.makespan, ref.makespan) << "spmd=" << spmd;
     EXPECT_EQ(got.bytes, ref.bytes);
     EXPECT_EQ(got.messages, ref.messages);
@@ -91,48 +81,37 @@ TEST(AnalysisNeutrality, CheckerInvariantImplicitAndSpmd) {
 
 // Trace replay joins the fast-path grid: with enough iterations for the
 // template to engage (implicit mode) — or as a structural no-op (SPMD)
-// — every {traced} x {indexed, linear} x {checked} combination with
-// replay on must match the fully analyzed reference bit for bit.
+// — every {traced} x {checked} combination with replay on must match
+// the fully analyzed reference bit for bit.
 TEST(AnalysisNeutrality, ReplayInvariantAcrossModes) {
   constexpr uint64_t kSteps = 10;
   for (const bool spmd : {false, true}) {
-    const Observed ref = run_fig2(spmd, /*traced=*/false,
-                                  /*linear_scan=*/false, /*check=*/false,
+    const Observed ref = run_fig2(spmd, /*traced=*/false, /*check=*/false,
                                   /*replay=*/false, kSteps);
     for (const bool traced : {false, true}) {
-      for (const bool linear : {false, true}) {
-        for (const bool check : {false, true}) {
-          const Observed got =
-              run_fig2(spmd, traced, linear, check, /*replay=*/true, kSteps);
-          EXPECT_EQ(got.makespan, ref.makespan)
-              << "spmd=" << spmd << " traced=" << traced
-              << " linear=" << linear << " check=" << check;
-          EXPECT_EQ(got.bytes, ref.bytes);
-          EXPECT_EQ(got.messages, ref.messages);
-          EXPECT_EQ(got.data, ref.data);
-          EXPECT_EQ(got.dependences, ref.dependences);
-        }
+      for (const bool check : {false, true}) {
+        const Observed got =
+            run_fig2(spmd, traced, check, /*replay=*/true, kSteps);
+        EXPECT_EQ(got.makespan, ref.makespan)
+            << "spmd=" << spmd << " traced=" << traced << " check=" << check;
+        EXPECT_EQ(got.bytes, ref.bytes);
+        EXPECT_EQ(got.messages, ref.messages);
+        EXPECT_EQ(got.data, ref.data);
+        EXPECT_EQ(got.dependences, ref.dependences);
       }
     }
   }
 }
 
 TEST(AnalysisNeutrality, SpmdInvariantAcrossTracingAndIndexing) {
-  // SPMD execution exercises the intersection and copy-pair caches; the
-  // dependence tracker mode must be equally irrelevant to its timeline.
-  const Observed ref =
-      run_fig2(/*spmd=*/true, /*traced=*/false, /*linear_scan=*/true);
-  for (const bool traced : {false, true}) {
-    for (const bool linear : {true, false}) {
-      if (!traced && linear) continue;
-      const Observed got = run_fig2(true, traced, linear);
-      EXPECT_EQ(got.makespan, ref.makespan)
-          << "traced=" << traced << " linear=" << linear;
-      EXPECT_EQ(got.bytes, ref.bytes);
-      EXPECT_EQ(got.messages, ref.messages);
-      EXPECT_EQ(got.data, ref.data);
-    }
-  }
+  // SPMD execution exercises the intersection and copy-pair caches;
+  // tracing must be equally irrelevant to its timeline.
+  const Observed ref = run_fig2(/*spmd=*/true, /*traced=*/false);
+  const Observed got = run_fig2(/*spmd=*/true, /*traced=*/true);
+  EXPECT_EQ(got.makespan, ref.makespan);
+  EXPECT_EQ(got.bytes, ref.bytes);
+  EXPECT_EQ(got.messages, ref.messages);
+  EXPECT_EQ(got.data, ref.data);
 }
 
 }  // namespace

@@ -273,6 +273,37 @@ TEST(BenchDiff, InfoMetricsNeverGate) {
   EXPECT_FALSE(bench_diff(base, cur, opt).ok());
 }
 
+// A corrupt baseline must not switch a gate off: a makespan_ns that is
+// missing or not a number, and a metric that is not a number, are
+// errors even against a current run that regressed badly.
+TEST(BenchDiff, NonNumericBaselineMakespanIsAnError) {
+  const std::string cur = R"({"series":[{"name":"s","points":[
+    {"nodes":1,"makespan_ns":999999999,"metrics":{}}]}]})";
+  for (const char* base : {
+           R"({"series":[{"name":"s","points":[
+             {"nodes":1,"makespan_ns":"oops","metrics":{}}]}]})",
+           R"({"series":[{"name":"s","points":[
+             {"nodes":1,"metrics":{}}]}]})"}) {
+    const DiffResult r = bench_diff(base, cur, DiffOptions{});
+    EXPECT_FALSE(r.ok()) << base;
+    ASSERT_EQ(r.errors.size(), 1u) << r.to_text();
+    EXPECT_NE(r.errors[0].find("makespan_ns"), std::string::npos);
+  }
+}
+
+TEST(BenchDiff, NonNumericBaselineMetricIsAnError) {
+  const std::string base = R"({"series":[{"name":"s","points":[
+    {"nodes":1,"makespan_ns":"oops","metrics":{"sim.events":"x"}}]}]})";
+  const std::string cur = R"({"series":[{"name":"s","points":[
+    {"nodes":1,"makespan_ns":999999999,"metrics":{"sim.events":5}}]}]})";
+  const DiffResult r = bench_diff(base, cur, DiffOptions{});
+  EXPECT_FALSE(r.ok());
+  ASSERT_EQ(r.errors.size(), 2u) << r.to_text();
+  EXPECT_NE(r.errors[1].find("\"sim.events\" is not a number"),
+            std::string::npos)
+      << r.to_text();
+}
+
 TEST(BenchDiff, MalformedJsonIsAnError) {
   const DiffResult r = bench_diff("{not json", kBaseline, DiffOptions{});
   EXPECT_FALSE(r.ok());

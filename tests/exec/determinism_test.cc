@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/circuit/circuit.h"
-#include "exec/spmd_exec.h"
+#include "exec/implicit_exec.h"
 #include "testing/fig2.h"
 
 namespace cr::exec {
@@ -21,8 +21,10 @@ ReplayResult run_once(bool spmd) {
   CostModel cost;
   rt::Runtime rt(runtime_config(4, 4, cost, /*real_data=*/true));
   testing::Fig2 fig(rt.forest(), 48, 8, 3);
-  PreparedRun run = spmd ? prepare_spmd(rt, fig.program, cost, {})
-                         : prepare_implicit(rt, fig.program, cost, {});
+  ExecConfig ecfg;
+  ecfg.cost = cost;
+  ecfg.mode = spmd ? ExecMode::kSpmd : ExecMode::kImplicit;
+  PreparedRun run = prepare(rt, fig.program, ecfg);
   ExecutionResult res = run.run();
   ReplayResult out;
   out.makespan = res.makespan_ns;
@@ -62,7 +64,10 @@ TEST(Determinism, CircuitGraphAndExecutionReplay) {
     cfg.wires_per_piece = 50;
     cfg.steps = 2;
     auto app = apps::circuit::build(rt, cfg);
-    PreparedRun run = prepare_spmd(rt, app.program, cost, {});
+    ExecConfig ecfg;
+    ecfg.cost = cost;
+    ecfg.mode = ExecMode::kSpmd;
+    PreparedRun run = prepare(rt, app.program, ecfg);
     ExecutionResult res = run.run();
     std::vector<double> v;
     for (uint64_t n = 0; n < app.graph.num_nodes(); ++n) {

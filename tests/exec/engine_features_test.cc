@@ -7,8 +7,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "exec/implicit_exec.h"
 #include "exec/sequential_exec.h"
-#include "exec/spmd_exec.h"
 #include "testing/fig2.h"
 
 namespace cr::exec {
@@ -22,8 +22,10 @@ sim::Time run_fig2(CostModel cost, bool spmd, uint32_t nodes = 4) {
     t.kernel = nullptr;
     t.cost_base_ns = 2e6;  // 2 ms grain: durations dominate the timeline
   }
-  PreparedRun run = spmd ? prepare_spmd(rt, fig.program, cost, {})
-                         : prepare_implicit(rt, fig.program, cost, {});
+  ExecConfig ecfg;
+  ecfg.cost = cost;
+  ecfg.mode = spmd ? ExecMode::kSpmd : ExecMode::kImplicit;
+  PreparedRun run = prepare(rt, fig.program, ecfg);
   return run.run().makespan_ns;
 }
 
@@ -51,7 +53,10 @@ TEST(RunAheadWindow, CorrectnessPreservedUnderTinyWindow) {
   rt::Runtime rt(runtime_config(4, 4, tight, /*real_data=*/true));
   testing::Fig2 fig(rt.forest(), 48, 8, 3);
   SequentialResult oracle = run_sequential(fig.program);
-  PreparedRun run = prepare_spmd(rt, fig.program, tight, {});
+  ExecConfig ecfg;
+  ecfg.cost = tight;
+  ecfg.mode = ExecMode::kSpmd;
+  PreparedRun run = prepare(rt, fig.program, ecfg);
   run.run();
   for (uint64_t p = 0; p < 48; ++p) {
     ASSERT_EQ(run.engine->read_root_f64(fig.a, fig.fa, p),
@@ -74,7 +79,10 @@ TEST(Trace, WritesChromeTraceJson) {
   CostModel cost;
   rt::Runtime rt(runtime_config(2, 4, cost, /*real_data=*/true));
   testing::Fig2 fig(rt.forest(), 24, 4, 2);
-  PreparedRun run = prepare_spmd(rt, fig.program, cost, {});
+  ExecConfig ecfg;
+  ecfg.cost = cost;
+  ecfg.mode = ExecMode::kSpmd;
+  PreparedRun run = prepare(rt, fig.program, ecfg);
   run.engine->enable_trace();
   run.run();
   const std::string path = ::testing::TempDir() + "/cr_trace.json";
@@ -97,7 +105,10 @@ TEST(Trace, DisabledByDefaultProducesEmptyTimeline) {
   CostModel cost;
   rt::Runtime rt(runtime_config(1, 2, cost, /*real_data=*/true));
   testing::Fig2 fig(rt.forest(), 12, 2, 1);
-  PreparedRun run = prepare_spmd(rt, fig.program, cost, {});
+  ExecConfig ecfg;
+  ecfg.cost = cost;
+  ecfg.mode = ExecMode::kSpmd;
+  PreparedRun run = prepare(rt, fig.program, ecfg);
   run.run();
   const std::string path = ::testing::TempDir() + "/cr_trace_empty.json";
   run.engine->write_trace(path);

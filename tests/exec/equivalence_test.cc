@@ -3,8 +3,8 @@
 // sequential oracle produces, across machine shapes and pipeline options.
 #include <gtest/gtest.h>
 
+#include "exec/implicit_exec.h"
 #include "exec/sequential_exec.h"
-#include "exec/spmd_exec.h"
 #include "testing/fig2.h"
 
 namespace cr::exec {
@@ -25,9 +25,10 @@ void expect_matches_oracle(const Shape& shape,
   testing::Fig2 fig(rt.forest(), shape.elements, shape.colors, shape.steps);
   SequentialResult oracle = run_sequential(fig.program);
 
-  PreparedRun run = spmd ? prepare_spmd(rt, fig.program, CostModel{}, options)
-                         : prepare_implicit(rt, fig.program, CostModel{},
-                                            options);
+  ExecConfig ecfg;
+  ecfg.mode = spmd ? ExecMode::kSpmd : ExecMode::kImplicit;
+  ecfg.pipeline = options;
+  PreparedRun run = prepare(rt, fig.program, ecfg);
   ExecutionResult res = run.run();
   EXPECT_GT(res.makespan_ns, 0u);
   EXPECT_GT(res.point_tasks, 0u);
@@ -100,8 +101,10 @@ TEST(Scaling, SpmdBeatsImplicitAtScale) {
     testing::Fig2 fig(rt.forest(), 64 * 64, nodes, 10);
     // Kill kernels: virtual-only.
     for (auto& t : fig.program.tasks) t.kernel = nullptr;
-    PreparedRun run = spmd ? prepare_spmd(rt, fig.program, cost, {})
-                           : prepare_implicit(rt, fig.program, cost, {});
+    ExecConfig ecfg;
+    ecfg.cost = cost;
+    ecfg.mode = spmd ? ExecMode::kSpmd : ExecMode::kImplicit;
+    PreparedRun run = prepare(rt, fig.program, ecfg);
     return run.run().makespan_ns;
   };
   const sim::Time implicit_ns = run_mode(false);
@@ -113,7 +116,9 @@ TEST(Scaling, SpmdBeatsImplicitAtScale) {
 TEST(Stats, SpmdSkipsEmptyPairsWithIntersections) {
   rt::Runtime rt(runtime_config(4, 4, CostModel{}, /*real_data=*/true));
   testing::Fig2 fig(rt.forest(), 64, 8, 2);
-  PreparedRun run = prepare_spmd(rt, fig.program, CostModel{}, {});
+  ExecConfig ecfg;
+  ecfg.mode = ExecMode::kSpmd;
+  PreparedRun run = prepare(rt, fig.program, ecfg);
   ExecutionResult res = run.run();
   // The halo image only touches neighbor blocks: far fewer than 8x8
   // pairs per iteration move data.
@@ -159,7 +164,9 @@ TEST(MultiFragment, TwoLoopsSplitBySingleTaskMatchOracle) {
   p.body.push_back(loop2);
 
   SequentialResult oracle = run_sequential(p);
-  PreparedRun run = prepare_spmd(rt, p, CostModel{}, {});
+  ExecConfig ecfg;
+  ecfg.mode = ExecMode::kSpmd;
+  PreparedRun run = prepare(rt, p, ecfg);
   ASSERT_TRUE(run.report.applied) << run.report.failure;
 
   // Two shard bodies in the transformed program.

@@ -16,8 +16,8 @@
 #include <memory>
 #include <vector>
 
+#include "exec/implicit_exec.h"
 #include "exec/sequential_exec.h"
-#include "exec/spmd_exec.h"
 #include "ir/builder.h"
 #include "rt/partition.h"
 #include "support/rng.h"
@@ -75,7 +75,11 @@ TEST_P(CrFuzz, ImplicitAndSpmdMatchOracle) {
     rt::Runtime rt(runtime_config(nodes, 3, cost, true));
     support::Rng r2 = rng.split(1);
     RandomProgram rp = make_random_program(rt.forest(), r2, colors);
-    PreparedRun run = prepare_implicit(rt, rp.program, cost, opt);
+    ExecConfig ecfg;
+    ecfg.cost = cost;
+    ecfg.mode = ExecMode::kImplicit;
+    ecfg.pipeline = opt;
+    PreparedRun run = prepare(rt, rp.program, ecfg);
     run.run();
     check(*run.engine, rp, "implicit");
   }

@@ -6,7 +6,6 @@
 
 #include "apps/stencil/stencil.h"
 #include "exec/implicit_exec.h"
-#include "exec/spmd_exec.h"
 #include "testing/fig2.h"
 
 namespace cr::exec {

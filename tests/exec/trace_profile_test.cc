@@ -6,7 +6,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "exec/spmd_exec.h"
+#include "exec/implicit_exec.h"
 #include "testing/fig2.h"
 
 namespace cr::exec {
@@ -27,8 +27,10 @@ sim::Time run_fig2(bool spmd, bool traced, uint32_t nodes,
     t.kernel = nullptr;
     t.cost_base_ns = 2e6;
   }
-  PreparedRun run = spmd ? prepare_spmd(rt, fig.program, cost, {})
-                         : prepare_implicit(rt, fig.program, cost, {});
+  ExecConfig ecfg;
+  ecfg.cost = cost;
+  ecfg.mode = spmd ? ExecMode::kSpmd : ExecMode::kImplicit;
+  PreparedRun run = prepare(rt, fig.program, ecfg);
   if (traced) run.engine->enable_trace();
   const sim::Time makespan = run.run().makespan_ns;
   if (traced && summary != nullptr) {
@@ -78,7 +80,10 @@ TEST(TraceProfile, ChromeJsonNamesNodesAndTracks) {
   rt::Runtime rt(runtime_config(2, 4, cost, /*real_data=*/false));
   testing::Fig2 fig(rt.forest(), 32, 8, 2);
   for (auto& t : fig.program.tasks) t.kernel = nullptr;
-  PreparedRun run = prepare_spmd(rt, fig.program, cost, {});
+  ExecConfig ecfg;
+  ecfg.cost = cost;
+  ecfg.mode = ExecMode::kSpmd;
+  PreparedRun run = prepare(rt, fig.program, ecfg);
   run.engine->enable_trace();
   run.run();
   const std::string path = ::testing::TempDir() + "/cr_profile.json";

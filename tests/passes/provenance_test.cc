@@ -9,7 +9,7 @@
 #include <set>
 
 #include "apps/stencil/stencil.h"
-#include "exec/spmd_exec.h"
+#include "exec/implicit_exec.h"
 #include "ir/printer.h"
 #include "passes/pipeline.h"
 #include "rt/partition.h"
@@ -192,7 +192,11 @@ TEST(Provenance, ElidedBarrierRunLeavesNoDanglingAttributionRoots) {
   ir::Program p = build_elided_barrier_case(rt.forest());
   PipelineOptions opt;
   opt.p2p_sync = false;
-  exec::PreparedRun run = exec::prepare_spmd(rt, p, cost, opt);
+  exec::ExecConfig ecfg;
+  ecfg.cost = cost;
+  ecfg.mode = exec::ExecMode::kSpmd;
+  ecfg.pipeline = opt;
+  exec::PreparedRun run = exec::prepare(rt, p, ecfg);
   ASSERT_EQ(run.report.barriers, 1u);
   run.engine->enable_trace();
   run.run();
