@@ -10,7 +10,6 @@
 // communication/computation ratio match the paper's problem; throughput
 // is reported in *paper-scale* points per second per node. See
 // EXPERIMENTS.md for the calibration table.
-#include <chrono>
 #include <cstdio>
 
 #include "apps/stencil/stencil.h"
@@ -68,104 +67,6 @@ double run_engine(bench::Bench& bench, uint32_t nodes, bool spmd) {
   return bench::steady_seconds(total, 2, 6);
 }
 
-// --selftime replay study: the implicit master's dynamic dependence
-// analysis with the full tracker enabled, indexed vs trace capture &
-// replay on top of the index. Virtual time is charged on pairs_scanned
-// either way, so the makespans must be bit-identical; replay removes the
-// steady-state exact conflict tests (pairs_tested) entirely. Returns
-// false if any makespan diverged.
-bool replay_study(bench::Bench& bench, exec::ScalingReport& analysis_report) {
-  if (!bench.options().selftime) return true;
-  const uint32_t nodes = cr::bench::node_counts().back();
-  struct StudyRun {
-    exec::ExecutionResult res;
-    double host_seconds = 0;
-  };
-  auto run_one = [&](bool replay, uint64_t steps) {
-    exec::CostModel cost = exec::CostModel::piz_daint();
-    cost.track_dependences = true;
-    Config cfg = make_config(nodes, steps);
-    rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
-    apps::stencil::App app = apps::stencil::build(rt, cfg);
-    for (auto& t : app.program.tasks) t.kernel = nullptr;
-    exec::ExecConfig ecfg = bench.config(exec::ExecMode::kImplicit, cost);
-    // The study compares replay against plain indexing, so each leg
-    // pins the flag regardless of --replay on the command line.
-    ecfg.trace_replay = replay;
-    exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
-    const auto begin = std::chrono::steady_clock::now();
-    StudyRun out{run.run(), 0};
-    out.host_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      begin)
-            .count();
-    return out;
-  };
-
-  // Two step counts per leg: the per-step difference isolates the
-  // steady state (capture warmup and the init launches cancel out),
-  // which is where iterative apps spend their time and where replay
-  // should drive pairs_tested to zero.
-  const uint64_t lo = 6, hi = 22;
-  std::fprintf(stderr, "  [replay study] %u nodes...\n", nodes);
-  StudyRun idx_lo = run_one(false, lo);
-  StudyRun idx_hi = run_one(false, hi);
-  StudyRun rep_lo = run_one(true, lo);
-  StudyRun rep_hi = run_one(true, hi);
-  const bool same = idx_lo.res.makespan_ns == rep_lo.res.makespan_ns &&
-                    idx_hi.res.makespan_ns == rep_hi.res.makespan_ns;
-  auto steady = [&](const StudyRun& l, const StudyRun& h) {
-    return static_cast<double>(h.res.analysis.dep_pairs_tested -
-                               l.res.analysis.dep_pairs_tested) /
-           static_cast<double>(hi - lo);
-  };
-  const double idx_rate = steady(idx_lo, idx_hi);
-  const double rep_rate = steady(rep_lo, rep_hi);
-  auto metric = [](const StudyRun& r, const char* key) {
-    auto it = r.res.metrics.find(key);
-    return it == r.res.metrics.end() ? 0.0 : it->second;
-  };
-  std::printf(
-      "replay study [implicit stencil, %u nodes, steps %llu vs %llu]\n"
-      "  steady-state pairs_tested/step: indexed %.0f, replay %.0f",
-      nodes, static_cast<unsigned long long>(lo),
-      static_cast<unsigned long long>(hi), idx_rate, rep_rate);
-  if (rep_rate > 0) {
-    std::printf(" (%.1fx reduction)\n", idx_rate / rep_rate);
-  } else {
-    std::printf(" (fully replayed)\n");
-  }
-  std::printf(
-      "  host seconds (%llu steps): indexed %.3f, replay %.3f\n"
-      "  replay counters: captures=%.0f replays=%.0f invalidations=%.0f "
-      "pairs_skipped=%.0f\n"
-      "  makespans %s\n\n",
-      static_cast<unsigned long long>(hi), idx_hi.host_seconds,
-      rep_hi.host_seconds, metric(rep_hi, "exec.replay.captures"),
-      metric(rep_hi, "exec.replay.replays"),
-      metric(rep_hi, "exec.replay.invalidations"),
-      metric(rep_hi, "exec.replay.pairs_skipped"),
-      same ? "identical" : "DIFFER");
-  for (const auto* r : {&idx_hi, &rep_hi}) {
-    exec::ScalingSeries s;
-    s.name = r == &idx_hi ? "replay-study indexed" : "replay-study replay";
-    exec::ScalingPoint pt;
-    pt.nodes = nodes;
-    pt.seconds = exec::to_seconds(r->res.makespan_ns);
-    pt.work_per_node = kPaperPointsPerNode;
-    pt.iterations = hi;
-    pt.has_analysis = true;
-    pt.analysis = r->res.analysis;
-    pt.analysis.host_seconds = r->host_seconds;
-    s.points.push_back(pt);
-    analysis_report.series.push_back(std::move(s));
-  }
-  if (!same) {
-    std::fprintf(stderr, "FAIL: replay study makespans diverged\n");
-  }
-  return same;
-}
-
 // --mapper-matrix: the heterogeneous scenario with the cores
 // oversubscribed (4 tiles per compute core) so placement quality shows
 // up as queueing rather than vanishing behind idle cores.
@@ -219,9 +120,7 @@ int main(int argc, char** argv) {
       "Figure 6: Stencil weak scaling (40k^2 points/node)",
       "10^6 points/s per node", 1e6, kPaperPointsPerNode, 1.0, specs);
   std::printf("%s\n", report.to_table().c_str());
-  const bool study_ok = replay_study(bench, report);
   bench.write_analysis_json(report);
   bench.write_metrics_json(report);
-  const int rc = bench.finish();
-  return rc != 0 ? rc : (study_ok ? 0 : 1);
+  return bench.finish();
 }

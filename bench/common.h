@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -72,14 +71,21 @@ class FlagSet {
   void add_int(std::string name, std::string value_name, std::string help,
                int64_t* out) {
     add(std::move(name), "=" + value_name, std::move(help),
-        [out](const std::string& value, bool has_value) {
-          if (!has_value || value.empty()) return false;
-          char* end = nullptr;
-          const long long v = std::strtoll(value.c_str(), &end, 10);
-          if (end == nullptr || *end != '\0') return false;
-          *out = v;
-          return true;
+        [out](const std::string& value, bool) {
+          return parse_int(value, out);
         });
+  }
+
+  // Parses all of `value` as a decimal T. Out-of-range input is
+  // rejected, never wrapped or saturated.
+  template <typename T>
+  static bool parse_int(const std::string& value, T* out) {
+    const char* end = value.data() + value.size();
+    T v{};
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (value.empty() || ec != std::errc{} || ptr != end) return false;
+    *out = v;
+    return true;
   }
 
   std::string usage(const char* argv0) const {
@@ -147,8 +153,8 @@ struct BenchOptions {
   // default: runs record nothing and pay only a null-pointer check).
   std::string trace_path;
   // --selftime: profile the *host-side* dynamic analysis (dependence
-  // index, aliasing memo, intersection cache) — wall-clock per point,
-  // counter blocks in the table, and a BENCH_analysis.json artifact.
+  // index, aliasing memo) — wall-clock per point, counter blocks in the
+  // table, and a BENCH_analysis.json artifact.
   // Purely observational: virtual makespans are identical either way.
   bool selftime = false;
   std::string analysis_path = "BENCH_analysis.json";
@@ -157,15 +163,12 @@ struct BenchOptions {
   bool check = false;
   // --check-mutate=<id>: delete/weaken sync op <id> (ir::SyncId) in the
   // SPMD runs; the checker must then report a race. Implies --check.
-  int64_t check_mutate = -1;
+  // ir::kNoSyncId means no mutation.
+  ir::SyncId check_mutate = ir::kNoSyncId;
   // --metrics[=<path>]: write every recorded point's registry snapshot
   // (ExecutionResult::metrics) plus makespan and attribution as one
   // BENCH_metrics JSON document — the bench_diff input. Empty = off.
   std::string metrics_path;
-  // --replay: capture & replay steady-state dependence-analysis traces
-  // (ExecConfig::trace_replay). Only engages for implicit runs that
-  // track dependences; virtual results are bit-identical either way.
-  bool replay = false;
   // --mapper=<name>: placement policy for every engine run, resolved
   // through rt::MapperRegistry ("default", "balanced", "adversarial",
   // "random"). --mapper-seed seeds the "random" policy.
@@ -194,9 +197,6 @@ struct BenchOptions {
               });
     flags.add_flag("check", "run the happens-before race checker",
                    &check);
-    flags.add_flag("replay",
-                   "capture & replay steady-state dependence traces",
-                   &replay);
     flags.add("mapper", "=<name>",
               "placement policy (default, balanced, adversarial, random)",
               [this](const std::string& value, bool has_value) {
@@ -212,12 +212,12 @@ struct BenchOptions {
                    &mapper_matrix);
     flags.add("check-mutate", "=<sync-id>",
               "delete sync op <sync-id>; expect the checker to race",
-              [this](const std::string& value, bool has_value) {
-                if (!has_value || value.empty()) return false;
-                char* end = nullptr;
-                const long long v = std::strtoll(value.c_str(), &end, 10);
-                if (end == nullptr || *end != '\0' || v < 0) return false;
-                check_mutate = v;
+              [this](const std::string& value, bool) {
+                ir::SyncId id = ir::kNoSyncId;
+                if (!FlagSet::parse_int(value, &id) || id == ir::kNoSyncId) {
+                  return false;
+                }
+                check_mutate = id;
                 check = true;
                 return true;
               });
@@ -271,10 +271,9 @@ class Bench {
     cfg.cost = cost;
     cfg.mode = mode;
     cfg.check = options_.check;
-    if (mode == exec::ExecMode::kSpmd && options_.check_mutate >= 0) {
-      cfg.check_mutate = static_cast<ir::SyncId>(options_.check_mutate);
+    if (mode == exec::ExecMode::kSpmd) {
+      cfg.check_mutate = options_.check_mutate;
     }
-    cfg.trace_replay = options_.replay;
     cfg.mapper.name = options_.mapper;
     cfg.mapper.seed = static_cast<uint64_t>(options_.mapper_seed);
     return cfg;
@@ -329,7 +328,7 @@ class Bench {
   // NOT detected.
   int finish() const {
     if (!options_.check) return artifact_failed_ ? 1 : 0;
-    const bool mutating = options_.check_mutate >= 0;
+    const bool mutating = options_.check_mutate != ir::kNoSyncId;
     const bool detected = check_races_ > 0;
     std::fprintf(stderr,
                  "[check] %llu runs, %llu accesses, %llu pairs, %llu "
@@ -362,6 +361,17 @@ class Bench {
   uint64_t raced_runs_ = 0;
   bool artifact_failed_ = false;
 };
+
+// Closes an artifact opened for writing; false (with a message) when
+// anything written to it was lost.
+inline bool close_artifact(FILE* f, const std::string& path) {
+  const bool write_failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || write_failed) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
 
 // RAII tracing for one engine run: attaches a Tracer to the runtime's
 // simulator when --trace is set, and on destruction (after the run,
@@ -397,11 +407,22 @@ class TraceScope {
     }
     const std::string base =
         stem + "." + label_ + "." + std::to_string(nodes_) + "n";
-    tracer_->write_chrome_json(base + ".json");
+    // A trace artifact that cannot be written fails the bench (exit 1
+    // from Bench::finish()), like --metrics and --selftime.
+    const std::string json_path = base + ".json";
+    if (!tracer_->write_chrome_json(json_path)) {
+      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+      bench_->artifact_failed_ = true;
+    }
     const std::string text = sum.to_text();
-    if (FILE* f = std::fopen((base + ".txt").c_str(), "w")) {
+    const std::string txt_path = base + ".txt";
+    FILE* f = std::fopen(txt_path.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot open %s\n", txt_path.c_str());
+      bench_->artifact_failed_ = true;
+    } else {
       std::fputs(text.c_str(), f);
-      std::fclose(f);
+      if (!close_artifact(f, txt_path)) bench_->artifact_failed_ = true;
     }
     std::fprintf(stderr, "  [%s, %u nodes]\n%s  trace: %s.json\n",
                  label_.c_str(), nodes_, text.c_str(), base.c_str());
@@ -429,10 +450,9 @@ class TraceScope {
 inline uint32_t max_nodes() {
   const char* env = std::getenv("CR_BENCH_MAX_NODES");
   if (env == nullptr) return 1024;
-  const char* end = env + std::strlen(env);
   uint32_t value = 0;
-  const auto [ptr, ec] = std::from_chars(env, end, value);
-  if (ec != std::errc{} || ptr != end || value == 0 || value >= (1u << 31)) {
+  if (!FlagSet::parse_int(env, &value) || value == 0 ||
+      value >= (1u << 31)) {
     std::fprintf(stderr,
                  "CR_BENCH_MAX_NODES must be a positive integer below "
                  "2^31, got \"%s\"\n",
@@ -514,17 +534,6 @@ inline exec::ScalingReport Bench::sweep(
     report.series.push_back(std::move(series));
   }
   return report;
-}
-
-// Closes an artifact opened for writing; false (with a message) when
-// anything written to it was lost.
-inline bool close_artifact(FILE* f, const std::string& path) {
-  const bool write_failed = std::ferror(f) != 0;
-  if (std::fclose(f) != 0 || write_failed) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  return true;
 }
 
 inline void Bench::write_analysis_json(const exec::ScalingReport& report) {

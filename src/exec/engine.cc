@@ -4,11 +4,9 @@
 #include <cstdio>
 #include <deque>
 
-#include "exec/trace_replay.h"
 #include "passes/shard_creation.h"
 #include "rt/intersect.h"
 #include "support/check.h"
-#include "support/hash.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -25,8 +23,7 @@ constexpr uint32_t kMainEnv = UINT32_MAX;
 
 struct Engine::Impl {
   Impl(rt::Runtime& rt, const ir::Program& program, const ExecConfig& config)
-      : isect_cache_(rt.forest()),
-        rt_(rt),
+      : rt_(rt),
         p_(program),
         cost_(config.cost),
         mode_(config.mode),
@@ -38,14 +35,6 @@ struct Engine::Impl {
     // Install the configured placement policy before anything queries
     // placement (ExecConfig::mapper is the one way to configure it).
     rt_.select_mapper(config.mapper);
-    // Trace replay only makes sense where dependence analysis runs at
-    // all; everywhere else the flag is an inert no-op (the SPMD legs of
-    // the equivalence suites assert exactly that).
-    if (config.trace_replay && mode_ == ExecMode::kImplicit &&
-        cost_.track_dependences) {
-      replay_ = std::make_unique<TraceReplay>(
-          rt_.deps(), rt_.forest(), config.replay_invalidate_every);
-    }
   }
 
   ~Impl() {
@@ -343,11 +332,10 @@ struct Engine::Impl {
   std::map<ir::IntersectId, std::vector<PairInfo>> tables_;
   std::map<ir::IntersectId, uint64_t> table_src_colors_;
   std::map<ir::IntersectId, uint64_t> table_complete_intervals_;
-  // Region geometry is immutable once the forest is built, so complete
-  // intersections and per-statement pair tables are computed once and
-  // reused across loop iterations / shards. Host-side only: the pair
-  // list (and its issue charges) is identical with or without the cache.
-  rt::IntersectionCache isect_cache_;
+  // Region geometry is immutable once the forest is built, so each copy
+  // statement's pair table is computed once and reused across loop
+  // iterations / shards. Host-side only: the pair list (and its issue
+  // charges) is identical with or without the memo.
   std::map<const ir::Stmt*, std::vector<PairInfo>> copy_pairs_cache_;
 
   // --- scalar reduction partials ------------------------------------------
@@ -431,16 +419,7 @@ struct Engine::Impl {
     m.counter("rt.dep.index_queries").set(deps.index_queries());
     m.counter("rt.dep.index_rebuilds").set(deps.index_rebuilds());
 
-    if (replay_ != nullptr) {
-      m.counter("exec.replay.captures").set(replay_->captures());
-      m.counter("exec.replay.replays").set(replay_->replays());
-      m.counter("exec.replay.invalidations").set(replay_->invalidations());
-      m.counter("exec.replay.pairs_skipped").set(replay_->pairs_skipped());
-    }
-
     forest().export_metrics(m);
-    m.counter("rt.isect_cache.hits").set(isect_cache_.hits());
-    m.counter("rt.isect_cache.misses").set(isect_cache_.misses());
   }
 
   // --- race-checker instrumentation (ExecConfig::check) --------------------
@@ -516,24 +495,10 @@ struct Engine::Impl {
   std::map<uint32_t, uint64_t> proc_rr_;  // per-node round-robin counter
   uint64_t op_id_ = 0;
 
-  // Steady-state trace capture & replay (ExecConfig::trace_replay);
-  // null unless implicit mode with dependence tracking. All dependence
-  // records route through record_dep so the recorder sees the full
-  // launch stream.
-  std::unique_ptr<TraceReplay> replay_;
-
-  // Fingerprint tags: which kind of requirement a record represents.
-  static constexpr uint64_t kFpTask = 1;
-  static constexpr uint64_t kFpCopySrc = 2;
-  static constexpr uint64_t kFpCopyDst = 3;
-
-  void record_dep(uint64_t tag, uint64_t extra, const rt::Requirement& req,
-                  sim::Event completion, std::vector<sim::Event>& pre) {
-    if (replay_ != nullptr) {
-      replay_->record(requirement_fingerprint(tag, extra, req), op_id_, req,
-                      completion, pre);
-      return;
-    }
+  // Dynamic dependence analysis for the current operation: append the
+  // completion events of conflicting predecessors to `pre`.
+  void record_dep(const rt::Requirement& req, sim::Event completion,
+                  std::vector<sim::Event>& pre) {
     auto deps = rt_.deps().record(op_id_, req, completion);
     pre.insert(pre.end(), deps.begin(), deps.end());
   }
@@ -583,13 +548,10 @@ struct Engine::Impl {
     }
     switch (s.kind) {
       case ir::StmtKind::kForTime:
-        if (replay_ != nullptr) replay_->enter_loop(op_id_);
         for (uint64_t t = 0; t < s.trip_count; ++t) {
-          if (replay_ != nullptr) replay_->begin_iteration();
           for (Ctx& c : ctxs) charge(c, cost_.loop_overhead_ns, "loop");
           exec_body(s.body, ctxs, num_shards);
         }
-        if (replay_ != nullptr) replay_->exit_loop();
         return;
       case ir::StmtKind::kIndexLaunch:
         exec_launch(s, ctxs, num_shards);
@@ -762,9 +724,7 @@ struct Engine::Impl {
       if (mode_ == ExecMode::kImplicit && cost_.track_dependences) {
         const uint64_t before = rt_.deps().pairs_scanned();
         rt::Requirement req{insts[k]->region, a.privilege, a.redop, a.fields};
-        record_dep(kFpTask,
-                   support::pack_pair32(s.task, static_cast<uint32_t>(k)),
-                   req, done.event(), pre);
+        record_dep(req, done.event(), pre);
         issue_ns += cost_.dep_pair_ns *
                     static_cast<double>(rt_.deps().pairs_scanned() - before);
       }
@@ -1047,8 +1007,8 @@ struct Engine::Impl {
         PairInfo pi{i, j, {}};
         if (next < shallow.size() && shallow[next].src_color == i &&
             shallow[next].dst_color == j) {
-          pi.points =
-              isect_cache_.complete(ps.subregions[i], pd.subregions[j]);
+          pi.points = rt::complete_intersection(forest(), ps.subregions[i],
+                                                pd.subregions[j]);
           ++next;
         }
         pairs.push_back(std::move(pi));
@@ -1144,14 +1104,12 @@ struct Engine::Impl {
       sim::UserEvent completion(sim());
       const uint64_t before = rt_.deps().pairs_scanned();
       ++op_id_;
-      const uint64_t pair_key = support::pack_pair32(
-          static_cast<uint32_t>(pi.i), static_cast<uint32_t>(pi.j));
       rt::Requirement rr{src_logical, rt::Privilege::kReadOnly,
                          rt::ReduceOp::kSum, req.fields};
-      record_dep(kFpCopySrc, pair_key, rr, completion.event(), pre);
+      record_dep(rr, completion.event(), pre);
       rt::Requirement wr{dst_logical, rt::Privilege::kReadWrite,
                          rt::ReduceOp::kSum, req.fields};
-      record_dep(kFpCopyDst, pair_key, wr, completion.event(), pre);
+      record_dep(wr, completion.event(), pre);
       issue_ns += cost_.dep_pair_ns *
                   static_cast<double>(rt_.deps().pairs_scanned() - before);
       sim::Event issued = charge(ctx, issue_ns, "issue:copy");
@@ -1306,8 +1264,9 @@ struct Engine::Impl {
       PairInfo pi;
       pi.i = pr.src_color;
       pi.j = pr.dst_color;
-      pi.points = isect_cache_.complete(ps.subregions[pr.src_color],
-                                        pd.subregions[pr.dst_color]);
+      pi.points = rt::complete_intersection(forest(),
+                                            ps.subregions[pr.src_color],
+                                            pd.subregions[pr.dst_color]);
       complete_intervals += pi.points.interval_count();
       if (!pi.points.empty()) infos.push_back(std::move(pi));
     }
@@ -1641,8 +1600,6 @@ ExecutionResult Engine::run() {
     a.overlap_static = get("rt.overlap.static");
     a.overlap_cache_hits = get("rt.overlap.cache_hits");
     a.overlap_exact = get("rt.overlap.exact");
-    a.isect_cache_hits = get("rt.isect_cache.hits");
-    a.isect_cache_misses = get("rt.isect_cache.misses");
   }
   return impl_->result_;
 }
@@ -1672,7 +1629,7 @@ void Engine::write_trace(const std::string& path) const {
     std::fclose(f);
     return;
   }
-  t->write_chrome_json(path);
+  CR_CHECK_MSG(t->write_chrome_json(path), "cannot write trace file");
 }
 
 support::TraceSummary Engine::trace_summary() const {

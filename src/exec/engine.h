@@ -46,7 +46,7 @@ struct ExecutionResult {
   uint64_t intersection_pairs = 0;
   sim::Time control_busy_ns = 0;  // busy time of the node-0 control core
   // Host-side dynamic-analysis counters (dependence index, aliasing
-  // memo, intersection cache); virtual time depends only on
+  // memo); virtual time depends only on
   // analysis.dep_pairs_scanned, never on the cache effectiveness.
   AnalysisStats analysis;
   // Race-checker verdict; set only when ExecConfig::check was enabled.

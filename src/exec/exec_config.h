@@ -27,19 +27,6 @@ struct ExecConfig {
   // this field is the only way to configure placement (one-struct rule).
   rt::MapperOptions mapper;
 
-  // Steady-state launch-stream trace capture & replay (see
-  // exec/trace_replay.h). Only engages under kImplicit with
-  // cost.track_dependences — elsewhere it is a structural no-op. Replay
-  // is neutral by contract: virtual times, metrics that feed the
-  // timeline, traces, and race-checker verdicts stay bit-identical to
-  // fully analyzed runs; only host-side analysis counters
-  // (pairs_tested, index/alias/overlap queries) drop.
-  bool trace_replay = false;
-  // Testing knob: with trace_replay on, force-drop the installed
-  // template every N loop iterations (0 = never), exercising the
-  // invalidation → re-capture → re-replay path mid-run.
-  uint64_t replay_invalidate_every = 0;
-
   // Instrumentation sinks. All host-side: enabling any of them leaves
   // the virtual timeline bit-identical (asserted by the
   // analysis-neutrality tests).

@@ -51,11 +51,6 @@ std::string AnalysisStats::to_text() const {
      << std::setprecision(1) << rate(overlap_static, overlap_queries) * 100
      << "%, cached " << rate(overlap_cache_hits, overlap_queries) * 100
      << "%, exact merges=" << overlap_exact << ")\n";
-  os << "  intersect:  cache hits=" << isect_cache_hits
-     << " misses=" << isect_cache_misses << " (hit rate "
-     << std::setprecision(1)
-     << rate(isect_cache_hits, isect_cache_hits + isect_cache_misses) * 100
-     << "%)\n";
   if (host_seconds >= 0) {
     os << "  host wall-clock: " << std::setprecision(3) << host_seconds
        << " s\n";
@@ -77,9 +72,7 @@ std::string AnalysisStats::to_json() const {
      << ",\"overlap_queries\":" << overlap_queries
      << ",\"overlap_static\":" << overlap_static
      << ",\"overlap_cache_hits\":" << overlap_cache_hits
-     << ",\"overlap_exact\":" << overlap_exact
-     << ",\"isect_cache_hits\":" << isect_cache_hits
-     << ",\"isect_cache_misses\":" << isect_cache_misses;
+     << ",\"overlap_exact\":" << overlap_exact;
   if (host_seconds >= 0) {
     os << ",\"host_seconds\":" << std::setprecision(6) << std::fixed
        << host_seconds;

@@ -46,9 +46,6 @@ struct AnalysisStats {
   uint64_t overlap_static = 0;   // resolved without interval data
   uint64_t overlap_cache_hits = 0;
   uint64_t overlap_exact = 0;    // interval merges actually performed
-  // Complete-intersection cache (rt::IntersectionCache).
-  uint64_t isect_cache_hits = 0;
-  uint64_t isect_cache_misses = 0;
 
   // Host wall-clock of the run, seconds; < 0 when not measured (set by
   // the bench harness under --selftime, not by the engine). The

@@ -8,8 +8,7 @@ namespace cr::rt {
 
 std::vector<sim::Event> DependenceTracker::record(uint64_t op_id,
                                                   const Requirement& req,
-                                                  sim::Event completion,
-                                                  Capture* capture) {
+                                                  sim::Event completion) {
   std::vector<sim::Event> preconditions;
   const RegionNode& node = forest_->region(req.region);
   const support::IntervalSet& pts = node.ispace.points();
@@ -63,7 +62,6 @@ std::vector<sim::Event> DependenceTracker::record(uint64_t op_id,
       if (std::find(preconditions.begin(), preconditions.end(),
                     u.completion) == preconditions.end()) {
         preconditions.push_back(u.completion);
-        if (capture != nullptr) capture->dep_ops.push_back(u.op_id);
       }
       // Epoch pruning: a writer that covers a prior user transitively
       // orders every later conflicting operation, so the prior user can
@@ -74,10 +72,6 @@ std::vector<sim::Event> DependenceTracker::record(uint64_t op_id,
         u.alive = false;
         --st.alive;
         ++st.dead;
-        if (capture != nullptr) {
-          capture->prunes.push_back(
-              {f, u.op_id, u.region, u.privilege, u.redop});
-        }
       }
     }
 
@@ -85,48 +79,6 @@ std::vector<sim::Event> DependenceTracker::record(uint64_t op_id,
     maybe_rebuild(st);
   }
   return preconditions;
-}
-
-uint64_t DependenceTracker::replay(uint64_t op_id, const Requirement& req,
-                                   sim::Event completion,
-                                   const std::vector<Capture::Prune>& prunes,
-                                   uint64_t found) {
-  const RegionNode& node = forest_->region(req.region);
-  const support::IntervalSet& pts = node.ispace.points();
-  support::Interval query{0, 0};
-  if (!pts.empty()) query = pts.bounds();
-
-  uint64_t scanned = 0;
-  for (FieldId f : req.fields) {
-    FieldState& st = users_[{node.root, f}];
-    // The virtual-time charge mirrors record(): what the exhaustive scan
-    // would test against the live state at this point, before this
-    // call's own prunes take effect.
-    const uint64_t self_live = st.last_op == op_id ? st.last_op_live : 0;
-    scanned += st.alive - self_live;
-
-    for (const Capture::Prune& p : prunes) {
-      if (p.field != f) continue;
-      bool pruned = false;
-      for (User& u : st.slots) {
-        if (u.alive && u.op_id == p.op_id && u.region == p.region &&
-            u.privilege == p.privilege && u.redop == p.redop) {
-          u.alive = false;
-          --st.alive;
-          ++st.dead;
-          pruned = true;
-          break;
-        }
-      }
-      CR_CHECK_MSG(pruned, "trace replay pruned a user that is not live");
-    }
-
-    register_user(st, op_id, req, completion, query);
-    maybe_rebuild(st);
-  }
-  pairs_scanned_ += scanned;
-  dependences_found_ += found;
-  return scanned;
 }
 
 void DependenceTracker::register_user(FieldState& st, uint64_t op_id,

@@ -43,56 +43,14 @@ class DependenceTracker {
  public:
   explicit DependenceTracker(const RegionForest& forest) : forest_(&forest) {}
 
-  // Capture of one record() call's analysis outcome, in a form that is
-  // stable across loop iterations once the launch stream reaches steady
-  // state: predecessors and pruned users are identified by op id (plus
-  // the requirement identity for prunes), never by slot index — slot
-  // layout depends on compaction timing, which is host-side bookkeeping
-  // and not part of the replayable contract.
-  struct Capture {
-    // Deduplicated predecessor op ids, in the order their completion
-    // events entered the returned precondition vector.
-    std::vector<uint64_t> dep_ops;
-    // Users retired by epoch pruning: which op's registration of which
-    // region (with which privilege) died, and under which field. The
-    // full identity is needed because one op may register several slots
-    // in one field state (a copy's read and write requirements share the
-    // root, and a task can pass one region through several arguments).
-    struct Prune {
-      FieldId field = 0;
-      uint64_t op_id = 0;
-      RegionId region = kNoId;
-      Privilege privilege = Privilege::kReadOnly;
-      ReduceOp redop = ReduceOp::kSum;
-    };
-    std::vector<Prune> prunes;
-  };
-
   // Record an operation's use of a region; returns the completion events
   // of conflicting predecessors (deduplicated: a predecessor reached via
   // several fields appears once). `completion` is the new operation's
   // own completion event. Requirements of one operation must be recorded
   // contiguously (no interleaving with other operations), which the
-  // engine's sequential issue loop guarantees. When `capture` is given
-  // it is filled with the replayable encoding of this call's outcome.
+  // engine's sequential issue loop guarantees.
   std::vector<sim::Event> record(uint64_t op_id, const Requirement& req,
-                                 sim::Event completion,
-                                 Capture* capture = nullptr);
-
-  // Replay a previously captured record() outcome without scanning or
-  // testing: charges pairs_scanned exactly as the exhaustive scan would
-  // (from the live state, not the capture), applies the given prunes,
-  // counts `found` dependences, and registers the new user — leaving
-  // the tracker in the same state an analyzed record() would have, so
-  // analysis can resume at any later operation. pairs_tested and the
-  // interval indexes are untouched (that is the host-time win). Returns
-  // the pairs_scanned delta so the caller can cross-check it against
-  // the captured value; a mismatch means the launch stream left steady
-  // state without a fingerprint change, which callers must treat as a
-  // hard error, not an invalidation.
-  uint64_t replay(uint64_t op_id, const Requirement& req,
-                  sim::Event completion,
-                  const std::vector<Capture::Prune>& prunes, uint64_t found);
+                                 sim::Event completion);
 
   // Clear all user lists (between independent executions).
   void reset();

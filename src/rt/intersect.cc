@@ -209,18 +209,4 @@ support::IntervalSet complete_intersection(const RegionForest& forest,
       forest.region(b).ispace.points());
 }
 
-const support::IntervalSet& IntersectionCache::complete(RegionId a,
-                                                        RegionId b) {
-  const uint64_t key =
-      support::pack_pair32(std::min(a, b), std::max(a, b));
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  return cache_.emplace(key, complete_intersection(*forest_, a, b))
-      .first->second;
-}
-
 }  // namespace cr::rt

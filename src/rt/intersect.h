@@ -14,11 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "rt/region_tree.h"
-#include "support/hash.h"
 
 namespace cr::rt {
 
@@ -89,30 +87,5 @@ std::vector<IntersectionPair> shallow_intersections(const RegionForest& forest,
 // Phase 2: exact shared elements of one subregion pair.
 support::IntervalSet complete_intersection(const RegionForest& forest,
                                            RegionId a, RegionId b);
-
-// Memoized complete intersections. Region geometry is immutable once a
-// region exists (the forest is append-only), so a pair's exact element
-// set never changes and the cache needs no invalidation. Intersection is
-// symmetric: pairs are keyed on (min, max). Used by the execution
-// engine, where the same copy statement re-derives the same pairs every
-// loop iteration.
-class IntersectionCache {
- public:
-  explicit IntersectionCache(const RegionForest& forest) : forest_(&forest) {}
-
-  // Exact shared elements of (a, b); computed at most once per pair. The
-  // reference stays valid for the cache's lifetime.
-  const support::IntervalSet& complete(RegionId a, RegionId b);
-
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  size_t size() const { return cache_.size(); }
-
- private:
-  const RegionForest* forest_;
-  std::unordered_map<uint64_t, support::IntervalSet, support::U64Hash> cache_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-};
 
 }  // namespace cr::rt

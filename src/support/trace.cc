@@ -168,9 +168,9 @@ double to_us(TraceTime t) { return static_cast<double>(t) / 1000.0; }
 
 }  // namespace
 
-void Tracer::write_chrome_json(const std::string& path) const {
+bool Tracer::write_chrome_json(const std::string& path) const {
   FILE* f = std::fopen(path.c_str(), "w");
-  CR_CHECK_MSG(f != nullptr, "cannot open trace file for writing");
+  if (f == nullptr) return false;
   std::fprintf(f, "[\n");
   bool first = true;
   auto sep = [&] {
@@ -216,7 +216,8 @@ void Tracer::write_chrome_json(const std::string& path) const {
                  json_escape(i.name).c_str(), to_us(i.time), i.pid, i.tid);
   }
   std::fprintf(f, "\n]\n");
-  std::fclose(f);
+  const bool write_failed = std::ferror(f) != 0;
+  return std::fclose(f) == 0 && !write_failed;
 }
 
 // ---------------------------------------------------------------------

@@ -167,8 +167,9 @@ class Tracer {
   const std::vector<TraceInstant>& instants() const { return instants_; }
 
   // Chrome trace_event JSON ("X" spans, "i" instants, "M" metadata).
-  // Timestamps are microseconds as trace viewers expect.
-  void write_chrome_json(const std::string& path) const;
+  // Timestamps are microseconds as trace viewers expect. Returns false
+  // when the file cannot be opened or anything written to it was lost.
+  [[nodiscard]] bool write_chrome_json(const std::string& path) const;
 
   // Aggregate breakdown + critical path for a run that ended at
   // `makespan` virtual ns.

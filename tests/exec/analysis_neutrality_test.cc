@@ -1,8 +1,8 @@
-// Virtual-time neutrality of the analysis fast path: tracing, trace
-// replay and the race checker change how fast the host computes the
-// schedule — never the schedule itself. Every combination of {traced,
-// untraced} x {checked, unchecked} x {replayed, analyzed} must produce
-// bit-identical simulated makespans and output data. (The indexed
+// Virtual-time neutrality of the analysis fast path: tracing and the
+// race checker change how fast the host computes the schedule — never
+// the schedule itself. Every combination of {traced, untraced} x
+// {checked, unchecked} must produce bit-identical simulated makespans
+// and output data. (The indexed
 // dependence tracker and the alias memo are checked against exhaustive
 // references directly, in DependenceIndexEquivalence and
 // RegionTreeMemoization.)
@@ -22,17 +22,15 @@ struct Observed {
   std::vector<double> data;
 };
 
-Observed run_fig2(bool spmd, bool traced, bool check = false,
-                  bool replay = false, uint64_t steps = 3) {
+Observed run_fig2(bool spmd, bool traced, bool check = false) {
   CostModel cost;
   cost.track_dependences = true;
   rt::Runtime rt(runtime_config(4, 4, cost, /*real_data=*/true));
-  testing::Fig2 fig(rt.forest(), 48, 8, steps);
+  testing::Fig2 fig(rt.forest(), 48, 8, 3);
   ExecConfig cfg;
   cfg.cost = cost;
   cfg.mode = spmd ? ExecMode::kSpmd : ExecMode::kImplicit;
   cfg.check = check;
-  cfg.trace_replay = replay;
   PreparedRun run = prepare(rt, fig.program, cfg);
   if (traced) run.engine->enable_trace();
   ExecutionResult res = run.run();
@@ -66,45 +64,25 @@ TEST(AnalysisNeutrality, ImplicitInvariantAcrossTracingAndIndexing) {
 
 // The race checker records every instance access plus the HB event
 // graph — all host-side bookkeeping. The virtual timeline with the
-// checker on must be bit-identical to the checker-off reference.
+// checker on, traced or not, must be bit-identical to the unchecked,
+// untraced reference.
 TEST(AnalysisNeutrality, CheckerInvariantImplicitAndSpmd) {
   for (const bool spmd : {false, true}) {
     const Observed ref = run_fig2(spmd, /*traced=*/false);
-    const Observed got = run_fig2(spmd, /*traced=*/false, /*check=*/true);
-    EXPECT_EQ(got.makespan, ref.makespan) << "spmd=" << spmd;
-    EXPECT_EQ(got.bytes, ref.bytes);
-    EXPECT_EQ(got.messages, ref.messages);
-    EXPECT_EQ(got.data, ref.data);
-    EXPECT_EQ(got.dependences, ref.dependences);
-  }
-}
-
-// Trace replay joins the fast-path grid: with enough iterations for the
-// template to engage (implicit mode) — or as a structural no-op (SPMD)
-// — every {traced} x {checked} combination with replay on must match
-// the fully analyzed reference bit for bit.
-TEST(AnalysisNeutrality, ReplayInvariantAcrossModes) {
-  constexpr uint64_t kSteps = 10;
-  for (const bool spmd : {false, true}) {
-    const Observed ref = run_fig2(spmd, /*traced=*/false, /*check=*/false,
-                                  /*replay=*/false, kSteps);
     for (const bool traced : {false, true}) {
-      for (const bool check : {false, true}) {
-        const Observed got =
-            run_fig2(spmd, traced, check, /*replay=*/true, kSteps);
-        EXPECT_EQ(got.makespan, ref.makespan)
-            << "spmd=" << spmd << " traced=" << traced << " check=" << check;
-        EXPECT_EQ(got.bytes, ref.bytes);
-        EXPECT_EQ(got.messages, ref.messages);
-        EXPECT_EQ(got.data, ref.data);
-        EXPECT_EQ(got.dependences, ref.dependences);
-      }
+      const Observed got = run_fig2(spmd, traced, /*check=*/true);
+      EXPECT_EQ(got.makespan, ref.makespan)
+          << "spmd=" << spmd << " traced=" << traced;
+      EXPECT_EQ(got.bytes, ref.bytes);
+      EXPECT_EQ(got.messages, ref.messages);
+      EXPECT_EQ(got.data, ref.data);
+      EXPECT_EQ(got.dependences, ref.dependences);
     }
   }
 }
 
 TEST(AnalysisNeutrality, SpmdInvariantAcrossTracingAndIndexing) {
-  // SPMD execution exercises the intersection and copy-pair caches;
+  // SPMD execution exercises the intersections and the copy-pair memo;
   // tracing must be equally irrelevant to its timeline.
   const Observed ref = run_fig2(/*spmd=*/true, /*traced=*/false);
   const Observed got = run_fig2(/*spmd=*/true, /*traced=*/true);

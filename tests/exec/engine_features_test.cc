@@ -119,5 +119,37 @@ TEST(Trace, DisabledByDefaultProducesEmptyTimeline) {
   std::remove(path.c_str());
 }
 
+// Engine reuse on one runtime: the dependence tracker is a Runtime
+// member, so without the per-run reset a second engine's op ids would
+// collide with the first run's users and the counters would accumulate.
+TEST(EngineReuse, StartsAnalysisClean) {
+  CostModel cost;
+  cost.track_dependences = true;
+  rt::Runtime rt(runtime_config(4, 4, cost, /*real_data=*/false));
+  testing::Fig2 fig(rt.forest(), 48, 8, 4);
+  ExecConfig cfg;
+  cfg.cost = cost;
+  cfg.mode = ExecMode::kImplicit;
+  PreparedRun first = prepare(rt, fig.program, cfg);
+  const ExecutionResult r1 = first.run();
+  PreparedRun second = prepare(rt, fig.program, cfg);
+  const ExecutionResult r2 = second.run();
+  // The analysis and the copy/network tallies are per-run: nothing from
+  // run 1 may leak into run 2's counters.
+  EXPECT_EQ(r1.analysis.dep_pairs_scanned, r2.analysis.dep_pairs_scanned);
+  EXPECT_EQ(r1.analysis.dep_pairs_tested, r2.analysis.dep_pairs_tested);
+  EXPECT_EQ(r1.analysis.dep_dependences, r2.analysis.dep_dependences);
+  EXPECT_EQ(r1.copies_issued, r2.copies_issued);
+  EXPECT_EQ(r1.bytes_moved, r2.bytes_moved);
+  EXPECT_EQ(r1.messages, r2.messages);
+  // The makespan is this run's elapsed virtual time, not the absolute
+  // simulator end time. Run 2 starts mid-world (its launch-time events
+  // clamp to "now" instead of staggering from t=0), so it may differ by
+  // a launch offset — but never by anything near a whole first run,
+  // which is what the absolute end time would report.
+  EXPECT_GT(r2.makespan_ns, 0u);
+  EXPECT_LT(r2.makespan_ns, r1.makespan_ns + r1.makespan_ns / 2);
+}
+
 }  // namespace
 }  // namespace cr::exec

@@ -51,13 +51,15 @@ TEST(Metrics, SnapshotCoversEverySubsystem) {
             static_cast<double>(res.copies_issued));
   EXPECT_EQ(snap.at("exec.bytes_moved"),
             static_cast<double>(res.bytes_moved));
+  EXPECT_EQ(snap.at("exec.intersection_pairs"),
+            static_cast<double>(res.intersection_pairs));
   // Simulator occupancy.
   EXPECT_GT(snap.at("sim.events_processed"), 0.0);
   EXPECT_GT(snap.at("sim.queue.max_depth"), 0.0);
   EXPECT_GT(snap.at("sim.proc.busy_ns.count"), 0.0);
   // Runtime analysis structures.
   EXPECT_GT(snap.at("rt.alias.queries"), 0.0);
-  EXPECT_GT(snap.at("rt.isect_cache.misses"), 0.0);
+  EXPECT_GT(snap.at("exec.intersection_pairs"), 0.0);
   // Per-pass IR size deltas from the pipeline.
   EXPECT_GT(snap.at("passes.data-replication.stmts_in"), 0.0);
   EXPECT_GE(snap.at("passes.sync-insertion.stmts_out"),
@@ -98,10 +100,8 @@ TEST(Metrics, AnalysisStatsAgreeWithRegistry) {
             snap.at("rt.alias.queries"));
   EXPECT_EQ(static_cast<double>(res.analysis.dep_pairs_scanned),
             snap.at("rt.dep.pairs_scanned"));
-  EXPECT_EQ(static_cast<double>(res.analysis.isect_cache_hits) +
-                static_cast<double>(res.analysis.isect_cache_misses),
-            snap.at("rt.isect_cache.hits") +
-                snap.at("rt.isect_cache.misses"));
+  EXPECT_EQ(static_cast<double>(res.analysis.overlap_exact),
+            snap.at("rt.overlap.exact"));
 }
 
 TEST(Metrics, TracingAndAttributionAreMakespanNeutral) {

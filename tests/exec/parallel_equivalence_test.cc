@@ -57,8 +57,7 @@ ir::Program build_app(rt::Runtime& rt, const std::string& app,
   return apps::miniaero::build(rt, cfg).program;
 }
 
-ExecutionResult run_app(const std::string& app, bool replay = false,
-                        bool traced = false) {
+ExecutionResult run_app(const std::string& app, bool traced = false) {
   CostModel cost;
   cost.track_dependences = false;
   const uint32_t nodes = 4;
@@ -69,7 +68,6 @@ ExecutionResult run_app(const std::string& app, bool replay = false,
   cfg.cost = cost;
   cfg.mode = ExecMode::kSpmd;
   cfg.check = true;
-  cfg.trace_replay = replay;
   PreparedRun run = prepare(rt, std::move(program), cfg);
   if (traced) run.engine->enable_trace();
   return run.run();
@@ -82,7 +80,7 @@ void expect_bit_identical(const std::string& app) {
   ASSERT_NE(ref.check, nullptr);
   EXPECT_TRUE(ref.check->ok()) << app;
   for (const bool traced : {false, true}) {
-    const ExecutionResult res = run_app(app, /*replay=*/false, traced);
+    const ExecutionResult res = run_app(app, traced);
     const std::string where = app + (traced ? " traced" : " repeat");
     EXPECT_EQ(res.makespan_ns, ref.makespan_ns) << where;
     EXPECT_EQ(res.point_tasks, ref.point_tasks) << where;
@@ -106,25 +104,6 @@ TEST(ParallelEquivalence, Stencil) { expect_bit_identical("stencil"); }
 TEST(ParallelEquivalence, Circuit) { expect_bit_identical("circuit"); }
 TEST(ParallelEquivalence, Pennant) { expect_bit_identical("pennant"); }
 TEST(ParallelEquivalence, MiniAero) { expect_bit_identical("miniaero"); }
-
-// ExecConfig::trace_replay must be a structural no-op in SPMD mode
-// (dependence analysis does not run there): with the flag on, the run
-// matches the replay-off run in full — including the metrics snapshot,
-// which must not grow exec.replay.* keys.
-TEST(ParallelEquivalence, ReplayFlagIsInertInSpmd) {
-  for (const std::string app : {"stencil", "circuit"}) {
-    const ExecutionResult ref = run_app(app, /*replay=*/false);
-    const ExecutionResult res = run_app(app, /*replay=*/true);
-    ASSERT_GT(ref.makespan_ns, 0u) << app;
-    EXPECT_EQ(res.makespan_ns, ref.makespan_ns) << app;
-    EXPECT_EQ(res.metrics, ref.metrics) << app;
-    ASSERT_NE(ref.check, nullptr) << app;
-    ASSERT_NE(res.check, nullptr) << app;
-    EXPECT_EQ(res.check->ok(), ref.check->ok()) << app;
-    EXPECT_EQ(res.check->stats.pairs_checked, ref.check->stats.pairs_checked)
-        << app;
-  }
-}
 
 }  // namespace
 }  // namespace cr::exec

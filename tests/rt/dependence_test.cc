@@ -178,60 +178,6 @@ TEST(Dependence, StatsCountPairs) {
   EXPECT_EQ(deps.pairs_scanned(), 0u);
 }
 
-// Capture/replay roundtrip at the tracker level: a second tracker fed
-// the captured outcomes through replay() must end in the same state,
-// return the same preconditions (resolved from captured op ids in
-// captured order), and charge the same pairs_scanned — while testing
-// zero pairs itself.
-TEST(Dependence, ReplayReproducesCapturedAnalysis) {
-  Fixture f;
-  DependenceTracker analyzed(f.forest);
-  DependenceTracker replayed(f.forest);
-  std::vector<sim::UserEvent> events;
-  events.reserve(16);
-  std::map<uint64_t, sim::Event> completion_of;
-
-  const Privilege privs[] = {Privilege::kReadOnly, Privilege::kReadWrite,
-                             Privilege::kReadOnly, Privilege::kReadWrite,
-                             Privilege::kWriteDiscard, Privilege::kReduce};
-  const RegionId targets[] = {f.forest.subregion(f.p, 0),
-                              f.forest.subregion(f.p, 1), f.r, f.r,
-                              f.forest.subregion(f.p, 2), f.r};
-  for (uint64_t op = 1; op <= 6; ++op) {
-    events.emplace_back(f.sim);
-    const sim::Event done = events.back().event();
-    completion_of[op] = done;
-    const Requirement req = f.req(targets[op - 1], privs[op - 1]);
-
-    DependenceTracker::Capture cap;
-    const uint64_t scanned0 = analyzed.pairs_scanned();
-    const uint64_t found0 = analyzed.dependences_found();
-    const auto pre = analyzed.record(op, req, done, &cap);
-    const uint64_t found = analyzed.dependences_found() - found0;
-
-    const uint64_t scanned =
-        replayed.replay(op, req, done, cap.prunes, found);
-    EXPECT_EQ(scanned, analyzed.pairs_scanned() - scanned0) << "op " << op;
-    std::vector<sim::Event> resolved;
-    for (uint64_t dep : cap.dep_ops) resolved.push_back(completion_of[dep]);
-    EXPECT_EQ(resolved, pre) << "op " << op;
-  }
-  EXPECT_EQ(replayed.pairs_scanned(), analyzed.pairs_scanned());
-  EXPECT_EQ(replayed.dependences_found(), analyzed.dependences_found());
-  EXPECT_EQ(replayed.pairs_tested(), 0u);
-  EXPECT_EQ(replayed.index_queries(), 0u);
-  EXPECT_GT(analyzed.dependences_found(), 0u);
-
-  // And analysis can resume on the replayed tracker seamlessly: the
-  // same next record must observe the same state in both.
-  events.emplace_back(f.sim);
-  const Requirement next = f.req(f.r, Privilege::kReadWrite);
-  auto da = analyzed.record(7, next, events.back().event());
-  auto dr = replayed.record(7, next, events.back().event());
-  EXPECT_EQ(da, dr);
-  EXPECT_EQ(replayed.pairs_scanned(), analyzed.pairs_scanned());
-}
-
 // The rebuild amortization must be bounded by accumulated tail-scan
 // work, not by the staleness ratio alone: a short unindexed tail that
 // every query rescans has to trigger a rebuild once the total touched

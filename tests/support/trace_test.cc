@@ -121,7 +121,7 @@ TEST(Tracer, WritesChromeJsonWithMetadataSpansAndInstants) {
   t.add_span(0, 0, TraceCategory::kCompute, "work \"x\"", 1000, 3000);
   t.add_instant(0, 0, "mark", 2000);
   const std::string path = ::testing::TempDir() + "/trace_test.json";
-  t.write_chrome_json(path);
+  ASSERT_TRUE(t.write_chrome_json(path));
   const std::string text = slurp(path);
   EXPECT_EQ(text.front(), '[');
   EXPECT_NE(text.find("\"ph\":\"M\""), std::string::npos);
@@ -139,9 +139,14 @@ TEST(Tracer, WritesChromeJsonWithMetadataSpansAndInstants) {
 TEST(Tracer, EmptyTracerWritesValidEmptyArray) {
   Tracer t;
   const std::string path = ::testing::TempDir() + "/trace_empty.json";
-  t.write_chrome_json(path);
+  ASSERT_TRUE(t.write_chrome_json(path));
   EXPECT_EQ(slurp(path), "[\n\n]\n");
   std::remove(path.c_str());
+}
+
+TEST(Tracer, UnwritablePathReportsFailure) {
+  Tracer t;
+  EXPECT_FALSE(t.write_chrome_json("/nonexistent-dir/trace.json"));
 }
 
 TEST(Tracer, AttributionRollsUpCopyAndSyncBySource) {

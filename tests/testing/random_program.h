@@ -29,13 +29,8 @@ struct RandomProgram {
   std::vector<ir::ScalarId> scalars;
 };
 
-// `min_steps` raises the time-loop trip count floor (same rng draw
-// sequence either way): the trace-replay property tests need enough
-// iterations for capture → validate → replay to engage, while the
-// oracle-comparison fuzz tests keep the default short loops.
 inline RandomProgram make_random_program(rt::RegionForest& forest,
-                                  support::Rng& rng, uint64_t colors,
-                                  uint64_t min_steps = 2) {
+                                  support::Rng& rng, uint64_t colors) {
   RandomProgram out;
   // At least two regions so tasks can read data they do not write (the
   // inner loops must be interference-free, paper §2.2).
@@ -197,7 +192,7 @@ inline RandomProgram make_random_program(rt::RegionForest& forest,
                    {B::arg(out.regions[r].primary, P::kWriteDiscard,
                            {out.regions[r].field})});
   }
-  const uint64_t steps = min_steps + rng.next_below(2);
+  const uint64_t steps = 2 + rng.next_below(2);
   b.begin_for_time(steps);
   for (const TaskPlan& plan : plans) {
     std::vector<ir::RegionArg> args;

@@ -13,8 +13,9 @@
 //                                  against the same filename in the
 //                                  current dir (the mapper-matrix gate)
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -31,6 +32,18 @@ int usage(const char* argv0) {
                "[--matrix]\n",
                argv0);
   return 2;
+}
+
+// A threshold value: the whole text must be one finite number.
+bool parse_pct(const std::string& text, double* out) {
+  const char* end = text.data() + text.size();
+  double v = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc{} || ptr != end || !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 // --matrix: every *.json in `baseline_dir` must exist under the same
@@ -82,17 +95,25 @@ int main(int argc, char** argv) {
     if (arg == "--matrix") {
       matrix = true;
     } else if (arg.rfind("--makespan=", 0) == 0) {
-      options.makespan_pct = std::atof(arg.c_str() + std::strlen("--makespan="));
+      if (!parse_pct(arg.substr(std::strlen("--makespan=")),
+                     &options.makespan_pct)) {
+        return usage(argv[0]);
+      }
     } else if (arg.rfind("--all=", 0) == 0) {
-      options.all_pct = std::atof(arg.c_str() + std::strlen("--all="));
+      if (!parse_pct(arg.substr(std::strlen("--all=")), &options.all_pct)) {
+        return usage(argv[0]);
+      }
     } else if (arg.rfind("--host=", 0) == 0) {
-      options.host_pct = std::atof(arg.c_str() + std::strlen("--host="));
+      if (!parse_pct(arg.substr(std::strlen("--host=")), &options.host_pct)) {
+        return usage(argv[0]);
+      }
     } else if (arg.rfind("--metric=", 0) == 0) {
       const std::string spec = arg.substr(std::strlen("--metric="));
       const size_t colon = spec.rfind(':');
       if (colon == std::string::npos || colon == 0) return usage(argv[0]);
-      options.metric_pct[spec.substr(0, colon)] =
-          std::atof(spec.c_str() + colon + 1);
+      double pct = 0;
+      if (!parse_pct(spec.substr(colon + 1), &pct)) return usage(argv[0]);
+      options.metric_pct[spec.substr(0, colon)] = pct;
     } else if (!arg.empty() && arg[0] == '-') {
       return usage(argv[0]);
     } else if (baseline.empty()) {
