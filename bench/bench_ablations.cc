@@ -44,7 +44,7 @@ double run_circuit_spmd(bench::Bench& bench, uint32_t nodes,
   exec::PreparedRun run = exec::prepare(
       rt, app.program, bench.config(exec::ExecMode::kSpmd, cost, opt));
   exec::ExecutionResult res = run.run();
-  bench.record(res);
+  bench.tally(res);
   if (out != nullptr) *out = res;
   if (report != nullptr) *report = run.report;
   return exec::to_seconds(res.makespan_ns);
@@ -86,7 +86,7 @@ double run_pennant_spmd(bench::Bench& bench, uint32_t nodes,
   exec::PreparedRun run = exec::prepare(
       rt, app.program, bench.config(exec::ExecMode::kSpmd, cost, opt));
   const exec::ExecutionResult res = run.run();
-  bench.record(res);
+  bench.tally(res);
   return exec::to_seconds(res.makespan_ns);
 }
 
@@ -170,7 +170,7 @@ double run_placement_program(bench::Bench& bench, bool placement,
   exec::PreparedRun run =
       exec::prepare(rt, program, bench.config(exec::ExecMode::kSpmd, cost, opt));
   exec::ExecutionResult res = run.run();
-  bench.record(res);
+  bench.tally(res);
   if (out != nullptr) *out = res;
   if (report != nullptr) *report = run.report;
   return exec::to_seconds(res.makespan_ns);
@@ -214,18 +214,18 @@ void ablation_mapping(bench::Bench& bench) {
       exec::PreparedRun run = exec::prepare(
           rt, app.program, bench.config(exec::ExecMode::kSpmd, cost));
       const exec::ExecutionResult res = run.run();
-      bench.record(res);
+      bench.tally(res);
       return exec::to_seconds(res.makespan_ns);
     };
     std::printf("%-16u %-16.4f\n", tpn,
-                cr::bench::steady_seconds(total, 2, 6));
+                cr::bench::steady_seconds(total, 2, 6).seconds);
   }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  cr::bench::Bench bench("ablations", argc, argv);
+  cr::bench::Bench bench("ablations", argc, argv, /*sweep=*/false);
   ablation_intersections(bench);
   ablation_sync(bench);
   ablation_hierarchy(bench);

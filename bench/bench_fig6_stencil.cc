@@ -43,7 +43,8 @@ Config make_config(uint32_t nodes, uint64_t steps) {
   return cfg;
 }
 
-double run_engine(bench::Bench& bench, uint32_t nodes, bool spmd) {
+bench::PointRecord run_engine(bench::Bench& bench, uint32_t nodes,
+                              bool spmd) {
   auto total = [&](uint64_t steps) {
     exec::CostModel cost = exec::CostModel::piz_daint();
     cost.track_dependences = false;
@@ -52,17 +53,13 @@ double run_engine(bench::Bench& bench, uint32_t nodes, bool spmd) {
     cost.implicit_launch_ns = 2.0e6;
     Config cfg = make_config(nodes, steps);
     rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
-    bench::TraceScope trace(bench, rt, spmd ? "stencil-cr" : "stencil-nocr",
-                            nodes);
     apps::stencil::App app = apps::stencil::build(rt, cfg);
     for (auto& t : app.program.tasks) t.kernel = nullptr;
     exec::PreparedRun run = exec::prepare(
         rt, app.program,
         bench.config(spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit,
                      cost));
-    const exec::ExecutionResult res = run.run();
-    bench.record(res);
-    return exec::to_seconds(res.makespan_ns);
+    return bench.run(run, spmd ? "stencil-cr" : "stencil-nocr", nodes);
   };
   return bench::steady_seconds(total, 2, 6);
 }
@@ -91,7 +88,7 @@ int run_matrix(bench::Bench& bench) {
       });
 }
 
-double run_mpi(uint32_t nodes, bool openmp) {
+bench::PointRecord run_mpi(uint32_t nodes, bool openmp) {
   exec::CostModel cost = exec::CostModel::piz_daint();
   auto total = [&](uint64_t steps) {
     Config cfg = make_config(nodes, steps);

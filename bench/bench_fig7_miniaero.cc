@@ -42,7 +42,8 @@ Config make_config(uint32_t nodes, uint64_t steps) {
   return cfg;
 }
 
-double run_engine(bench::Bench& bench, uint32_t nodes, bool spmd) {
+bench::PointRecord run_engine(bench::Bench& bench, uint32_t nodes,
+                              bool spmd) {
   auto total = [&](uint64_t steps) {
     exec::CostModel cost = exec::CostModel::piz_daint();
     cost.track_dependences = false;
@@ -51,22 +52,18 @@ double run_engine(bench::Bench& bench, uint32_t nodes, bool spmd) {
     cost.task_slow_frac = kNoiseCore.slow_frac;
     Config cfg = make_config(nodes, steps);
     rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
-    bench::TraceScope trace(bench, rt, spmd ? "miniaero-cr" : "miniaero-nocr",
-                            nodes);
     apps::miniaero::App app = apps::miniaero::build(rt, cfg);
     for (auto& t : app.program.tasks) t.kernel = nullptr;
     exec::PreparedRun run = exec::prepare(
         rt, app.program,
         bench.config(spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit,
                      cost));
-    const exec::ExecutionResult res = run.run();
-    bench.record(res);
-    return exec::to_seconds(res.makespan_ns);
+    return bench.run(run, spmd ? "miniaero-cr" : "miniaero-nocr", nodes);
   };
   return cr::bench::steady_seconds(total, 2, 5);
 }
 
-double run_mpi(uint32_t nodes, bool rank_per_node) {
+bench::PointRecord run_mpi(uint32_t nodes, bool rank_per_node) {
   exec::CostModel cost = exec::CostModel::piz_daint();
   auto total = [&](uint64_t steps) {
     Config cfg = make_config(nodes, steps);

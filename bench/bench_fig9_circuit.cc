@@ -36,23 +36,21 @@ Config make_config(uint32_t nodes, uint64_t steps) {
   return cfg;
 }
 
-double run_engine(bench::Bench& bench, uint32_t nodes, bool spmd) {
+bench::PointRecord run_engine(bench::Bench& bench, uint32_t nodes,
+                              bool spmd) {
   auto total = [&](uint64_t steps) {
     exec::CostModel cost = exec::CostModel::piz_daint();
     cost.track_dependences = false;
     cost.implicit_launch_ns = 300000;
     Config cfg = make_config(nodes, steps);
     rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
-    bench::TraceScope trace(bench, rt, spmd ? "circuit-cr" : "circuit-nocr", nodes);
     apps::circuit::App app = apps::circuit::build(rt, cfg);
     for (auto& t : app.program.tasks) t.kernel = nullptr;
     exec::PreparedRun run = exec::prepare(
         rt, app.program,
         bench.config(spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit,
                      cost));
-    const exec::ExecutionResult res = run.run();
-    bench.record(res);
-    return exec::to_seconds(res.makespan_ns);
+    return bench.run(run, spmd ? "circuit-cr" : "circuit-nocr", nodes);
   };
   return cr::bench::steady_seconds(total, 2, 5);
 }

@@ -12,8 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <map>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -178,9 +177,36 @@ struct BenchOptions {
   // heterogeneous/faulty-node scenario once per registered policy and
   // emit one BENCH_mapper.<app>.<policy>.json artifact per cell.
   bool mapper_matrix = false;
-  // Default artifact names carry the app name so several benches run
-  // from one directory (CI) never clobber each other's output.
-  void register_flags(FlagSet& flags, const std::string& app) {
+  // Registers the run flags every bench honours (--check,
+  // --check-mutate, --mapper, --mapper-seed) and, with `sweep`, the
+  // figure sweeps' artifact flags (--trace, --metrics, --selftime) and
+  // --mapper-matrix. Default artifact names carry the app name so
+  // several benches run from one directory (CI) never clobber each
+  // other's output.
+  void register_flags(FlagSet& flags, const std::string& app, bool sweep) {
+    flags.add_flag("check", "run the happens-before race checker",
+                   &check);
+    flags.add("mapper", "=<name>",
+              "placement policy (default, balanced, adversarial, random)",
+              [this](const std::string& value, bool has_value) {
+                if (!has_value || value.empty()) return false;
+                mapper = value;
+                return true;
+              });
+    flags.add_int("mapper-seed", "<n>",
+                  "seed for the random placement policy", &mapper_seed);
+    flags.add("check-mutate", "=<sync-id>",
+              "delete sync op <sync-id>; expect the checker to race",
+              [this](const std::string& value, bool) {
+                ir::SyncId id = ir::kNoSyncId;
+                if (!FlagSet::parse_int(value, &id) || id == ir::kNoSyncId) {
+                  return false;
+                }
+                check_mutate = id;
+                check = true;
+                return true;
+              });
+    if (!sweep) return;
     analysis_path = "BENCH_analysis." + app + ".json";
     flags.add_string("trace", "<path>",
                      "write Chrome trace JSON + breakdown per run",
@@ -195,81 +221,71 @@ struct BenchOptions {
                 if (has_value && !value.empty()) analysis_path = value;
                 return true;
               });
-    flags.add_flag("check", "run the happens-before race checker",
-                   &check);
-    flags.add("mapper", "=<name>",
-              "placement policy (default, balanced, adversarial, random)",
-              [this](const std::string& value, bool has_value) {
-                if (!has_value || value.empty()) return false;
-                mapper = value;
-                return true;
-              });
-    flags.add_int("mapper-seed", "<n>",
-                  "seed for the random placement policy", &mapper_seed);
     flags.add_flag("mapper-matrix",
                    "run the heterogeneous scenario across all policies "
                    "and write one artifact per (app, mapper) cell",
                    &mapper_matrix);
-    flags.add("check-mutate", "=<sync-id>",
-              "delete sync op <sync-id>; expect the checker to race",
-              [this](const std::string& value, bool) {
-                ir::SyncId id = ir::kNoSyncId;
-                if (!FlagSet::parse_int(value, &id) || id == ir::kNoSyncId) {
-                  return false;
-                }
-                check_mutate = id;
-                check = true;
-                return true;
-              });
   }
 };
 
-// Category fractions of the most recent traced run, for sweep() to fold
-// into the scaling report.
-struct LastBreakdown {
-  bool valid = false;
-  double compute = 0, copy = 0, sync = 0, idle = 0;
+// --- run records -----------------------------------------------------
+
+// One engine run: its result and, under --trace, its timeline summary.
+struct RunRecord {
+  exec::ExecutionResult result;
+  std::optional<support::TraceSummary> trace;
 };
 
-// Analysis counters of the most recent engine run.
-struct LastAnalysis {
-  bool valid = false;
-  exec::AnalysisStats stats;
-};
-
-// Registry snapshot of the most recent engine run (--metrics).
-struct LastMetrics {
-  bool valid = false;
-  double makespan_ns = 0;
-  std::map<std::string, double> values;
+// One sweep point: the steady-state virtual seconds of the measured
+// window and the record of the larger-step engine run behind them
+// (absent for the analytic reference series).
+struct PointRecord {
+  double seconds = 0;
+  std::optional<RunRecord> run;
 };
 
 // --- the per-process bench driver -------------------------------------
 
-// Owns the parsed options and the run-to-run state (trace breakdowns,
-// analysis counters, checker tallies) that used to live in mutable
-// singletons. Construct one in main() and thread it by reference.
+// Owns the parsed options, the checker tallies and the artifact-failure
+// flag. Construct one in main() and thread it by reference; every run
+// returns its own record, so the driver keeps no per-run state.
 class Bench {
  public:
   // `app` scopes the default artifact filenames (trace.<app>.json,
-  // BENCH_analysis.<app>.json, BENCH_metrics.<app>.json).
-  Bench(std::string app, int argc, char** argv) : app_(std::move(app)) {
-    options_.register_flags(flags_, app_);
+  // BENCH_analysis.<app>.json, BENCH_metrics.<app>.json). A `sweep`
+  // bench also takes the artifact flags and --mapper-matrix (see
+  // BenchOptions::register_flags); --mapper-matrix writes its own
+  // artifacts, so it rejects --trace, --metrics and --selftime.
+  Bench(std::string app, int argc, char** argv, bool sweep = true)
+      : app_(std::move(app)) {
+    options_.register_flags(flags_, app_, sweep);
     if (!flags_.parse(argc, argv)) std::exit(2);
+    if (!options_.mapper_matrix) return;
+    const char* conflict = !options_.trace_path.empty()     ? "trace"
+                           : !options_.metrics_path.empty() ? "metrics"
+                           : options_.selftime              ? "selftime"
+                                                            : nullptr;
+    if (conflict != nullptr) {
+      std::fprintf(stderr,
+                   "%s: --mapper-matrix cannot be combined with --%s\n",
+                   argv[0], conflict);
+      std::exit(2);
+    }
   }
 
   const BenchOptions& options() const { return options_; }
   const std::string& app() const { return app_; }
 
-  // The ExecConfig for one engine run, honoring --check/--check-mutate
-  // (the mutation applies to SPMD runs only; sync ids do not exist
-  // before sync insertion).
+  // The ExecConfig for one engine run, honoring --trace, --check and
+  // --check-mutate (the mutation applies to SPMD runs only; sync ids do
+  // not exist before sync insertion).
   exec::ExecConfig config(exec::ExecMode mode, const exec::CostModel& cost,
                           passes::PipelineOptions pipeline = {}) const {
     exec::ExecConfig cfg;
     cfg.pipeline = pipeline;
     cfg.cost = cost;
     cfg.mode = mode;
+    cfg.trace = !options_.trace_path.empty();
     cfg.check = options_.check;
     if (mode == exec::ExecMode::kSpmd) {
       cfg.check_mutate = options_.check_mutate;
@@ -279,30 +295,26 @@ class Bench {
     return cfg;
   }
 
-  // Call after Engine::run() inside a bench's run function: records the
-  // run's dynamic-analysis counters for sweep() (with repeated runs of
-  // one configuration — steady-state differencing — the last, largest
-  // run wins) and tallies the checker result.
-  void record(const exec::ExecutionResult& r) {
-    if (options_.selftime) {
-      last_analysis_.valid = true;
-      last_analysis_.stats = r.analysis;
-    }
-    if (!options_.metrics_path.empty()) {
-      last_metrics_.valid = true;
-      last_metrics_.makespan_ns = static_cast<double>(r.makespan_ns);
-      last_metrics_.values = r.metrics;
-    }
-    if (r.check != nullptr) {
-      ++checked_runs_;
-      check_accesses_ += r.check->stats.accesses;
-      check_pairs_ += r.check->stats.pairs_checked;
-      check_races_ += r.check->stats.races;
-      if (!r.check->ok() && ++raced_runs_ <= 3) {
-        std::fprintf(stderr, "%s", r.check->to_text().c_str());
-      }
+  // Tallies the checker verdict of an engine run (no-op when the run
+  // was not checked). Every engine run of a bench goes through here.
+  void tally(const exec::ExecutionResult& r) {
+    if (r.check == nullptr) return;
+    ++checked_runs_;
+    check_accesses_ += r.check->stats.accesses;
+    check_pairs_ += r.check->stats.pairs_checked;
+    check_races_ += r.check->stats.races;
+    if (!r.check->ok() && ++raced_runs_ <= 3) {
+      std::fprintf(stderr, "%s", r.check->to_text().c_str());
     }
   }
+
+  // Runs a prepared engine (built from config()) and tallies it. Under
+  // --trace it also writes the run's Chrome trace JSON and text summary
+  // as <trace_path minus .json>.<label>.<nodes>n.{json,txt} and prints
+  // the summary to stderr; with repeated runs of one configuration
+  // (steady-state differencing) the last run's artifacts win.
+  RunRecord run(exec::PreparedRun& prepared, const std::string& label,
+                uint32_t nodes);
 
   // Weak-scaling sweep over node_counts() for each series.
   exec::ScalingReport sweep(const std::string& title,
@@ -310,12 +322,12 @@ class Bench {
                             double work_per_node, double iterations,
                             const std::vector<struct SeriesSpec>& specs);
 
-  // Write the --selftime artifact: one JSON object per recorded point
+  // Write the --selftime artifact: one JSON object per measured point
   // with the analysis counters and host wall-clock. No-op unless
   // --selftime. A failure to write it makes finish() return nonzero.
   void write_analysis_json(const exec::ScalingReport& report);
 
-  // Write the --metrics artifact: every recorded point's registry
+  // Write the --metrics artifact: every engine point's registry
   // snapshot, makespan and attribution rows. Strictly virtual-time
   // quantities (no host wall-clock), so the output is bit-stable across
   // machines and safe to commit as a bench_diff baseline. No-op unless
@@ -345,15 +357,9 @@ class Bench {
   }
 
  private:
-  friend class TraceScope;
-
   std::string app_;
   FlagSet flags_;
   BenchOptions options_;
-  LastBreakdown last_breakdown_;
-  LastAnalysis last_analysis_;
-  LastMetrics last_metrics_;
-  std::vector<support::TraceAttributionRow> last_attribution_;
   uint64_t checked_runs_ = 0;
   uint64_t check_accesses_ = 0;
   uint64_t check_pairs_ = 0;
@@ -373,76 +379,43 @@ inline bool close_artifact(FILE* f, const std::string& path) {
   return true;
 }
 
-// RAII tracing for one engine run: attaches a Tracer to the runtime's
-// simulator when --trace is set, and on destruction (after the run,
-// while the runtime is still alive) writes the Chrome trace JSON plus a
-// text summary and prints the breakdown to stderr. Artifacts are named
-// <trace_path minus .json>.<label>.<nodes>n.{json,txt}; with repeated
-// runs of one configuration (steady-state differencing) the last run
-// wins.
-class TraceScope {
- public:
-  TraceScope(Bench& bench, rt::Runtime& rt, std::string label,
-             uint32_t nodes)
-      : bench_(&bench), rt_(&rt), label_(std::move(label)), nodes_(nodes) {
-    if (bench.options().trace_path.empty()) return;
-    if (rt.sim().tracer() != nullptr) return;  // someone else is tracing
-    tracer_ = std::make_unique<support::Tracer>();
-    rt.sim().set_tracer(tracer_.get());
+inline RunRecord Bench::run(exec::PreparedRun& prepared,
+                            const std::string& label, uint32_t nodes) {
+  RunRecord rec{prepared.run(), std::nullopt};
+  tally(rec.result);
+  if (options_.trace_path.empty()) return rec;
+  rec.trace = prepared.engine->trace_summary();
+
+  std::string stem = options_.trace_path;
+  const std::string suffix = ".json";
+  if (stem.size() > suffix.size() &&
+      stem.compare(stem.size() - suffix.size(), suffix.size(), suffix) ==
+          0) {
+    stem.resize(stem.size() - suffix.size());
   }
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-
-  ~TraceScope() {
-    if (tracer_ == nullptr) return;
-    rt_->sim().set_tracer(nullptr);
-    const support::TraceSummary sum = tracer_->summarize(rt_->sim().now());
-
-    std::string stem = bench_->options().trace_path;
-    const std::string suffix = ".json";
-    if (stem.size() > suffix.size() &&
-        stem.compare(stem.size() - suffix.size(), suffix.size(), suffix) ==
-            0) {
-      stem.resize(stem.size() - suffix.size());
-    }
-    const std::string base =
-        stem + "." + label_ + "." + std::to_string(nodes_) + "n";
-    // A trace artifact that cannot be written fails the bench (exit 1
-    // from Bench::finish()), like --metrics and --selftime.
-    const std::string json_path = base + ".json";
-    if (!tracer_->write_chrome_json(json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      bench_->artifact_failed_ = true;
-    }
-    const std::string text = sum.to_text();
-    const std::string txt_path = base + ".txt";
-    FILE* f = std::fopen(txt_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", txt_path.c_str());
-      bench_->artifact_failed_ = true;
-    } else {
-      std::fputs(text.c_str(), f);
-      if (!close_artifact(f, txt_path)) bench_->artifact_failed_ = true;
-    }
-    std::fprintf(stderr, "  [%s, %u nodes]\n%s  trace: %s.json\n",
-                 label_.c_str(), nodes_, text.c_str(), base.c_str());
-
-    LastBreakdown& lb = bench_->last_breakdown_;
-    lb.valid = true;
-    lb.compute = sum.breakdown.compute_frac();
-    lb.copy = sum.breakdown.copy_frac();
-    lb.sync = sum.breakdown.sync_frac();
-    lb.idle = sum.breakdown.idle_frac();
-    bench_->last_attribution_ = sum.attribution;
+  const std::string base =
+      stem + "." + label + "." + std::to_string(nodes) + "n";
+  // A trace artifact that cannot be written fails the bench (exit 1
+  // from finish()), like --metrics and --selftime.
+  const std::string json_path = base + ".json";
+  if (!prepared.engine->write_trace(json_path)) {
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    artifact_failed_ = true;
   }
-
- private:
-  Bench* bench_;
-  rt::Runtime* rt_;
-  std::string label_;
-  uint32_t nodes_;
-  std::unique_ptr<support::Tracer> tracer_;
-};
+  const std::string text = rec.trace->to_text();
+  const std::string txt_path = base + ".txt";
+  FILE* f = std::fopen(txt_path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", txt_path.c_str());
+    artifact_failed_ = true;
+  } else {
+    std::fputs(text.c_str(), f);
+    if (!close_artifact(f, txt_path)) artifact_failed_ = true;
+  }
+  std::fprintf(stderr, "  [%s, %u nodes]\n%s  trace: %s.json\n",
+               label.c_str(), nodes, text.c_str(), base.c_str());
+  return rec;
+}
 
 // The largest node count of a sweep: the CR_BENCH_MAX_NODES environment
 // variable, default 1024. Anything but a positive integer below 2^31
@@ -471,9 +444,8 @@ inline std::vector<uint32_t> node_counts() {
   return out;
 }
 
-// One configuration point: run and return the virtual seconds of the
-// measured window.
-using RunFn = std::function<double(uint32_t nodes)>;
+// One configuration point: run it and return its record.
+using RunFn = std::function<PointRecord(uint32_t nodes)>;
 
 struct SeriesSpec {
   std::string name;
@@ -497,79 +469,33 @@ inline exec::ScalingReport Bench::sweep(
     for (uint32_t n : node_counts()) {
       if (!spec.applicable(n)) continue;
       std::fprintf(stderr, "  [%s] %u nodes...\n", spec.name.c_str(), n);
-      exec::ScalingPoint pt;
-      pt.nodes = n;
-      last_breakdown_.valid = false;
-      last_analysis_.valid = false;
-      last_metrics_.valid = false;
-      last_attribution_.clear();
       const auto host_begin = std::chrono::steady_clock::now();
-      pt.seconds = spec.run(n);
+      PointRecord rec = spec.run(n);
       const double host_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         host_begin)
               .count();
-      if (options_.selftime && last_analysis_.valid) {
-        pt.has_analysis = true;
-        pt.analysis = last_analysis_.stats;
-        pt.analysis.host_seconds = host_seconds;
-      }
-      if (last_breakdown_.valid) {
-        pt.has_breakdown = true;
-        pt.compute_frac = last_breakdown_.compute;
-        pt.copy_frac = last_breakdown_.copy;
-        pt.sync_frac = last_breakdown_.sync;
-        pt.idle_frac = last_breakdown_.idle;
-      }
-      if (last_metrics_.valid) {
-        pt.has_metrics = true;
-        pt.makespan_ns = last_metrics_.makespan_ns;
-        pt.metrics = last_metrics_.values;
-      }
-      pt.attribution = last_attribution_;
+      exec::ScalingPoint pt;
+      pt.nodes = n;
+      pt.seconds = rec.seconds;
       pt.work_per_node = work_per_node;
       pt.iterations = iterations;
-      series.points.push_back(pt);
+      if (rec.run) {
+        exec::ExecutionResult& r = rec.run->result;
+        pt.has_metrics = true;
+        pt.makespan_ns = static_cast<double>(r.makespan_ns);
+        pt.metrics = std::move(r.metrics);
+        if (rec.run->trace) {
+          pt.breakdown = rec.run->trace->breakdown;
+          pt.attribution = std::move(rec.run->trace->attribution);
+        }
+        if (options_.selftime) pt.host_seconds = host_seconds;
+      }
+      series.points.push_back(std::move(pt));
     }
     report.series.push_back(std::move(series));
   }
   return report;
-}
-
-inline void Bench::write_analysis_json(const exec::ScalingReport& report) {
-  if (!options_.selftime) return;
-  FILE* f = std::fopen(options_.analysis_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n",
-                 options_.analysis_path.c_str());
-    artifact_failed_ = true;
-    return;
-  }
-  std::fprintf(f, "{\n  \"title\": \"%s\",\n  \"series\": [\n",
-               report.title.c_str());
-  for (size_t si = 0; si < report.series.size(); ++si) {
-    const exec::ScalingSeries& s = report.series[si];
-    std::fprintf(f, "    {\"name\": \"%s\", \"points\": [\n",
-                 s.name.c_str());
-    bool first = true;
-    for (const exec::ScalingPoint& p : s.points) {
-      if (!p.has_analysis) continue;
-      std::fprintf(f, "%s      {\"nodes\": %u, \"virtual_seconds\": %.9g, "
-                      "\"analysis\": %s}",
-                   first ? "" : ",\n", p.nodes, p.seconds,
-                   p.analysis.to_json().c_str());
-      first = false;
-    }
-    std::fprintf(f, "\n    ]}%s\n",
-                 si + 1 < report.series.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  if (!close_artifact(f, options_.analysis_path)) {
-    artifact_failed_ = true;
-    return;
-  }
-  std::fprintf(stderr, "  analysis counters: %s\n",
-               options_.analysis_path.c_str());
 }
 
 namespace detail {
@@ -584,53 +510,102 @@ inline void write_json_number(FILE* f, double v) {
   }
 }
 
-}  // namespace detail
-
-inline void Bench::write_metrics_json(const exec::ScalingReport& report) {
-  if (options_.metrics_path.empty()) return;
-  FILE* f = std::fopen(options_.metrics_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", options_.metrics_path.c_str());
-    artifact_failed_ = true;
-    return;
+// One engine point of a BENCH_metrics or BENCH_mapper document: nodes,
+// virtual seconds, makespan, registry snapshot and attribution rows.
+inline void write_point_json(FILE* f, const exec::ScalingPoint& p) {
+  std::fprintf(f, "      {\"nodes\": %u, \"virtual_seconds\": %.9g, "
+                  "\"makespan_ns\": ",
+               p.nodes, p.seconds);
+  write_json_number(f, p.makespan_ns);
+  std::fprintf(f, ",\n       \"metrics\": {");
+  bool first_m = true;
+  for (const auto& [key, value] : p.metrics) {
+    std::fprintf(f, "%s\"%s\": ", first_m ? "" : ", ", key.c_str());
+    write_json_number(f, value);
+    first_m = false;
   }
-  std::fprintf(f, "{\n  \"app\": \"%s\",\n  \"series\": [\n", app_.c_str());
+  std::fprintf(f, "},\n       \"attribution\": [");
+  for (size_t ai = 0; ai < p.attribution.size(); ++ai) {
+    const support::TraceAttributionRow& r = p.attribution[ai];
+    std::fprintf(f, "%s{\"source\": %u, \"label\": \"%s\", \"copy_ns\": ",
+                 ai == 0 ? "" : ", ", r.source, r.label.c_str());
+    write_json_number(f, r.copy_ns);
+    std::fprintf(f, ", \"sync_ns\": ");
+    write_json_number(f, r.sync_ns);
+    std::fprintf(f, ", \"spans\": %llu}",
+                 static_cast<unsigned long long>(r.spans));
+  }
+  std::fprintf(f, "]}");
+}
+
+// One measured point of the --selftime document: host wall-clock and
+// the analysis counters under their registry names.
+inline void write_analysis_point_json(FILE* f, const exec::ScalingPoint& p) {
+  std::fprintf(f, "      {\"nodes\": %u, \"virtual_seconds\": %.9g, "
+                  "\"analysis\": {",
+               p.nodes, p.seconds);
+  for (const auto& [key, value] : p.metrics) {
+    if (!exec::is_analysis_counter(key)) continue;
+    std::fprintf(f, "\"%s\": ", key.c_str());
+    write_json_number(f, value);
+    std::fprintf(f, ", ");
+  }
+  std::fprintf(f, "\"host_seconds\": %.6f}}", p.host_seconds);
+}
+
+// Writes `report` as one JSON document at `path`: the `head` members,
+// then every series with the points `keep` selects, each written by
+// `write`. False, with a message, when the file cannot be written.
+inline bool write_report_json(
+    const std::string& path, const std::string& head,
+    const exec::ScalingReport& report,
+    const std::function<bool(const exec::ScalingPoint&)>& keep,
+    const std::function<void(FILE*, const exec::ScalingPoint&)>& write) {
+  FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    return false;
+  }
+  std::fprintf(f, "{\n  %s,\n  \"series\": [\n", head.c_str());
   for (size_t si = 0; si < report.series.size(); ++si) {
     const exec::ScalingSeries& s = report.series[si];
     std::fprintf(f, "    {\"name\": \"%s\", \"points\": [\n", s.name.c_str());
-    bool first_pt = true;
+    bool first = true;
     for (const exec::ScalingPoint& p : s.points) {
-      if (!p.has_metrics) continue;
-      std::fprintf(f, "%s      {\"nodes\": %u, \"virtual_seconds\": %.9g, "
-                      "\"makespan_ns\": ",
-                   first_pt ? "" : ",\n", p.nodes, p.seconds);
-      detail::write_json_number(f, p.makespan_ns);
-      std::fprintf(f, ",\n       \"metrics\": {");
-      bool first_m = true;
-      for (const auto& [key, value] : p.metrics) {
-        std::fprintf(f, "%s\"%s\": ", first_m ? "" : ", ", key.c_str());
-        detail::write_json_number(f, value);
-        first_m = false;
-      }
-      std::fprintf(f, "},\n       \"attribution\": [");
-      for (size_t ai = 0; ai < p.attribution.size(); ++ai) {
-        const support::TraceAttributionRow& r = p.attribution[ai];
-        std::fprintf(f,
-                     "%s{\"source\": %u, \"label\": \"%s\", \"copy_ns\": ",
-                     ai == 0 ? "" : ", ", r.source, r.label.c_str());
-        detail::write_json_number(f, r.copy_ns);
-        std::fprintf(f, ", \"sync_ns\": ");
-        detail::write_json_number(f, r.sync_ns);
-        std::fprintf(f, ", \"spans\": %llu}",
-                     static_cast<unsigned long long>(r.spans));
-      }
-      std::fprintf(f, "]}");
-      first_pt = false;
+      if (!keep(p)) continue;
+      if (!first) std::fprintf(f, ",\n");
+      write(f, p);
+      first = false;
     }
     std::fprintf(f, "\n    ]}%s\n", si + 1 < report.series.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  if (!close_artifact(f, options_.metrics_path)) {
+  return close_artifact(f, path);
+}
+
+}  // namespace detail
+
+inline void Bench::write_analysis_json(const exec::ScalingReport& report) {
+  if (!options_.selftime) return;
+  auto measured = [](const exec::ScalingPoint& p) {
+    return p.host_seconds >= 0;
+  };
+  if (!detail::write_report_json(
+          options_.analysis_path, "\"title\": \"" + report.title + "\"",
+          report, measured, detail::write_analysis_point_json)) {
+    artifact_failed_ = true;
+    return;
+  }
+  std::fprintf(stderr, "  analysis counters: %s\n",
+               options_.analysis_path.c_str());
+}
+
+inline void Bench::write_metrics_json(const exec::ScalingReport& report) {
+  if (options_.metrics_path.empty()) return;
+  if (!detail::write_report_json(
+          options_.metrics_path, "\"app\": \"" + app_ + "\"", report,
+          [](const exec::ScalingPoint& p) { return p.has_metrics; },
+          detail::write_point_json)) {
     artifact_failed_ = true;
     return;
   }
@@ -640,12 +615,27 @@ inline void Bench::write_metrics_json(const exec::ScalingReport& report) {
 
 // Measure the steady-state per-iteration time of an engine execution by
 // differencing two runs with different step counts (initialization,
-// intersections and final copies cancel out).
-inline double steady_seconds(const std::function<double(uint64_t)>& total,
-                             uint64_t steps_lo, uint64_t steps_hi) {
+// intersections and final copies cancel out). The record carries the
+// larger-step run.
+inline PointRecord steady_seconds(
+    const std::function<RunRecord(uint64_t)>& run, uint64_t steps_lo,
+    uint64_t steps_hi) {
+  const double t_lo = exec::to_seconds(run(steps_lo).result.makespan_ns);
+  RunRecord hi = run(steps_hi);
+  const double t_hi = exec::to_seconds(hi.result.makespan_ns);
+  return {(t_hi - t_lo) / static_cast<double>(steps_hi - steps_lo),
+          std::move(hi)};
+}
+
+// The same differencing for an analytic reference model, whose `total`
+// returns the virtual seconds of a run.
+inline PointRecord steady_seconds(
+    const std::function<double(uint64_t)>& total, uint64_t steps_lo,
+    uint64_t steps_hi) {
   const double t_lo = total(steps_lo);
   const double t_hi = total(steps_hi);
-  return (t_hi - t_lo) / static_cast<double>(steps_hi - steps_lo);
+  return {(t_hi - t_lo) / static_cast<double>(steps_hi - steps_lo),
+          std::nullopt};
 }
 
 inline bool is_square_power(uint32_t n) {

@@ -54,29 +54,19 @@ inline bool write_matrix_json(const std::string& path,
                               const std::string& app,
                               const std::string& mapper, uint32_t nodes,
                               const exec::ExecutionResult& res) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+  exec::ScalingPoint pt;
+  pt.nodes = nodes;
+  pt.seconds = exec::to_seconds(res.makespan_ns);
+  pt.makespan_ns = static_cast<double>(res.makespan_ns);
+  pt.metrics = res.metrics;
+  exec::ScalingReport report;
+  report.series.push_back({"mapper-matrix", {pt}});
+  if (!write_report_json(
+          path, "\"app\": \"" + app + "\",\n  \"mapper\": \"" + mapper + "\"",
+          report, [](const exec::ScalingPoint&) { return true; },
+          write_point_json)) {
     return false;
   }
-  std::fprintf(f,
-               "{\n  \"app\": \"%s\",\n  \"mapper\": \"%s\",\n"
-               "  \"series\": [\n    {\"name\": \"mapper-matrix\", "
-               "\"points\": [\n",
-               app.c_str(), mapper.c_str());
-  std::fprintf(f, "      {\"nodes\": %u, \"virtual_seconds\": %.9g, "
-                  "\"makespan_ns\": ",
-               nodes, exec::to_seconds(res.makespan_ns));
-  write_json_number(f, static_cast<double>(res.makespan_ns));
-  std::fprintf(f, ",\n       \"metrics\": {");
-  bool first = true;
-  for (const auto& [key, value] : res.metrics) {
-    std::fprintf(f, "%s\"%s\": ", first ? "" : ", ", key.c_str());
-    write_json_number(f, value);
-    first = false;
-  }
-  std::fprintf(f, "},\n       \"attribution\": []}\n    ]}\n  ]\n}\n");
-  if (!close_artifact(f, path)) return false;
   std::fprintf(stderr, "  matrix cell: %s\n", path.c_str());
   return true;
 }

@@ -22,7 +22,8 @@ using namespace cr;
 
 namespace {
 
-void inspect(rt::Runtime& rt, ir::Program program, const char* trace_path) {
+// False when the requested trace file cannot be written.
+bool inspect(rt::Runtime& rt, ir::Program program, const char* trace_path) {
   exec::CostModel cost = exec::CostModel::piz_daint();
   std::printf("==== region forest ====\n%s\n",
               rt.forest().to_string().c_str());
@@ -32,6 +33,7 @@ void inspect(rt::Runtime& rt, ir::Program program, const char* trace_path) {
   exec::ExecConfig ecfg;
   ecfg.cost = cost;
   ecfg.mode = exec::ExecMode::kSpmd;
+  ecfg.trace = trace_path != nullptr;
   exec::PreparedRun run = exec::prepare(rt, std::move(program), ecfg);
   std::printf("==== after control replication ====\n%s\n",
               ir::to_string(*run.program).c_str());
@@ -51,7 +53,6 @@ void inspect(rt::Runtime& rt, ir::Program program, const char* trace_path) {
       r.copies_removed, r.copies_hoisted, r.intersection_tables,
       r.collectives, r.p2p_copies, r.barriers);
 
-  if (trace_path != nullptr) run.engine->enable_trace();
   exec::ExecutionResult res = run.run();
   std::printf(
       "==== execution ====\n"
@@ -68,11 +69,14 @@ void inspect(rt::Runtime& rt, ir::Program program, const char* trace_path) {
       (unsigned long long)res.bytes_moved,
       (unsigned long long)res.messages,
       (unsigned long long)res.intersection_pairs);
-  if (trace_path != nullptr) {
-    run.engine->write_trace(trace_path);
-    std::printf("timeline written to %s (open in chrome://tracing)\n",
-                trace_path);
+  if (trace_path == nullptr) return true;
+  if (!run.engine->write_trace(trace_path)) {
+    std::fprintf(stderr, "cannot write %s\n", trace_path);
+    return false;
   }
+  std::printf("timeline written to %s (open in chrome://tracing)\n",
+              trace_path);
+  return true;
 }
 
 }  // namespace
@@ -85,6 +89,7 @@ int main(int argc, char** argv) {
 
   exec::CostModel cost = exec::CostModel::piz_daint();
   rt::Runtime rt(exec::runtime_config(nodes, 12, cost, /*real_data=*/true));
+  bool ok = true;
 
   if (app == "stencil") {
     apps::stencil::Config cfg;
@@ -92,7 +97,7 @@ int main(int argc, char** argv) {
     cfg.tasks_per_node = 2;
     cfg.tile_x = cfg.tile_y = 12;
     cfg.steps = 3;
-    inspect(rt, apps::stencil::build(rt, cfg).program, trace);
+    ok = inspect(rt, apps::stencil::build(rt, cfg).program, trace);
   } else if (app == "circuit") {
     apps::circuit::Config cfg;
     cfg.nodes = nodes;
@@ -100,7 +105,7 @@ int main(int argc, char** argv) {
     cfg.nodes_per_piece = 24;
     cfg.wires_per_piece = 64;
     cfg.steps = 3;
-    inspect(rt, apps::circuit::build(rt, cfg).program, trace);
+    ok = inspect(rt, apps::circuit::build(rt, cfg).program, trace);
   } else if (app == "pennant") {
     apps::pennant::Config cfg;
     cfg.nodes = nodes;
@@ -108,7 +113,7 @@ int main(int argc, char** argv) {
     cfg.zones_x_per_piece = 6;
     cfg.zones_y = 6;
     cfg.steps = 3;
-    inspect(rt, apps::pennant::build(rt, cfg).program, trace);
+    ok = inspect(rt, apps::pennant::build(rt, cfg).program, trace);
   } else if (app == "miniaero") {
     apps::miniaero::Config cfg;
     cfg.nodes = nodes;
@@ -116,7 +121,7 @@ int main(int argc, char** argv) {
     cfg.cells_x_per_piece = 4;
     cfg.cells_y = cfg.cells_z = 4;
     cfg.steps = 2;
-    inspect(rt, apps::miniaero::build(rt, cfg).program, trace);
+    ok = inspect(rt, apps::miniaero::build(rt, cfg).program, trace);
   } else {
     std::fprintf(stderr,
                  "usage: %s {stencil|circuit|pennant|miniaero} [nodes] "
@@ -124,5 +129,5 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  return 0;
+  return ok ? 0 : 1;
 }

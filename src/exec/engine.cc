@@ -35,11 +35,15 @@ struct Engine::Impl {
     // Install the configured placement policy before anything queries
     // placement (ExecConfig::mapper is the one way to configure it).
     rt_.select_mapper(config.mapper);
+    if (config.trace && rt_.sim().tracer() == nullptr) {
+      owned_tracer_ = std::make_unique<support::Tracer>();
+      rt_.sim().set_tracer(owned_tracer_.get());
+    }
   }
 
   ~Impl() {
-    // If enable_trace() attached our own tracer to the simulator, detach
-    // it before it is destroyed (the runtime outlives the engine).
+    // Detach the tracer ExecConfig::trace attached before it is
+    // destroyed (the runtime outlives the engine).
     if (owned_tracer_ != nullptr &&
         rt_.sim().tracer() == owned_tracer_.get()) {
       rt_.sim().set_tracer(nullptr);
@@ -358,8 +362,8 @@ struct Engine::Impl {
 
   // --- timeline trace ------------------------------------------------------
 
-  // Tracer owned by the engine when enable_trace() is used without an
-  // externally attached tracer (benches attach their own via the sim).
+  // Tracer owned by the engine under ExecConfig::trace, unless one was
+  // already attached to the simulator.
   std::unique_ptr<support::Tracer> owned_tracer_;
 
   // Declare every hardware track up front so idle machine time on
@@ -1512,9 +1516,7 @@ std::function<void()> Engine::Impl::make_kernel_work(
 
 Engine::Engine(rt::Runtime& rt, const ir::Program& program,
                const ExecConfig& config)
-    : impl_(std::make_unique<Impl>(rt, program, config)) {
-  if (config.trace) enable_trace();
-}
+    : impl_(std::make_unique<Impl>(rt, program, config)) {}
 
 Engine::~Engine() = default;
 
@@ -1559,14 +1561,12 @@ ExecutionResult Engine::run() {
       impl_->rt_.copies().copies_skipped_empty() - skipped0;
   impl_->result_.bytes_moved = impl_->rt_.copies().bytes_moved() - bytes0;
   impl_->result_.messages = impl_->rt_.network().messages_sent() - messages0;
-  impl_->result_.dep_pairs_tested = impl_->rt_.deps().pairs_tested();
   impl_->result_.control_busy_ns =
       impl_->rt_.machine()
           .proc(impl_->rt_.mapper().control_proc(0))
           .busy_time();
-  // Single source of truth for dynamic-analysis counters: mirror every
-  // component into the registry, then read AnalysisStats back out of the
-  // snapshot (the registry is what bench --metrics serializes).
+  // Single source of truth for every counter: mirror each component
+  // into the registry and snapshot it into the result.
   support::MetricsRegistry& m = impl_->rt_.metrics();
   impl_->export_metrics(m);
   if (impl_->check_) {
@@ -1581,60 +1581,23 @@ ExecutionResult Engine::run() {
     m.counter("check.races").set(cs.races);
   }
   impl_->result_.metrics = m.snapshot();
-  {
-    const std::map<std::string, double>& snap = impl_->result_.metrics;
-    auto get = [&snap](const char* key) -> uint64_t {
-      auto it = snap.find(key);
-      return it == snap.end() ? 0 : static_cast<uint64_t>(it->second);
-    };
-    AnalysisStats& a = impl_->result_.analysis;
-    a.dep_pairs_scanned = get("rt.dep.pairs_scanned");
-    a.dep_pairs_tested = get("rt.dep.pairs_tested");
-    a.dep_dependences = get("rt.dep.dependences");
-    a.dep_index_queries = get("rt.dep.index_queries");
-    a.dep_index_rebuilds = get("rt.dep.index_rebuilds");
-    a.alias_queries = get("rt.alias.queries");
-    a.alias_fast = get("rt.alias.fast");
-    a.alias_cache_hits = get("rt.alias.cache_hits");
-    a.overlap_queries = get("rt.overlap.queries");
-    a.overlap_static = get("rt.overlap.static");
-    a.overlap_cache_hits = get("rt.overlap.cache_hits");
-    a.overlap_exact = get("rt.overlap.exact");
-  }
   return impl_->result_;
 }
 
-AttributionReport Engine::attribution_report() const {
-  AttributionReport out;
+bool Engine::write_trace(const std::string& path) const {
   if (const support::Tracer* t = impl_->tracer()) {
-    out.rows = t->attribution();
+    return t->write_chrome_json(path);
   }
-  return out;
-}
-
-void Engine::enable_trace() {
-  if (impl_->tracer() == nullptr) {
-    impl_->owned_tracer_ = std::make_unique<support::Tracer>();
-    impl_->sim().set_tracer(impl_->owned_tracer_.get());
-  }
-}
-
-void Engine::write_trace(const std::string& path) const {
-  const support::Tracer* t = impl_->tracer();
-  if (t == nullptr) {
-    // Tracing disabled: still produce a valid (empty) trace-event array.
-    FILE* f = std::fopen(path.c_str(), "w");
-    CR_CHECK_MSG(f != nullptr, "cannot open trace file");
-    std::fprintf(f, "[\n\n]\n");
-    std::fclose(f);
-    return;
-  }
-  CR_CHECK_MSG(t->write_chrome_json(path), "cannot write trace file");
+  // Tracing disabled: still produce a valid (empty) trace-event array.
+  FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool written = std::fputs("[\n\n]\n", f) >= 0;
+  return std::fclose(f) == 0 && written;
 }
 
 support::TraceSummary Engine::trace_summary() const {
   const support::Tracer* t = impl_->tracer();
-  CR_CHECK_MSG(t != nullptr, "trace_summary requires enable_trace()");
+  CR_CHECK_MSG(t != nullptr, "trace_summary requires ExecConfig::trace");
   return t->summarize(impl_->sim().now());
 }
 

@@ -26,7 +26,6 @@
 #include "check/checker.h"
 #include "exec/cost_model.h"
 #include "exec/exec_config.h"
-#include "exec/report.h"
 #include "ir/program.h"
 #include "rt/barrier.h"
 #include "rt/collective.h"
@@ -42,19 +41,18 @@ struct ExecutionResult {
   uint64_t copies_skipped = 0;
   uint64_t bytes_moved = 0;
   uint64_t messages = 0;
-  uint64_t dep_pairs_tested = 0;
   uint64_t intersection_pairs = 0;
   sim::Time control_busy_ns = 0;  // busy time of the node-0 control core
-  // Host-side dynamic-analysis counters (dependence index, aliasing
-  // memo); virtual time depends only on
-  // analysis.dep_pairs_scanned, never on the cache effectiveness.
-  AnalysisStats analysis;
   // Race-checker verdict; set only when ExecConfig::check was enabled.
   std::shared_ptr<check::CheckResult> check;
   // Flattened snapshot of the runtime's MetricsRegistry at end of run:
   // every "sim." / "rt." / "passes." / "exec." / "check." counter, taken
   // after all of the above are mirrored in. Virtual-time and count
-  // quantities only (safe to diff across hosts).
+  // quantities only (safe to diff across hosts). This is the one record
+  // of the host-side analysis work too: the dependence ("rt.dep."),
+  // aliasing ("rt.alias.") and overlap ("rt.overlap.") counters. Virtual
+  // time depends only on rt.dep.pairs_scanned, never on how well the
+  // index and memo absorbed the work.
   std::map<std::string, double> metrics;
 };
 
@@ -71,20 +69,16 @@ class Engine {
   // Unrolls the program into the simulator and runs it to completion.
   ExecutionResult run();
 
-  // Record the virtual timeline of the run; call before run(). Attaches
-  // an engine-owned support::Tracer to the simulator unless the caller
-  // already attached one (e.g. bench --trace).
-  void enable_trace();
-  // Write the recorded timeline as a Chrome trace-event JSON file
-  // (open in chrome://tracing or Perfetto): pid = node, tid = core
-  // (plus NIC/memory tracks and a synthetic "runtime" process).
-  void write_trace(const std::string& path) const;
-  // Category breakdown + critical path of the traced run; call after
-  // run() with tracing enabled.
+  // Write the timeline recorded under ExecConfig::trace as a Chrome
+  // trace-event JSON file (open in chrome://tracing or Perfetto):
+  // pid = node, tid = core (plus NIC/memory tracks and a synthetic
+  // "runtime" process). Without tracing the file holds an empty event
+  // array. False when the file cannot be opened or written.
+  [[nodiscard]] bool write_trace(const std::string& path) const;
+  // Category breakdown, critical path and per-source-statement copy/sync
+  // attribution of the traced run; call after run() with
+  // ExecConfig::trace set.
   support::TraceSummary trace_summary() const;
-  // Per-source-statement copy/sync rollup of the traced run (empty when
-  // tracing was disabled); call after run().
-  AttributionReport attribution_report() const;
 
   // Post-run access to results (real-data mode).
   double read_root_f64(rt::RegionId root, rt::FieldId f, uint64_t pt) const;

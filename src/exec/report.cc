@@ -7,83 +7,11 @@
 
 namespace cr::exec {
 
-namespace {
-
-double rate(uint64_t part, uint64_t whole) {
-  return whole > 0 ? static_cast<double>(part) / static_cast<double>(whole)
-                   : 0;
-}
-
-}  // namespace
-
-std::string AttributionReport::to_text(size_t top_k) const {
-  std::ostringstream os;
-  os << "copy/sync attribution (by source statement)\n";
-  if (rows.empty()) {
-    os << "  (nothing attributed; run with tracing enabled)\n";
-    return os.str();
+bool is_analysis_counter(const std::string& key) {
+  for (const char* prefix : {"rt.dep.", "rt.alias.", "rt.overlap."}) {
+    if (key.rfind(prefix, 0) == 0) return true;
   }
-  size_t shown = 0;
-  for (const support::TraceAttributionRow& r : rows) {
-    if (top_k != 0 && shown++ >= top_k) break;
-    os << "  #" << r.source << " " << std::left << std::setw(16) << r.label
-       << std::right << std::fixed << std::setprecision(3) << "  copy "
-       << std::setw(10) << r.copy_ns * 1e-6 << " ms  sync " << std::setw(10)
-       << r.sync_ns * 1e-6 << " ms  (" << r.spans << " spans)\n";
-  }
-  return os.str();
-}
-
-std::string AnalysisStats::to_text() const {
-  std::ostringstream os;
-  os << std::fixed;
-  os << "  dependence: scanned=" << dep_pairs_scanned
-     << " tested=" << dep_pairs_tested << " ("
-     << std::setprecision(1) << dep_prefilter_ratio() * 100
-     << "% of exhaustive), found=" << dep_dependences
-     << ", index queries=" << dep_index_queries
-     << " rebuilds=" << dep_index_rebuilds << "\n";
-  os << "  aliasing:   queries=" << alias_queries << " (fast "
-     << std::setprecision(1) << rate(alias_fast, alias_queries) * 100
-     << "%, cached " << rate(alias_cache_hits, alias_queries) * 100
-     << "%)\n";
-  os << "  overlap:    queries=" << overlap_queries << " (static "
-     << std::setprecision(1) << rate(overlap_static, overlap_queries) * 100
-     << "%, cached " << rate(overlap_cache_hits, overlap_queries) * 100
-     << "%, exact merges=" << overlap_exact << ")\n";
-  if (host_seconds >= 0) {
-    os << "  host wall-clock: " << std::setprecision(3) << host_seconds
-       << " s\n";
-  }
-  return os.str();
-}
-
-std::string AnalysisStats::to_json() const {
-  std::ostringstream os;
-  os << "{";
-  os << "\"dep_pairs_scanned\":" << dep_pairs_scanned
-     << ",\"dep_pairs_tested\":" << dep_pairs_tested
-     << ",\"dep_dependences\":" << dep_dependences
-     << ",\"dep_index_queries\":" << dep_index_queries
-     << ",\"dep_index_rebuilds\":" << dep_index_rebuilds
-     << ",\"alias_queries\":" << alias_queries
-     << ",\"alias_fast\":" << alias_fast
-     << ",\"alias_cache_hits\":" << alias_cache_hits
-     << ",\"overlap_queries\":" << overlap_queries
-     << ",\"overlap_static\":" << overlap_static
-     << ",\"overlap_cache_hits\":" << overlap_cache_hits
-     << ",\"overlap_exact\":" << overlap_exact;
-  if (host_seconds >= 0) {
-    os << ",\"host_seconds\":" << std::setprecision(6) << std::fixed
-       << host_seconds;
-  } else {
-    // Unmeasured sentinel: emit an explicit null rather than leaking
-    // -1.0 into the JSON — consumers (bench_diff) reject negative host
-    // times as structurally invalid.
-    os << ",\"host_seconds\":null";
-  }
-  os << "}";
-  return os.str();
+  return false;
 }
 
 double ScalingSeries::efficiency_at(uint32_t nodes) const {
@@ -134,7 +62,9 @@ std::string ScalingReport::to_table() const {
   // carried one (populated by bench --trace).
   bool any_breakdown = false;
   for (const ScalingSeries& s : series) {
-    for (const ScalingPoint& p : s.points) any_breakdown |= p.has_breakdown;
+    for (const ScalingPoint& p : s.points) {
+      any_breakdown |= p.breakdown.has_value();
+    }
   }
   if (any_breakdown) {
     os << "\nmachine-time breakdown  [% of nodes x cores x makespan]\n";
@@ -150,26 +80,33 @@ std::string ScalingReport::to_table() const {
         for (const ScalingPoint& p : s.points) {
           if (p.nodes == n) at = &p;
         }
-        if (at == nullptr || !at->has_breakdown) {
+        if (at == nullptr || !at->breakdown) {
           os << std::setw(30) << "-";
           continue;
         }
+        const support::TraceBreakdown& b = *at->breakdown;
         std::ostringstream cell;
-        cell << std::fixed << std::setprecision(0)
-             << at->compute_frac * 100 << "/" << at->copy_frac * 100 << "/"
-             << at->sync_frac * 100 << "/" << at->idle_frac * 100 << "%";
+        cell << std::fixed << std::setprecision(0) << b.compute_frac() * 100
+             << "/" << b.copy_frac() * 100 << "/" << b.sync_frac() * 100
+             << "/" << b.idle_frac() * 100 << "%";
         os << std::setw(30) << cell.str();
       }
       os << "\n";
     }
   }
-  // Analysis appendix: dynamic-analysis counters per recorded point (the
-  // --selftime instrumentation of the dependence/aliasing hot path).
+  // Analysis appendix: host time and dynamic-analysis counters per
+  // measured engine point (--selftime).
   for (const ScalingSeries& s : series) {
     for (const ScalingPoint& p : s.points) {
-      if (!p.has_analysis) continue;
-      os << "\nanalysis [" << s.name << ", " << p.nodes << " nodes]\n"
-         << p.analysis.to_text();
+      if (p.host_seconds < 0) continue;
+      os << "\nanalysis [" << s.name << ", " << p.nodes << " nodes]\n";
+      for (const auto& [key, value] : p.metrics) {
+        if (!is_analysis_counter(key)) continue;
+        os << "  " << std::left << std::setw(24) << key << " "
+           << static_cast<uint64_t>(value) << "\n";
+      }
+      os << "  host wall-clock: " << std::fixed << std::setprecision(3)
+         << p.host_seconds << " s\n";
     }
   }
   return os.str();

@@ -30,9 +30,9 @@ Observed run_fig2(bool spmd, bool traced, bool check = false) {
   ExecConfig cfg;
   cfg.cost = cost;
   cfg.mode = spmd ? ExecMode::kSpmd : ExecMode::kImplicit;
+  cfg.trace = traced;
   cfg.check = check;
   PreparedRun run = prepare(rt, fig.program, cfg);
-  if (traced) run.engine->enable_trace();
   ExecutionResult res = run.run();
   if (check) {
     EXPECT_NE(res.check, nullptr);
@@ -42,7 +42,8 @@ Observed run_fig2(bool spmd, bool traced, bool check = false) {
   out.makespan = res.makespan_ns;
   out.bytes = res.bytes_moved;
   out.messages = res.messages;
-  out.dependences = res.analysis.dep_dependences;
+  out.dependences =
+      static_cast<uint64_t>(res.metrics.at("rt.dep.dependences"));
   for (uint64_t p = 0; p < 48; ++p) {
     out.data.push_back(run.engine->read_root_f64(fig.a, fig.fa, p));
     out.data.push_back(run.engine->read_root_f64(fig.b, fig.fb, p));

@@ -82,11 +82,11 @@ TEST(Trace, WritesChromeTraceJson) {
   ExecConfig ecfg;
   ecfg.cost = cost;
   ecfg.mode = ExecMode::kSpmd;
+  ecfg.trace = true;
   PreparedRun run = prepare(rt, fig.program, ecfg);
-  run.engine->enable_trace();
   run.run();
   const std::string path = ::testing::TempDir() + "/cr_trace.json";
-  run.engine->write_trace(path);
+  ASSERT_TRUE(run.engine->write_trace(path));
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -111,12 +111,30 @@ TEST(Trace, DisabledByDefaultProducesEmptyTimeline) {
   PreparedRun run = prepare(rt, fig.program, ecfg);
   run.run();
   const std::string path = ::testing::TempDir() + "/cr_trace_empty.json";
-  run.engine->write_trace(path);
+  ASSERT_TRUE(run.engine->write_trace(path));
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
   EXPECT_EQ(buf.str(), "[\n\n]\n");
   std::remove(path.c_str());
+}
+
+TEST(Trace, UnwritablePathReportsFailure) {
+  // Traced or not, a trace file that cannot be written is reported to
+  // the caller instead of aborting the process.
+  for (const bool traced : {false, true}) {
+    CostModel cost;
+    rt::Runtime rt(runtime_config(1, 2, cost, /*real_data=*/true));
+    testing::Fig2 fig(rt.forest(), 12, 2, 1);
+    ExecConfig ecfg;
+    ecfg.cost = cost;
+    ecfg.mode = ExecMode::kSpmd;
+    ecfg.trace = traced;
+    PreparedRun run = prepare(rt, fig.program, ecfg);
+    run.run();
+    EXPECT_FALSE(run.engine->write_trace("/nonexistent-dir/cr_trace.json"))
+        << (traced ? "traced" : "untraced");
+  }
 }
 
 // Engine reuse on one runtime: the dependence tracker is a Runtime
@@ -136,9 +154,10 @@ TEST(EngineReuse, StartsAnalysisClean) {
   const ExecutionResult r2 = second.run();
   // The analysis and the copy/network tallies are per-run: nothing from
   // run 1 may leak into run 2's counters.
-  EXPECT_EQ(r1.analysis.dep_pairs_scanned, r2.analysis.dep_pairs_scanned);
-  EXPECT_EQ(r1.analysis.dep_pairs_tested, r2.analysis.dep_pairs_tested);
-  EXPECT_EQ(r1.analysis.dep_dependences, r2.analysis.dep_dependences);
+  for (const char* key :
+       {"rt.dep.pairs_scanned", "rt.dep.pairs_tested", "rt.dep.dependences"}) {
+    EXPECT_EQ(r1.metrics.at(key), r2.metrics.at(key)) << key;
+  }
   EXPECT_EQ(r1.copies_issued, r2.copies_issued);
   EXPECT_EQ(r1.bytes_moved, r2.bytes_moved);
   EXPECT_EQ(r1.messages, r2.messages);

@@ -1,7 +1,7 @@
 // Metrics/provenance observability of the engine: the registry snapshot
 // is deterministic across identical runs, covers every subsystem, never
-// includes host wall-clock quantities, and the attribution report names
-// the user statement behind the SPMD ghost exchange.
+// includes host wall-clock quantities, and the traced run's attribution
+// rows name the user statement behind the SPMD ghost exchange.
 #include <gtest/gtest.h>
 
 #include "apps/stencil/stencil.h"
@@ -21,8 +21,8 @@ ExecutionResult run_fig2(bool spmd, std::map<std::string, double>* snap,
   cfg.cost = cost;
   cfg.mode = spmd ? ExecMode::kSpmd : ExecMode::kImplicit;
   cfg.pipeline.p2p_sync = p2p_sync;
+  cfg.trace = traced;
   PreparedRun run = prepare(rt, fig.program, cfg);
-  if (traced) run.engine->enable_trace();
   ExecutionResult res = run.run();
   if (snap != nullptr) *snap = rt.metrics().snapshot();
   return res;
@@ -93,17 +93,6 @@ TEST(Metrics, ImplicitModeRecordsDependenceAnalysisWork) {
   EXPECT_GT(snap.at("rt.alias.cache_hits"), 0.0);
 }
 
-TEST(Metrics, AnalysisStatsAgreeWithRegistry) {
-  std::map<std::string, double> snap;
-  const ExecutionResult res = run_fig2(/*spmd=*/false, &snap);
-  EXPECT_EQ(static_cast<double>(res.analysis.alias_queries),
-            snap.at("rt.alias.queries"));
-  EXPECT_EQ(static_cast<double>(res.analysis.dep_pairs_scanned),
-            snap.at("rt.dep.pairs_scanned"));
-  EXPECT_EQ(static_cast<double>(res.analysis.overlap_exact),
-            snap.at("rt.overlap.exact"));
-}
-
 TEST(Metrics, TracingAndAttributionAreMakespanNeutral) {
   std::map<std::string, double> plain, traced;
   const ExecutionResult ref = run_fig2(/*spmd=*/true, &plain);
@@ -131,23 +120,24 @@ TEST(Metrics, StencilAttributionNamesTheGhostExchange) {
   ExecConfig ecfg;
   ecfg.cost = cost;
   ecfg.mode = ExecMode::kSpmd;
+  ecfg.trace = true;
   PreparedRun run = prepare(rt, app.program, ecfg);
-  run.engine->enable_trace();
   const ExecutionResult res = run.run();
   EXPECT_GT(res.copies_issued, 0u);
 
-  const AttributionReport report = run.engine->attribution_report();
-  ASSERT_FALSE(report.empty());
+  const support::TraceSummary summary = run.engine->trace_summary();
+  const std::vector<support::TraceAttributionRow>& rows = summary.attribution;
+  ASSERT_FALSE(rows.empty());
   // The dominant copy/sync contributor is the boundary increment — the
   // statement whose writes force the ghost exchange every iteration.
-  const support::TraceAttributionRow& top = report.rows[0];
+  const support::TraceAttributionRow& top = rows[0];
   EXPECT_EQ(top.label, "increment");
   EXPECT_GT(top.total_ns(), 0.0);
   EXPECT_GT(top.spans, 0u);
-  for (size_t i = 1; i < report.rows.size(); ++i) {
-    EXPECT_GE(top.total_ns(), report.rows[i].total_ns());
+  for (size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_GE(top.total_ns(), rows[i].total_ns());
   }
-  EXPECT_NE(report.to_text().find("increment"), std::string::npos);
+  EXPECT_NE(summary.to_text().find("increment"), std::string::npos);
 }
 
 }  // namespace

@@ -67,9 +67,9 @@ ExecutionResult run_app(const std::string& app, bool traced = false) {
   ExecConfig cfg;
   cfg.cost = cost;
   cfg.mode = ExecMode::kSpmd;
+  cfg.trace = traced;
   cfg.check = true;
   PreparedRun run = prepare(rt, std::move(program), cfg);
-  if (traced) run.engine->enable_trace();
   return run.run();
 }
 

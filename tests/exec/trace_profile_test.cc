@@ -30,8 +30,8 @@ sim::Time run_fig2(bool spmd, bool traced, uint32_t nodes,
   ExecConfig ecfg;
   ecfg.cost = cost;
   ecfg.mode = spmd ? ExecMode::kSpmd : ExecMode::kImplicit;
+  ecfg.trace = traced;
   PreparedRun run = prepare(rt, fig.program, ecfg);
-  if (traced) run.engine->enable_trace();
   const sim::Time makespan = run.run().makespan_ns;
   if (traced && summary != nullptr) {
     *summary = run.engine->trace_summary();
@@ -83,11 +83,11 @@ TEST(TraceProfile, ChromeJsonNamesNodesAndTracks) {
   ExecConfig ecfg;
   ecfg.cost = cost;
   ecfg.mode = ExecMode::kSpmd;
+  ecfg.trace = true;
   PreparedRun run = prepare(rt, fig.program, ecfg);
-  run.engine->enable_trace();
   run.run();
   const std::string path = ::testing::TempDir() + "/cr_profile.json";
-  run.engine->write_trace(path);
+  ASSERT_TRUE(run.engine->write_trace(path));
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();

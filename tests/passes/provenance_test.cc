@@ -1,7 +1,7 @@
 // Golden provenance test: after the full control-replication pipeline,
 // every compiler-inserted copy/sync operation must carry a provenance
 // chain rooted at a user source statement — that is what the attribution
-// report (exec::AttributionReport) keys on.
+// rows of a traced run (support::TraceSummary::attribution) key on.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -196,9 +196,9 @@ TEST(Provenance, ElidedBarrierRunLeavesNoDanglingAttributionRoots) {
   ecfg.cost = cost;
   ecfg.mode = exec::ExecMode::kSpmd;
   ecfg.pipeline = opt;
+  ecfg.trace = true;
   exec::PreparedRun run = exec::prepare(rt, p, ecfg);
   ASSERT_EQ(run.report.barriers, 1u);
-  run.engine->enable_trace();
   run.run();
 
   std::set<uint32_t> roots;
@@ -211,9 +211,10 @@ TEST(Provenance, ElidedBarrierRunLeavesNoDanglingAttributionRoots) {
       };
   walk(run.program->body);
 
-  const exec::AttributionReport rep = run.engine->attribution_report();
-  ASSERT_FALSE(rep.empty());  // the copy and its barrier were attributed
-  for (const auto& row : rep.rows) {
+  const std::vector<support::TraceAttributionRow> rows =
+      run.engine->trace_summary().attribution;
+  ASSERT_FALSE(rows.empty());  // the copy and its barrier were attributed
+  for (const auto& row : rows) {
     EXPECT_LT(row.source, run.program->num_source_stmts) << row.label;
     EXPECT_FALSE(row.label.empty()) << row.source;
     EXPECT_TRUE(roots.count(row.source) > 0)
