@@ -225,7 +225,8 @@ void ablation_mapping(bench::Bench& bench) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  cr::bench::Bench bench("ablations", argc, argv, /*sweep=*/false);
+  cr::bench::Bench bench("ablations", argc, argv,
+                          cr::bench::BenchKind::kRun);
   ablation_intersections(bench);
   ablation_sync(bench);
   ablation_hierarchy(bench);

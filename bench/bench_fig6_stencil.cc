@@ -101,7 +101,8 @@ bench::PointRecord run_mpi(uint32_t nodes, bool openmp) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  cr::bench::Bench bench("stencil", argc, argv);
+  cr::bench::Bench bench("stencil", argc, argv,
+                          cr::bench::BenchKind::kMatrixSweep);
   if (bench.options().mapper_matrix) return run_matrix(bench);
   std::vector<cr::bench::SeriesSpec> specs = {
       {"Regent (with CR)",

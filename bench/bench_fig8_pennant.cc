@@ -81,7 +81,8 @@ bench::PointRecord run_mpi(uint32_t nodes, bool openmp) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  cr::bench::Bench bench("pennant", argc, argv);
+  cr::bench::Bench bench("pennant", argc, argv,
+                          cr::bench::BenchKind::kSweep);
   std::vector<cr::bench::SeriesSpec> specs = {
       {"Regent (with CR)", [&](uint32_t n) { return run_engine(bench, n, true); }},
       {"Regent (w/o CR)", [&](uint32_t n) { return run_engine(bench, n, false); }},

@@ -81,7 +81,8 @@ int run_matrix(bench::Bench& bench) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  cr::bench::Bench bench("circuit", argc, argv);
+  cr::bench::Bench bench("circuit", argc, argv,
+                          cr::bench::BenchKind::kMatrixSweep);
   if (bench.options().mapper_matrix) return run_matrix(bench);
   std::vector<cr::bench::SeriesSpec> specs = {
       {"Regent (with CR)", [&](uint32_t n) { return run_engine(bench, n, true); }},

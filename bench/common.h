@@ -147,6 +147,12 @@ class FlagSet {
 
 // --- the standard bench options ---------------------------------------
 
+// Which flags a bench takes beyond the run flags every bench honours:
+// a figure sweep adds the artifact flags, and a sweep with a
+// mapper-matrix scenario (fig6, fig9) also adds --mapper-matrix. A flag
+// a bench does not take is rejected as a bad argument (exit 2).
+enum class BenchKind { kRun, kSweep, kMatrixSweep };
+
 struct BenchOptions {
   // Prefix for trace artifacts; empty means tracing is disabled (the
   // default: runs record nothing and pay only a null-pointer check).
@@ -178,12 +184,13 @@ struct BenchOptions {
   // emit one BENCH_mapper.<app>.<policy>.json artifact per cell.
   bool mapper_matrix = false;
   // Registers the run flags every bench honours (--check,
-  // --check-mutate, --mapper, --mapper-seed) and, with `sweep`, the
+  // --check-mutate, --mapper, --mapper-seed) plus those `kind` adds: the
   // figure sweeps' artifact flags (--trace, --metrics, --selftime) and
   // --mapper-matrix. Default artifact names carry the app name so
   // several benches run from one directory (CI) never clobber each
   // other's output.
-  void register_flags(FlagSet& flags, const std::string& app, bool sweep) {
+  void register_flags(FlagSet& flags, const std::string& app,
+                      BenchKind kind) {
     flags.add_flag("check", "run the happens-before race checker",
                    &check);
     flags.add("mapper", "=<name>",
@@ -206,7 +213,7 @@ struct BenchOptions {
                 check = true;
                 return true;
               });
-    if (!sweep) return;
+    if (kind == BenchKind::kRun) return;
     analysis_path = "BENCH_analysis." + app + ".json";
     flags.add_string("trace", "<path>",
                      "write Chrome trace JSON + breakdown per run",
@@ -221,6 +228,7 @@ struct BenchOptions {
                 if (has_value && !value.empty()) analysis_path = value;
                 return true;
               });
+    if (kind != BenchKind::kMatrixSweep) return;
     flags.add_flag("mapper-matrix",
                    "run the heterogeneous scenario across all policies "
                    "and write one artifact per (app, mapper) cell",
@@ -252,13 +260,13 @@ struct PointRecord {
 class Bench {
  public:
   // `app` scopes the default artifact filenames (trace.<app>.json,
-  // BENCH_analysis.<app>.json, BENCH_metrics.<app>.json). A `sweep`
-  // bench also takes the artifact flags and --mapper-matrix (see
-  // BenchOptions::register_flags); --mapper-matrix writes its own
-  // artifacts, so it rejects --trace, --metrics and --selftime.
-  Bench(std::string app, int argc, char** argv, bool sweep = true)
+  // BENCH_analysis.<app>.json, BENCH_metrics.<app>.json). `kind` picks
+  // the flags beyond the run flags (see BenchKind); --mapper-matrix
+  // writes its own artifacts, so it rejects --trace, --metrics and
+  // --selftime.
+  Bench(std::string app, int argc, char** argv, BenchKind kind)
       : app_(std::move(app)) {
-    options_.register_flags(flags_, app_, sweep);
+    options_.register_flags(flags_, app_, kind);
     if (!flags_.parse(argc, argv)) std::exit(2);
     if (!options_.mapper_matrix) return;
     const char* conflict = !options_.trace_path.empty()     ? "trace"

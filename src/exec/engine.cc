@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <span>
 
 #include "passes/shard_creation.h"
 #include "rt/intersect.h"
@@ -333,14 +334,50 @@ struct Engine::Impl {
     uint64_t i = 0, j = 0;
     support::IntervalSet points;
   };
-  std::map<ir::IntersectId, std::vector<PairInfo>> tables_;
-  std::map<ir::IntersectId, uint64_t> table_src_colors_;
-  std::map<ir::IntersectId, uint64_t> table_complete_intervals_;
+  // A copy's (src color i, dst color j) pairs, sorted by i, over a source
+  // partition of src_colors colors. The sort is what lets a shard find
+  // the pairs it owns as one slice (owned_pairs); every builder checks it.
+  struct PairTable {
+    std::vector<PairInfo> pairs;
+    uint64_t src_colors = 1;
+  };
+  std::map<ir::IntersectId, PairTable> tables_;
   // Region geometry is immutable once the forest is built, so each copy
   // statement's pair table is computed once and reused across loop
   // iterations / shards. Host-side only: the pair list (and its issue
   // charges) is identical with or without the memo.
-  std::map<const ir::Stmt*, std::vector<PairInfo>> copy_pairs_cache_;
+  std::map<const ir::Stmt*, PairTable> copy_tables_;
+  // Pairs exec_copy walked, over all control contexts. Every one is
+  // issued or skipped as empty: a shard visits only its owned slice.
+  uint64_t copy_pairs_visited_ = 0;
+
+  static void check_sorted(const PairTable& t) {
+    CR_CHECK_MSG(std::is_sorted(t.pairs.begin(), t.pairs.end(),
+                                [](const PairInfo& a, const PairInfo& b) {
+                                  return a.i < b.i;
+                                }),
+                 "copy pair table not sorted by source color");
+    CR_CHECK(t.pairs.empty() || t.pairs.back().i < t.src_colors);
+  }
+
+  // The pairs whose source color `shard` owns: the blocked launch
+  // ownership of paper §3.5 (the same math as passes::shard_block).
+  // Block ownership is contiguous and the table is sorted by source
+  // color, so they are one slice. Deliberately NOT a mapper decision —
+  // shards own contiguous color blocks regardless of where the mapper
+  // executes the tasks, so a non-default mapper changes placement, never
+  // issue ownership.
+  static std::span<const PairInfo> owned_pairs(const PairTable& t,
+                                               uint32_t shard,
+                                               uint32_t num_shards) {
+    const rt::BlockRange r = rt::block_range(t.src_colors, num_shards, shard);
+    const auto lo = std::partition_point(
+        t.pairs.begin(), t.pairs.end(),
+        [&](const PairInfo& pi) { return pi.i < r.begin; });
+    const auto hi = std::partition_point(
+        lo, t.pairs.end(), [&](const PairInfo& pi) { return pi.i < r.end; });
+    return {lo, hi};
+  }
 
   // --- scalar reduction partials ------------------------------------------
 
@@ -398,6 +435,7 @@ struct Engine::Impl {
     m.counter("exec.point_tasks").set(result_.point_tasks);
     m.counter("exec.copies_issued").set(result_.copies_issued);
     m.counter("exec.copies_skipped").set(result_.copies_skipped);
+    m.counter("exec.copy_pairs_visited").set(copy_pairs_visited_);
     m.counter("exec.bytes_moved").set(result_.bytes_moved);
     m.counter("exec.messages").set(result_.messages);
     m.counter("exec.intersection_pairs").set(result_.intersection_pairs);
@@ -614,13 +652,10 @@ struct Engine::Impl {
       // Per-shard cost of the complete intersections for owned pairs
       // (paper §3.3: computed inside the individual shards).
       double complete_ns = 0;
-      for (const auto& [id, pairs] : tables_) {
-        const uint64_t src_colors = table_src_colors_.at(id);
-        for (const PairInfo& pi : pairs) {
-          if (owner_shard(pi.i, src_colors, num_shards) == x) {
-            complete_ns += cost_.isect_complete_per_interval_ns *
-                           static_cast<double>(pi.points.interval_count());
-          }
+      for (const auto& [id, table] : tables_) {
+        for (const PairInfo& pi : owned_pairs(table, x, num_shards)) {
+          complete_ns += cost_.isect_complete_per_interval_ns *
+                         static_cast<double>(pi.points.interval_count());
         }
       }
       if (complete_ns > 0) charge(shards[x], complete_ns, "isect:complete");
@@ -629,16 +664,6 @@ struct Engine::Impl {
     // The main task resumes after the shard launch itself (deferred); the
     // finalization copies it issues synchronize through instance events.
     charge(main[0], cost_.single_task_issue_ns, "resume");
-  }
-
-  // Which shard issues the operation for `color`: the blocked launch
-  // ownership of paper §3.5 (the same math as passes::shard_block).
-  // Deliberately NOT a mapper decision — shards own contiguous color
-  // blocks regardless of where the mapper executes the tasks, so a
-  // non-default mapper changes placement, never issue ownership.
-  static uint32_t owner_shard(uint64_t color, uint64_t colors,
-                              uint32_t num_shards) {
-    return rt::block_owner(color, colors, num_shards);
   }
 
   // --- launches --------------------------------------------------------------
@@ -974,33 +999,40 @@ struct Engine::Impl {
 
   // --- copies -----------------------------------------------------------------
 
-  const std::vector<PairInfo>& copy_pairs(const ir::Stmt& s) {
+  const PairTable& copy_table(const ir::Stmt& s) {
     if (s.isect != ir::kNoIntersect) return tables_.at(s.isect);
-    auto [it, inserted] = copy_pairs_cache_.try_emplace(&s);
-    if (!inserted) return it->second;
-    std::vector<PairInfo>& pairs = it->second;
+    auto [it, inserted] = copy_tables_.try_emplace(&s);
+    if (inserted) {
+      build_copy_table(s, it->second);
+      check_sorted(it->second);
+    }
+    return it->second;
+  }
+
+  void build_copy_table(const ir::Stmt& s, PairTable& t) {
+    std::vector<PairInfo>& pairs = t.pairs;
     if (s.src_root != rt::kNoId) {
       const rt::PartitionNode& pn = forest().partition(s.copy_dst);
       for (uint64_t j = 0; j < pn.subregions.size(); ++j) {
         pairs.push_back(
             {0, j, forest().region(pn.subregions[j]).ispace.points()});
       }
-      return pairs;
+      return;
     }
+    const rt::PartitionNode& ps = forest().partition(s.copy_src);
+    t.src_colors = ps.subregions.size();
     if (s.dst_root != rt::kNoId) {
-      const rt::PartitionNode& pn = forest().partition(s.copy_src);
-      for (uint64_t i = 0; i < pn.subregions.size(); ++i) {
+      for (uint64_t i = 0; i < ps.subregions.size(); ++i) {
         pairs.push_back(
-            {i, 0, forest().region(pn.subregions[i]).ispace.points()});
+            {i, 0, forest().region(ps.subregions[i]).ispace.points()});
       }
-      return pairs;
+      return;
     }
     // All-pairs form (paper §3.3's O(N^2) baseline; empty pairs still
     // cost issue overhead, so every (i, j) keeps its PairInfo). The
     // shallow prefilter only tells us which pairs need the exact
     // interval merge; the rest get empty point sets without paying
     // O(|src| * |dst|) complete intersections on the host.
-    const rt::PartitionNode& ps = forest().partition(s.copy_src);
     const rt::PartitionNode& pd = forest().partition(s.copy_dst);
     const auto shallow =
         rt::shallow_intersections(forest(), s.copy_src, s.copy_dst);
@@ -1018,26 +1050,21 @@ struct Engine::Impl {
         pairs.push_back(std::move(pi));
       }
     }
-    return pairs;
   }
 
   void exec_copy(const ir::Stmt& s, std::vector<Ctx>& ctxs,
                  uint32_t num_shards) {
-    const std::vector<PairInfo>& pairs = copy_pairs(s);
-    const uint64_t src_colors =
-        s.copy_src == rt::kNoId
-            ? 1
-            : forest().partition(s.copy_src).subregions.size();
+    const PairTable& table = copy_table(s);
     for (Ctx& ctx : ctxs) {
-      for (const PairInfo& pi : pairs) {
-        // Sharded execution: the producer shard issues the copy
-        // (sequential semantics on the producer side, paper §3.4).
-        if (ctx.shard != kMainEnv && s.copy_src != rt::kNoId &&
-            owner_shard(pi.i, src_colors, num_shards) != ctx.shard) {
-          continue;
-        }
-        issue_one_copy(s, pi, ctx);
-      }
+      // Sharded execution: the producer shard issues the copy
+      // (sequential semantics on the producer side, paper §3.4), so a
+      // shard walks only the pairs whose source color it owns.
+      const std::span<const PairInfo> pairs =
+          ctx.shard == kMainEnv || s.copy_src == rt::kNoId
+              ? std::span<const PairInfo>(table.pairs)
+              : owned_pairs(table, ctx.shard, num_shards);
+      copy_pairs_visited_ += pairs.size();
+      for (const PairInfo& pi : pairs) issue_one_copy(s, pi, ctx);
     }
   }
 
@@ -1275,9 +1302,9 @@ struct Engine::Impl {
       if (!pi.points.empty()) infos.push_back(std::move(pi));
     }
     result_.intersection_pairs += infos.size();
-    tables_[s.isect_id] = std::move(infos);
-    table_src_colors_[s.isect_id] = ps.subregions.size();
-    table_complete_intervals_[s.isect_id] = complete_intervals;
+    PairTable& table = tables_[s.isect_id];
+    table = {std::move(infos), ps.subregions.size()};
+    check_sorted(table);
 
     // The shallow pass runs on the issuing node (paper: a single node);
     // the complete sets are charged per shard at shard start for SPMD,

@@ -14,8 +14,9 @@ uint32_t block_owner(uint64_t c, uint64_t colors, uint32_t parts) {
   const uint64_t base = colors / parts;
   const uint64_t rem = colors % parts;
   const uint64_t cut = rem * (base + 1);
+  // With fewer colors than parts, base == 0 and every color is below
+  // the cut: color c is part c's only color.
   if (c < cut) return static_cast<uint32_t>(c / (base + 1));
-  if (base == 0) return parts - 1;  // fewer colors than parts
   return static_cast<uint32_t>(rem + (c - cut) / base);
 }
 

@@ -183,5 +183,32 @@ TEST(Mapper, FewerColorsThanNodes) {
   EXPECT_EQ(m.node_of_color(1, 2), 1u);
 }
 
+// The engine issues a shard's copies from the slice of each pair table
+// that block_range bounds, so block_range must be exactly the colors
+// block_owner assigns to that part, and the ranges must tile the colors
+// in part order. colors < parts leaves the trailing parts empty.
+TEST(BlockDistribution, RangeIsExactlyTheOwnedColors) {
+  for (uint64_t colors = 0; colors <= 70; ++colors) {
+    for (uint32_t parts = 1; parts <= 17; ++parts) {
+      uint64_t next = 0;
+      for (uint32_t p = 0; p < parts; ++p) {
+        const BlockRange r = block_range(colors, parts, p);
+        ASSERT_EQ(r.begin, next) << colors << " colors, part " << p;
+        ASSERT_LE(r.begin, r.end);
+        for (uint64_t c = r.begin; c < r.end; ++c) {
+          ASSERT_EQ(block_owner(c, colors, parts), p)
+              << "color " << c << " of " << colors << ", " << parts
+              << " parts";
+        }
+        if (p >= colors) {
+          EXPECT_EQ(r.begin, r.end);
+        }
+        next = r.end;
+      }
+      EXPECT_EQ(next, colors) << colors << " colors, " << parts << " parts";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cr::rt
