@@ -4,11 +4,16 @@
 // behind the virtual-time constants documented in EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common.h"
 
 #include "rt/dependence.h"
 #include "rt/intersect.h"
 #include "rt/partition.h"
+#include "sim/machine.h"
+#include "sim/network.h"
 #include "sim/processor.h"
 #include "sim/simulator.h"
 #include "support/interval_set.h"
@@ -89,19 +94,55 @@ void BM_ShallowIntersectionsHalo(benchmark::State& state) {
 }
 BENCHMARK(BM_ShallowIntersectionsHalo)->Arg(64)->Arg(1024)->Arg(8192);
 
+// The event core end to end: wiring during an unroll, then the drain.
+// Arg 0 is a serial chain of 10k spawns on one core. Arg 1 is a DAG of
+// 20k tasks shaped like a control-replicated app: each merges 1-3
+// earlier tasks' deliveries, runs on one of 4 x 12 cores and sends its
+// result to a peer node. `event_time` is wall time per processed queue
+// entry.
 void BM_SimulatorEventThroughput(benchmark::State& state) {
+  const bool dag = state.range(0) == 1;
+  constexpr int kTasks = 20000;  // DAG tasks
+  constexpr uint32_t kNodes = 4, kCores = 12;
+  uint64_t events = 0;
   for (auto _ : state) {
     sim::Simulator sim;
-    sim::Processor proc(sim, {0, 0});
-    sim::Event prev;
-    for (int i = 0; i < 10000; ++i) {
-      prev = proc.spawn(prev, 100);
+    sim::Machine machine(sim, {.nodes = kNodes, .cores_per_node = kCores});
+    sim::Network net(sim, kNodes, {});
+    if (!dag) {
+      sim::Event prev;
+      for (int i = 0; i < 10000; ++i) {
+        prev = machine.proc(0, 0).spawn(prev, 100);
+      }
+    } else {
+      support::Rng rng(7);
+      std::vector<sim::Event> delivered;
+      delivered.reserve(kTasks);
+      std::vector<sim::Event> pre;
+      for (int i = 0; i < kTasks; ++i) {
+        pre.clear();
+        const uint64_t fan_in = 1 + rng.next_below(3);
+        for (uint64_t k = 0; k < fan_in && !delivered.empty(); ++k) {
+          pre.push_back(delivered[delivered.size() - 1 -
+                                  rng.next_below(std::min<uint64_t>(
+                                      delivered.size(), 64))]);
+        }
+        const uint32_t node = i % kNodes;
+        const sim::Event done =
+            machine.proc(node, (i / kNodes) % kCores)
+                .spawn(sim.merge(pre), 1000 + rng.next_below(1000));
+        delivered.push_back(net.send(node, (node + 1) % kNodes, 64, done));
+      }
     }
     benchmark::DoNotOptimize(sim.run());
+    events += sim.events_processed();
   }
-  state.SetItemsProcessed(state.iterations() * 10000);
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+  state.counters["event_time"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_SimulatorEventThroughput);
+BENCHMARK(BM_SimulatorEventThroughput)->Arg(0)->Arg(1);
 
 void BM_DependenceAnalysis(benchmark::State& state) {
   rt::RegionForest forest;
@@ -115,12 +156,12 @@ void BM_DependenceAnalysis(benchmark::State& state) {
   for (auto _ : state) {
     rt::DependenceTracker deps(forest);
     for (uint64_t c = 0; c < forest.partition(p).subregions.size(); ++c) {
-      sim::UserEvent e(sim);
+      const sim::Event e = sim.make_event();
       rt::Requirement req{forest.subregion(p, c),
                           rt::Privilege::kReadWrite,
                           rt::ReduceOp::kSum,
                           {f}};
-      benchmark::DoNotOptimize(deps.record(++op, req, e.event()));
+      benchmark::DoNotOptimize(deps.record(++op, req, e));
     }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

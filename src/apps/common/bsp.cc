@@ -36,9 +36,10 @@ sim::Time run_bsp(const BspConfig& config, const exec::CostModel& cost) {
   }
 
   std::vector<sim::Event> ready(ranks);  // rank may start next iteration
+  std::vector<sim::Event> computed(ranks);
+  std::vector<std::vector<sim::Event>> inbound(ranks);
   for (uint64_t it = 0; it < config.iterations; ++it) {
     // Compute phase.
-    std::vector<sim::Event> computed(ranks);
     for (uint32_t r = 0; r < ranks; ++r) {
       sim::Processor& proc = machine.proc(node_of(r), core_of(r));
       const double ns = config.compute_ns(r, it) + config.rank_overhead_ns;
@@ -46,7 +47,7 @@ sim::Time run_bsp(const BspConfig& config, const exec::CostModel& cost) {
           ready[r], ns <= 0 ? 0 : static_cast<sim::Time>(ns));
     }
     // Communication phase: sends gated on the sender's compute.
-    std::vector<std::vector<sim::Event>> inbound(ranks);
+    for (std::vector<sim::Event>& in : inbound) in.clear();
     for (uint32_t r = 0; r < ranks; ++r) {
       for (const BspMessage& m : sends_of[r]) {
         inbound[m.dst_rank].push_back(net.send(
@@ -54,22 +55,16 @@ sim::Time run_bsp(const BspConfig& config, const exec::CostModel& cost) {
       }
     }
     for (uint32_t r = 0; r < ranks; ++r) {
-      std::vector<sim::Event> deps = std::move(inbound[r]);
-      deps.push_back(computed[r]);
-      ready[r] = sim::Event::merge(sim, deps);
+      inbound[r].push_back(computed[r]);
+      ready[r] = sim.merge(inbound[r]);
     }
     // Blocking collective: everyone waits for everyone.
     if (config.allreduce_per_iteration) {
-      sim::Event all = sim::Event::merge(
-          sim, std::vector<sim::Event>(ready.begin(), ready.end()));
+      const sim::Event all = sim.merge(ready);
       const sim::Time latency = 2 * net.tree_latency(ranks);
-      sim::UserEvent released(sim);
-      all.subscribe([&sim, latency, released](sim::Time) mutable {
-        sim.schedule_after(latency, [released]() mutable {
-          released.trigger();
-        });
-      });
-      for (uint32_t r = 0; r < ranks; ++r) ready[r] = released.event();
+      const sim::Event released = sim.make_event();
+      sim.trigger_after(released, all, latency);
+      for (uint32_t r = 0; r < ranks; ++r) ready[r] = released;
     }
   }
   return sim.run();

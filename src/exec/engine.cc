@@ -5,6 +5,7 @@
 #include <deque>
 #include <span>
 
+#include "exec/live_ops.h"
 #include "passes/shard_creation.h"
 #include "rt/intersect.h"
 #include "support/check.h"
@@ -130,7 +131,7 @@ struct Engine::Impl {
       return;
     }
     if (ctx.window.size() >= cost_.run_ahead_window) {
-      ctx.last = sim::Event::merge(sim(), {ctx.last, ctx.window.front()});
+      ctx.last = sim().merge({ctx.last, ctx.window.front()});
       ctx.window.pop_front();
     }
     ctx.window.push_back(completion);
@@ -265,7 +266,7 @@ struct Engine::Impl {
                      std::vector<sim::Event>& pre) {
     if (mode_ == ExecMode::kSpmd && exec_node != ctx.node) {
       pre.push_back(rt_.network().send(ctx.node, exec_node, 0,
-                                       sim::Event::merge(sim(), ctx_pre)));
+                                       sim().merge(ctx_pre)));
       return;
     }
     pre.insert(pre.end(), ctx_pre.begin(), ctx_pre.end());
@@ -545,19 +546,10 @@ struct Engine::Impl {
     pre.insert(pre.end(), deps.begin(), deps.end());
   }
 
-  // Quiescence tracking: every issued operation must complete by the end
-  // of the run; a nonzero count at drain means an event cycle (a
-  // transformation or executor bug), which must fail loudly.
-  struct LiveOps {
-    std::map<uint64_t, std::string> stuck;  // id -> label
-    uint64_t next = 0;
-  };
-  std::shared_ptr<LiveOps> live_ops_ = std::make_shared<LiveOps>();
-  void track(sim::Event completion, std::string label = {}) {
-    auto live = live_ops_;
-    const uint64_t id = live->next++;
-    live->stuck.emplace(id, std::move(label));
-    completion.subscribe([live, id](sim::Time) { live->stuck.erase(id); });
+  LiveOps live_ops_;
+  void track(sim::Event done, LiveOps::Kind kind, const ir::Stmt& s,
+             uint64_t color = 0) {
+    live_ops_.track(sim(), done, kind, s, color);
   }
 
   // =====================================================================
@@ -728,7 +720,7 @@ struct Engine::Impl {
                                                    : cost_.shard_launch_ns;
 
     std::vector<sim::Event> pre;
-    sim::UserEvent done(sim());
+    const sim::Event done = sim().make_event();
     const uint32_t exec_node =
         rt_.mapper().node_of_color(color, launch_shape(s, decl));
 
@@ -753,7 +745,7 @@ struct Engine::Impl {
       if (mode_ == ExecMode::kImplicit && cost_.track_dependences) {
         const uint64_t before = rt_.deps().pairs_scanned();
         rt::Requirement req{insts[k]->region, a.privilege, a.redop, a.fields};
-        record_dep(req, done.event(), pre);
+        record_dep(req, done, pre);
         issue_ns += cost_.dep_pair_ns *
                     static_cast<double>(rt_.deps().pairs_scanned() - before);
       }
@@ -764,14 +756,14 @@ struct Engine::Impl {
       const ir::RegionArg& a = s.args[k];
       if (rt::privilege_writes(a.privilege) ||
           a.privilege == rt::Privilege::kReduce) {
-        note_write(sync_of(*insts[k]), done.event(), exec_node, ctx.shard);
+        note_write(sync_of(*insts[k]), done, exec_node, ctx.shard);
       }
     }
     for (size_t k = 0; k < s.args.size(); ++k) {
       const ir::RegionArg& a = s.args[k];
       if (!rt::privilege_writes(a.privilege) &&
           a.privilege != rt::Privilege::kReduce) {
-        note_read(sync_of(*insts[k]), done.event(), exec_node, ctx.shard);
+        note_read(sync_of(*insts[k]), done, exec_node, ctx.shard);
       }
     }
 
@@ -800,7 +792,7 @@ struct Engine::Impl {
         log_access(ty, a.redop, place_of(*insts[k]),
                    region_root(insts[k]->region), a.fields,
                    forest().region(insts[k]->region).ispace.points(), starts,
-                   done.event().uid(), color, ctx.shard, "task");
+                   done.uid(), color, ctx.shard, "task");
       }
       if (red != nullptr) {
         // The point task also writes its slot of the scalar-reduction
@@ -809,7 +801,7 @@ struct Engine::Impl {
         slot.add_point(color);
         log_access(check::AccessType::kWrite, rt::ReduceOp::kSum,
                    place_of_partials(red->partials.get()), rt::kNoId, {0},
-                   std::move(slot), starts, done.event().uid(), color,
+                   std::move(slot), starts, done.uid(), color,
                    ctx.shard, "partials");
       }
     }
@@ -849,20 +841,20 @@ struct Engine::Impl {
              decl.name + "[" + std::to_string(color) + "]"};
     }
     sim::Event task_done = rt_.machine().proc(proc).spawn(
-        sim::Event::merge(sim(), pre), ns(duration), std::move(work),
+        sim().merge(pre), ns(duration), std::move(work),
         std::move(tag));
-    task_done.subscribe([done](sim::Time) mutable { done.trigger(); });
+    sim().trigger_when(done, task_done);
     if (support::Tracer* t = tracer()) {
       // The user-visible `done` fires with the task span as producer.
-      t->alias(done.event().uid(), task_done.uid());
+      t->alias(done.uid(), task_done.uid());
     }
 
     // The control thread observes the completion on its own node; the
     // localized event is what later same-context merges (barrier
     // arrivals, run-ahead gating, reduction folds) consume.
-    sim::Event home = localize(done.event(), exec_node, ctx.node);
+    sim::Event home = localize(done, exec_node, ctx.node);
     ctx.outstanding.push_back(home);
-    track(done.event(), "task " + decl.name + "[" + std::to_string(color) + "]");
+    track(done, LiveOps::Kind::kTask, s, color);
     gate_window(ctx, home);
     if (red != nullptr) {
       red->events[ctx.shard == kMainEnv ? 0 : ctx.shard].push_back(home);
@@ -879,7 +871,7 @@ struct Engine::Impl {
   void exec_single(const ir::Stmt& s, Ctx& ctx) {
     const ir::TaskDecl& decl = p_.task(s.task);
     std::vector<sim::Event> pre;
-    sim::UserEvent done(sim());
+    const sim::Event done = sim().make_event();
     std::vector<InstanceRef*> insts(s.regions.size());
     for (size_t k = 0; k < s.regions.size(); ++k) {
       CR_CHECK_MSG(forest().region(s.regions[k]).parent == rt::kNoId,
@@ -898,14 +890,14 @@ struct Engine::Impl {
       const ir::TaskParam& param = decl.params[k];
       if (rt::privilege_writes(param.privilege) ||
           param.privilege == rt::Privilege::kReduce) {
-        note_write(sync_of(*insts[k]), done.event(), 0, ctx.shard);
+        note_write(sync_of(*insts[k]), done, 0, ctx.shard);
       }
     }
     for (size_t k = 0; k < s.regions.size(); ++k) {
       const ir::TaskParam& param = decl.params[k];
       if (!rt::privilege_writes(param.privilege) &&
           param.privilege != rt::Privilege::kReduce) {
-        note_read(sync_of(*insts[k]), done.event(), 0, ctx.shard);
+        note_read(sync_of(*insts[k]), done, 0, ctx.shard);
       }
     }
     auto captures = std::make_shared<Captures>();
@@ -928,7 +920,7 @@ struct Engine::Impl {
         log_access(ty, param.redop, place_of(*insts[k]),
                    region_root(insts[k]->region), param.fields,
                    forest().region(insts[k]->region).ispace.points(), starts,
-                   done.event().uid(), 0, ctx.shard, "single-task");
+                   done.uid(), 0, ctx.shard, "single-task");
       }
     }
 
@@ -948,14 +940,14 @@ struct Engine::Impl {
       tag = {support::TraceCategory::kCompute, decl.name};
     }
     sim::Event task_done = rt_.machine().proc(proc).spawn(
-        sim::Event::merge(sim(), pre), ns(duration), std::move(work),
+        sim().merge(pre), ns(duration), std::move(work),
         std::move(tag));
-    task_done.subscribe([done](sim::Time) mutable { done.trigger(); });
+    sim().trigger_when(done, task_done);
     if (support::Tracer* t = tracer()) {
-      t->alias(done.event().uid(), task_done.uid());
+      t->alias(done.uid(), task_done.uid());
     }
-    ctx.outstanding.push_back(done.event());
-    track(done.event(), "single " + decl.name);
+    ctx.outstanding.push_back(done);
+    track(done, LiveOps::Kind::kSingle, s);
   }
 
   // --- scalar ops -----------------------------------------------------------
@@ -972,29 +964,28 @@ struct Engine::Impl {
     }
     charge(ctx, cost_.scalar_op_ns, "scalar");
 
-    sim::UserEvent computed(sim());
+    const sim::Event computed = sim().make_event();
     std::vector<std::shared_ptr<double>> outs;
     for (ir::ScalarId w : s.scalar_writes) {
       ScalarVersion v;
-      v.ready = computed.event();
+      v.ready = computed;
       outs.push_back(v.value);
       env(ctx.shard).versions[w].push_back(std::move(v));
     }
     auto fn = s.scalar_fn;
     const size_t nscalars = p_.scalars.size();
     auto writes = s.scalar_writes;
-    sim::Event all = sim::Event::merge(sim(), ready);
-    all.subscribe([fn, inputs, outs, writes, nscalars,
-                   computed](sim::Time) mutable {
-      std::vector<double> env_in(nscalars, 0.0);
-      for (auto& [id, val] : *inputs) env_in[id] = *val;
-      std::vector<double> env_out = env_in;
-      fn(env_in, env_out);
-      for (size_t k = 0; k < writes.size(); ++k) {
-        *outs[k] = env_out[writes[k]];
-      }
-      computed.trigger();
-    });
+    sim().trigger_when(
+        computed, sim().merge(ready),
+        [fn, inputs, outs, writes, nscalars] {
+          std::vector<double> env_in(nscalars, 0.0);
+          for (auto& [id, val] : *inputs) env_in[id] = *val;
+          std::vector<double> env_out = env_in;
+          fn(env_in, env_out);
+          for (size_t k = 0; k < writes.size(); ++k) {
+            *outs[k] = env_out[writes[k]];
+          }
+        });
   }
 
   // --- copies -----------------------------------------------------------------
@@ -1132,25 +1123,24 @@ struct Engine::Impl {
           s.dst_root != rt::kNoId
               ? forest().partition(s.copy_src).subregions[pi.i]
               : forest().partition(s.copy_dst).subregions[pi.j];
-      sim::UserEvent completion(sim());
+      const sim::Event completion = sim().make_event();
       const uint64_t before = rt_.deps().pairs_scanned();
       ++op_id_;
       rt::Requirement rr{src_logical, rt::Privilege::kReadOnly,
                          rt::ReduceOp::kSum, req.fields};
-      record_dep(rr, completion.event(), pre);
+      record_dep(rr, completion, pre);
       rt::Requirement wr{dst_logical, rt::Privilege::kReadWrite,
                          rt::ReduceOp::kSum, req.fields};
-      record_dep(wr, completion.event(), pre);
+      record_dep(wr, completion, pre);
       issue_ns += cost_.dep_pair_ns *
                   static_cast<double>(rt_.deps().pairs_scanned() - before);
       sim::Event issued = charge(ctx, issue_ns, "issue:copy");
       attribute(issued, s);
       pre.push_back(issued);
       sim::Event delivered =
-          rt_.copies().issue(req, sim::Event::merge(sim(), pre));
+          rt_.copies().issue(req, sim().merge(pre));
       attribute(delivered, s);
-      delivered.subscribe(
-          [completion](sim::Time) mutable { completion.trigger(); });
+      sim().trigger_when(completion, delivered);
       note_read(ssy, delivered, req.src_node, ctx.shard, relaxed);
       note_write(dsy, delivered, req.dst_node, ctx.shard, relaxed);
       log_copy_access(s, pi, *src, *dst, pre, delivered, ctx);
@@ -1162,7 +1152,7 @@ struct Engine::Impl {
     attribute(issued, s);
     route_ctx_pre(ctx, req.src_node, {issued}, pre);
     sim::Event delivered =
-        rt_.copies().issue(req, sim::Event::merge(sim(), pre));
+        rt_.copies().issue(req, sim().merge(pre));
     attribute(delivered, s);
     // Delivery triggers on the destination; the source's WAR edge (a
     // later writer of the source instance) observes it via a notify.
@@ -1227,7 +1217,7 @@ struct Engine::Impl {
           tag = {support::TraceCategory::kCompute, "fill"};
         }
         sim::Event done = rt_.machine().proc(proc).spawn(
-            sim::Event::merge(sim(), pre), ns(500), std::move(work),
+            sim().merge(pre), ns(500), std::move(work),
             std::move(tag));
         note_write(sy, done, ref.node, ctx.shard);
         if (check_) {
@@ -1237,8 +1227,7 @@ struct Engine::Impl {
                      uids_of(pre), done.uid(), c, ctx.shard, "fill");
         }
         ctx.outstanding.push_back(localize(done, ref.node, ctx.node));
-        track(done, "fill " + std::to_string(s.fill_dst) + "[" +
-                        std::to_string(c) + "]");
+        track(done, LiveOps::Kind::kFill, s, c);
       }
     }
   }
@@ -1270,8 +1259,8 @@ struct Engine::Impl {
       std::vector<sim::Event> outstanding = std::move(ctx.outstanding);
       ctx.outstanding.clear();
       outstanding.push_back(ctx.last);
-      it->second->arrive(gen, sim::Event::merge(sim(), outstanding));
-      ctx.last = sim::Event::merge(sim(), {ctx.last, it->second->wait(gen)});
+      it->second->arrive(gen, sim().merge(outstanding));
+      ctx.last = sim().merge({ctx.last, it->second->wait(gen)});
     }
   }
 
@@ -1339,13 +1328,13 @@ struct Engine::Impl {
         evs.insert(evs.end(), list.begin(), list.end());
       }
       ScalarVersion v;
-      sim::UserEvent readyev(sim());
-      v.ready = readyev.event();
+      const sim::Event readyev = sim().make_event();
+      v.ready = readyev;
       auto value = v.value;
       auto partials = pr.partials;
       const rt::ReduceOp op = pr.op;
       env(kMainEnv).versions[s.coll_scalar].push_back(std::move(v));
-      sim::Event all = sim::Event::merge(sim(), evs);
+      sim::Event all = sim().merge(evs);
       if (check_) {
         // The fold reads every partials slot once all contributors done.
         std::vector<uint64_t> starts;
@@ -1355,11 +1344,10 @@ struct Engine::Impl {
                    support::IntervalSet::range(0, pr.colors),
                    std::move(starts), all.uid(), 0, kMainEnv, "scalar-fold");
       }
-      all.subscribe([value, partials, op, readyev](sim::Time) mutable {
+      sim().trigger_when(readyev, all, [value, partials, op] {
         double acc = rt::reduce_identity(op);
         for (double d : *partials) acc = rt::reduce_fold(op, acc, d);
         *value = acc;
-        readyev.trigger();
       });
       return;
     }
@@ -1383,7 +1371,7 @@ struct Engine::Impl {
       // tasks — the gather no longer anchors the fold after the writers.
       sim::Event local = mutated(s)
                              ? sim::Event()
-                             : sim::Event::merge(sim(), pr.events[ctx.shard]);
+                             : sim().merge(pr.events[ctx.shard]);
       dc->contribute(gen, ctx.shard, local, [partials, op, block] {
         double acc = rt::reduce_identity(op);
         for (uint64_t c = block.begin; c < block.end; ++c) {
@@ -1392,15 +1380,12 @@ struct Engine::Impl {
         return acc;
       });
       ScalarVersion v;
-      sim::UserEvent readyev(sim());
-      v.ready = readyev.event();
+      const sim::Event readyev = sim().make_event();
+      v.ready = readyev;
       auto value = v.value;
       env(ctx.shard).versions[s.coll_scalar].push_back(std::move(v));
-      dc->result_event(gen).subscribe(
-          [value, dc, gen, readyev](sim::Time) mutable {
-            *value = dc->result(gen);
-            readyev.trigger();
-          });
+      sim().trigger_when(readyev, dc->result_event(gen),
+                         [value, dc, gen] { *value = dc->result(gen); });
     }
     if (check_) {
       // Each contribution folds its shard's partials block. The gather
@@ -1573,15 +1558,7 @@ ExecutionResult Engine::run() {
   }
   impl_->unroll();
   impl_->result_.makespan_ns = impl_->sim().run() - run_start;
-  if (!impl_->live_ops_->stuck.empty()) {
-    std::string msg = "execution did not quiesce; stuck ops:";
-    int shown = 0;
-    for (const auto& [id, label] : impl_->live_ops_->stuck) {
-      msg += "\n  " + label;
-      if (++shown >= 20) break;
-    }
-    CR_CHECK_MSG(false, msg.c_str());
-  }
+  impl_->live_ops_.check_quiesced(impl_->sim(), impl_->p_);
   impl_->result_.copies_issued =
       impl_->rt_.copies().copies_issued() - copies0;
   impl_->result_.copies_skipped +=

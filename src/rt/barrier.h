@@ -16,10 +16,6 @@
 #include "sim/event.h"
 #include "sim/network.h"
 
-namespace cr::sim {
-class Simulator;
-}
-
 namespace cr::rt {
 
 class PhaseBarrier {
@@ -38,8 +34,8 @@ class PhaseBarrier {
  private:
   struct Generation {
     std::vector<sim::Event> arrivals;
-    // Created lazily; triggered once all arrivals are in and merged.
-    std::unique_ptr<sim::UserEvent> done;
+    // Triggered once all arrivals are in and merged.
+    sim::Event done;
     bool wired = false;
   };
   Generation& gen(uint64_t g);

@@ -16,10 +16,6 @@
 #include "sim/event.h"
 #include "sim/network.h"
 
-namespace cr::sim {
-class Simulator;
-}
-
 namespace cr::rt {
 
 class DynamicCollective {
@@ -52,7 +48,7 @@ class DynamicCollective {
     // Indexed by rank: sampling thunks, filled as contributions arrive.
     std::vector<std::function<double()>> values;
     std::vector<sim::Event> arrivals;
-    std::unique_ptr<sim::UserEvent> done;
+    sim::Event done;
     double result = 0;
     bool wired = false;
     uint64_t gather_uid = 0;

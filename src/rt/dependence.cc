@@ -58,7 +58,7 @@ std::vector<sim::Event> DependenceTracker::record(uint64_t op_id,
       if (!conflict) continue;
       ++dependences_found_;
       // One precondition per predecessor: the same completion reached
-      // via several fields would only make Event::merge re-wait on it.
+      // via several fields would only make Simulator::merge re-wait on it.
       if (std::find(preconditions.begin(), preconditions.end(),
                     u.completion) == preconditions.end()) {
         preconditions.push_back(u.completion);

@@ -1,13 +1,14 @@
 // A happens-before recorder for event wiring. When attached to a
 // Simulator, every causal relationship between events is logged as a
 // (predecessor uid, successor uid) edge as it is established:
-//   - Event::merge records one edge per input into the merged event,
-//   - UserEvent::trigger records an edge from the ambient "cause" (the
-//     event whose trigger or subscription led, possibly through
-//     scheduled callbacks, to this trigger),
-//   - Simulator::schedule_at captures the ambient cause so that edges
-//     survive deferred callbacks (processor spans, network deliveries,
-//     barrier/collective wiring).
+//   - Simulator::merge / merge_remote record one edge per input into
+//     the merged event,
+//   - every trigger records an edge from the ambient "cause" (the event
+//     whose trigger or continuation led, possibly through queue
+//     entries, to this trigger),
+//   - every queue entry captures the ambient cause so that edges
+//     survive deferred work (processor spans, network deliveries,
+//     barrier/collective releases).
 // The resulting edge list is the ground-truth happens-before DAG the
 // race checker walks. Like the Tracer, a detached graph is the
 // zero-cost disabled path: no edges are recorded and the virtual

@@ -33,74 +33,75 @@ Network::Network(Simulator& sim, uint32_t nodes, NetworkConfig config)
 }
 
 Event Network::send(uint32_t src, uint32_t dst, uint64_t bytes,
-                    Event precondition, std::function<void()> on_delivery,
-                    std::function<void()> on_inject) {
+                    Event precondition, Work on_delivery, Work on_inject) {
   CR_CHECK(src < nic_free_.size() && dst < nic_free_.size());
-  UserEvent delivered(*sim_);
-  auto work = on_delivery
-                  ? std::make_shared<std::function<void()>>(
-                        std::move(on_delivery))
-                  : nullptr;
-  auto stage = on_inject
-                   ? std::make_shared<std::function<void()>>(
-                         std::move(on_inject))
-                   : nullptr;
-  const uint64_t pre_uid = precondition.uid();
-  const uint64_t delivered_uid = delivered.event().uid();
-  precondition.subscribe([this, src, dst, bytes, work, stage, delivered,
-                          pre_uid, delivered_uid](Time ready) mutable {
-    ++messages_;
-    bytes_ += bytes;
-    if (stage) (*stage)();
-    Time arrive;
-    support::Tracer* t = sim_->tracer();
-    if (src == dst) {
-      arrive = ready + local_copy_time(bytes);
-      if (t != nullptr) {
-        const support::SpanId span = t->add_span(
-            src, support::kMemTid, support::TraceCategory::kCopy,
-            "local " + std::to_string(bytes) + "B", ready, arrive);
-        t->edge(pre_uid, span);
-        t->bind(delivered_uid, span);
-      }
-    } else {
-      const Time serial = serialization_time(bytes, config_.bandwidth_gbps);
-      const Time inject = std::max(ready, nic_free_[src]);
-      nic_free_[src] = inject + serial;
-      arrive = inject + serial + config_.latency_ns + config_.am_handler_ns +
-               handler_jitter(delivered_uid);
-      if (t != nullptr) {
-        // NIC busy interval: injection serialization only; wire latency
-        // and handler time show up as a gap before the consumer starts.
-        // Zero-byte sends are synchronization notifications.
-        const bool is_sync = bytes == 0;
-        std::string label = is_sync ? "notify >" : "xfer >";
-        label += std::to_string(dst);
-        if (!is_sync) {
-          label += ' ';
-          label += std::to_string(bytes);
-          label += 'B';
-        }
-        const support::SpanId span = t->add_span(
-            src, support::kNicTid,
-            is_sync ? support::TraceCategory::kSync
-                    : support::TraceCategory::kCopy,
-            label, inject, inject + serial);
-        t->edge(pre_uid, span);
-        t->bind(delivered_uid, span);
-      }
+  const Event delivered = sim_->make_event();
+  const uint32_t msg = sim_->sends_.push(
+      {this, bytes, src, dst, delivered.id_, sim_->store(std::move(on_inject)),
+       sim_->store(std::move(on_delivery))});
+  sim_->attach(precondition, Simulator::kInject, msg);
+  return delivered;
+}
+
+void Network::inject(uint32_t msg, uint32_t pre, Time ready) {
+  const Simulator::SendRecord& m = sim_->sends_[msg];
+  ++messages_;
+  bytes_ += m.bytes;
+  if (m.on_inject != 0) sim_->call(m.on_inject);
+  Time arrive;
+  support::Tracer* t = sim_->tracer();
+  if (m.src == m.dst) {
+    arrive = ready + local_copy_time(m.bytes);
+    if (t != nullptr) {
+      const support::SpanId span = t->add_span(
+          m.src, support::kMemTid, support::TraceCategory::kCopy,
+          "local " + std::to_string(m.bytes) + "B", ready, arrive);
+      t->edge(pre, span);
+      t->bind(m.delivered, span);
     }
-    sim_->schedule_at(arrive, [work, delivered]() mutable {
-      if (work) (*work)();
-      delivered.trigger();
-    });
-  });
-  return delivered.event();
+  } else {
+    const Time serial = serialization_time(m.bytes, config_.bandwidth_gbps);
+    const Time inject = std::max(ready, nic_free_[m.src]);
+    nic_free_[m.src] = inject + serial;
+    arrive = inject + serial + config_.latency_ns + config_.am_handler_ns +
+             handler_jitter(m.delivered);
+    if (t != nullptr) {
+      // NIC busy interval: injection serialization only; wire latency
+      // and handler time show up as a gap before the consumer starts.
+      // Zero-byte sends are synchronization notifications.
+      const bool is_sync = m.bytes == 0;
+      std::string label = is_sync ? "notify >" : "xfer >";
+      label += std::to_string(m.dst);
+      if (!is_sync) {
+        label += ' ';
+        label += std::to_string(m.bytes);
+        label += 'B';
+      }
+      const support::SpanId span = t->add_span(
+          m.src, support::kNicTid,
+          is_sync ? support::TraceCategory::kSync
+                  : support::TraceCategory::kCopy,
+          label, inject, inject + serial);
+      t->edge(pre, span);
+      t->bind(m.delivered, span);
+    }
+  }
+  if (m.on_delivery != 0) {
+    sim_->push(arrive, Simulator::kDeliver, msg);
+  } else {
+    sim_->push(arrive, Simulator::kTrigger, m.delivered);
+  }
+}
+
+void Network::deliver(uint32_t msg) {
+  const Simulator::SendRecord& m = sim_->sends_[msg];
+  sim_->call(m.on_delivery);
+  sim_->fire(m.delivered);
 }
 
 Time Network::handler_jitter(uint64_t delivered_uid) const {
   if (config_.am_jitter_ns == 0) return 0;
-  // Pure function of the delivery event's uid (assigned during the
+  // Pure function of the delivery event's id (assigned during the
   // unroll) and the configured seed, so runs are bit-identical.
   const uint64_t h = support::hash_mix(
       delivered_uid ^ (config_.jitter_seed * 0x9e3779b97f4a7c15ull) ^

@@ -13,14 +13,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/event.h"
+#include "sim/simulator.h"
 
 namespace cr::sim {
-
-class Simulator;
 
 struct NetworkConfig {
   Time latency_ns = 1500;              // one-way wire latency
@@ -49,8 +47,7 @@ class Network {
   // RDMA reads the payload at injection, so later writes to the source
   // cannot leak into the in-flight message.
   Event send(uint32_t src, uint32_t dst, uint64_t bytes, Event precondition,
-             std::function<void()> on_delivery = nullptr,
-             std::function<void()> on_inject = nullptr);
+             Work on_delivery = nullptr, Work on_inject = nullptr);
 
   // Deterministic extra AM-handler delay for one delivery (0 unless the
   // config enables am_jitter_ns). Exposed for tests.
@@ -70,6 +67,12 @@ class Network {
   const NetworkConfig& config() const { return config_; }
 
  private:
+  friend class Simulator;
+  // The inject continuation (send record `msg` became ready at `ready`)
+  // and the delivery entry of a message carrying on_delivery work.
+  void inject(uint32_t msg, uint32_t pre, Time ready);
+  void deliver(uint32_t msg);
+
   Simulator* sim_;
   NetworkConfig config_;
   std::vector<Time> nic_free_;  // per-node injection availability

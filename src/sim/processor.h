@@ -12,11 +12,10 @@
 #include <vector>
 
 #include "sim/event.h"
+#include "sim/simulator.h"
 #include "support/trace.h"
 
 namespace cr::sim {
-
-class Simulator;
 
 struct ProcId {
   uint32_t node = 0;
@@ -68,8 +67,7 @@ class Processor {
   // occupancy interval is recorded as a span labeled by `tag` (or a
   // generic "work" span when the tag is empty) and wired into the
   // dependence graph via the precondition and completion events.
-  Event spawn(Event precondition, Time duration,
-              std::function<void()> work = nullptr,
+  Event spawn(Event precondition, Time duration, Work work = nullptr,
               support::TraceTag tag = {});
 
   // Total busy time accumulated (for utilization reports).
@@ -78,6 +76,10 @@ class Processor {
   Time next_free() const { return next_free_; }
 
  private:
+  friend class Simulator;
+  // The pickup continuation: the item became ready at `ready`.
+  void pickup(const Simulator::SpawnRecord& item, uint32_t pre, Time ready);
+
   Simulator* sim_;
   ProcId id_;
   const NodePerf* perf_;  // null = nominal speed, no slowdowns

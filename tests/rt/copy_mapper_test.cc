@@ -46,10 +46,10 @@ TEST(CopyEngine, MovesRealDataOnDelivery) {
   sim::Event done = f.rt.copies().issue(req, sim::Event());
   EXPECT_EQ(mgr->get(dst).read_f64(f.v, 7), 0.0);  // not yet delivered
   f.rt.sim().run();
-  EXPECT_TRUE(done.has_triggered());
+  EXPECT_TRUE(f.rt.sim().has_triggered(done));
   EXPECT_EQ(mgr->get(dst).read_f64(f.v, 7), 3.5);
   // 10 elements * 8 bytes at 1 B/ns + 100 ns latency.
-  EXPECT_EQ(done.trigger_time(), 180u);
+  EXPECT_EQ(f.rt.sim().trigger_time(done), 180u);
   EXPECT_EQ(f.rt.copies().bytes_moved(), 80u);
 }
 
@@ -59,9 +59,9 @@ TEST(CopyEngine, EmptyCopyIsSkipped) {
   req.src_region = req.dst_region = f.r;
   req.points = support::IntervalSet();
   req.fields = {f.v};
-  sim::UserEvent pre(f.rt.sim());
-  sim::Event done = f.rt.copies().issue(req, pre.event());
-  EXPECT_EQ(done, pre.event());  // pass-through, no traffic
+  const sim::Event pre = f.rt.sim().make_event();
+  sim::Event done = f.rt.copies().issue(req, pre);
+  EXPECT_EQ(done, pre);  // pass-through, no traffic
   EXPECT_EQ(f.rt.copies().copies_skipped_empty(), 1u);
   EXPECT_EQ(f.rt.network().messages_sent(), 0u);
 }

@@ -66,9 +66,10 @@ TEST(Privileges, SubsumptionIsStrict) {
 TEST(Dependence, ReadersDontConflict) {
   Fixture f;
   DependenceTracker deps(f.forest);
-  sim::UserEvent e1(f.sim), e2(f.sim);
-  auto d1 = deps.record(1, f.req(f.r, Privilege::kReadOnly), e1.event());
-  auto d2 = deps.record(2, f.req(f.r, Privilege::kReadOnly), e2.event());
+  const sim::Event e1 = f.sim.make_event();
+  const sim::Event e2 = f.sim.make_event();
+  auto d1 = deps.record(1, f.req(f.r, Privilege::kReadOnly), e1);
+  auto d2 = deps.record(2, f.req(f.r, Privilege::kReadOnly), e2);
   EXPECT_TRUE(d1.empty());
   EXPECT_TRUE(d2.empty());
 }
@@ -76,100 +77,112 @@ TEST(Dependence, ReadersDontConflict) {
 TEST(Dependence, WriteAfterReadOrders) {
   Fixture f;
   DependenceTracker deps(f.forest);
-  sim::UserEvent e1(f.sim), e2(f.sim);
-  deps.record(1, f.req(f.r, Privilege::kReadOnly), e1.event());
-  auto d = deps.record(2, f.req(f.r, Privilege::kReadWrite), e2.event());
+  const sim::Event e1 = f.sim.make_event();
+  const sim::Event e2 = f.sim.make_event();
+  deps.record(1, f.req(f.r, Privilege::kReadOnly), e1);
+  auto d = deps.record(2, f.req(f.r, Privilege::kReadWrite), e2);
   ASSERT_EQ(d.size(), 1u);
-  EXPECT_EQ(d[0], e1.event());
+  EXPECT_EQ(d[0], e1);
 }
 
 TEST(Dependence, DisjointSubregionsRunInParallel) {
   Fixture f;
   DependenceTracker deps(f.forest);
-  sim::UserEvent e1(f.sim), e2(f.sim);
+  const sim::Event e1 = f.sim.make_event();
+  const sim::Event e2 = f.sim.make_event();
   deps.record(1, f.req(f.forest.subregion(f.p, 0), Privilege::kReadWrite),
-              e1.event());
+              e1);
   auto d = deps.record(
       2, f.req(f.forest.subregion(f.p, 1), Privilege::kReadWrite),
-      e2.event());
+      e2);
   EXPECT_TRUE(d.empty());
 }
 
 TEST(Dependence, OverlappingWritesSerialize) {
   Fixture f;
   DependenceTracker deps(f.forest);
-  sim::UserEvent e1(f.sim), e2(f.sim);
+  const sim::Event e1 = f.sim.make_event();
+  const sim::Event e2 = f.sim.make_event();
   deps.record(1, f.req(f.forest.subregion(f.p, 0), Privilege::kReadWrite),
-              e1.event());
-  auto d = deps.record(2, f.req(f.r, Privilege::kReadWrite), e2.event());
+              e1);
+  auto d = deps.record(2, f.req(f.r, Privilege::kReadWrite), e2);
   ASSERT_EQ(d.size(), 1u);  // parent overlaps the subregion
 }
 
 TEST(Dependence, SameOpReductionsCommute) {
   Fixture f;
   DependenceTracker deps(f.forest);
-  sim::UserEvent e1(f.sim), e2(f.sim), e3(f.sim);
-  deps.record(1, f.req(f.r, Privilege::kReduce, ReduceOp::kSum), e1.event());
+  const sim::Event e1 = f.sim.make_event();
+  const sim::Event e2 = f.sim.make_event();
+  const sim::Event e3 = f.sim.make_event();
+  deps.record(1, f.req(f.r, Privilege::kReduce, ReduceOp::kSum), e1);
   auto d2 =
       deps.record(2, f.req(f.r, Privilege::kReduce, ReduceOp::kSum),
-                  e2.event());
+                  e2);
   EXPECT_TRUE(d2.empty());
   // A different operator must serialize against both.
   auto d3 =
       deps.record(3, f.req(f.r, Privilege::kReduce, ReduceOp::kMin),
-                  e3.event());
+                  e3);
   EXPECT_EQ(d3.size(), 2u);
 }
 
 TEST(Dependence, CoveringWriterPrunesEpoch) {
   Fixture f;
   DependenceTracker deps(f.forest);
-  sim::UserEvent e1(f.sim), e2(f.sim), e3(f.sim), e4(f.sim);
+  const sim::Event e1 = f.sim.make_event();
+  const sim::Event e2 = f.sim.make_event();
+  const sim::Event e3 = f.sim.make_event();
+  const sim::Event e4 = f.sim.make_event();
   // Four readers of subregions, then a full write, then another write:
   // the second write should only depend on the first (pruned epoch).
   deps.record(1, f.req(f.forest.subregion(f.p, 0), Privilege::kReadOnly),
-              e1.event());
+              e1);
   deps.record(2, f.req(f.forest.subregion(f.p, 1), Privilege::kReadOnly),
-              e2.event());
-  auto d3 = deps.record(3, f.req(f.r, Privilege::kReadWrite), e3.event());
+              e2);
+  auto d3 = deps.record(3, f.req(f.r, Privilege::kReadWrite), e3);
   EXPECT_EQ(d3.size(), 2u);
-  auto d4 = deps.record(4, f.req(f.r, Privilege::kReadWrite), e4.event());
+  auto d4 = deps.record(4, f.req(f.r, Privilege::kReadWrite), e4);
   ASSERT_EQ(d4.size(), 1u);
-  EXPECT_EQ(d4[0], e3.event());
+  EXPECT_EQ(d4[0], e3);
 }
 
 TEST(Dependence, ReaderDoesNotPruneWriter) {
   Fixture f;
   DependenceTracker deps(f.forest);
-  sim::UserEvent e1(f.sim), e2(f.sim), e3(f.sim);
-  deps.record(1, f.req(f.r, Privilege::kReadWrite), e1.event());
-  deps.record(2, f.req(f.r, Privilege::kReadOnly), e2.event());
+  const sim::Event e1 = f.sim.make_event();
+  const sim::Event e2 = f.sim.make_event();
+  const sim::Event e3 = f.sim.make_event();
+  deps.record(1, f.req(f.r, Privilege::kReadWrite), e1);
+  deps.record(2, f.req(f.r, Privilege::kReadOnly), e2);
   // A second reader must still see the writer (readers don't retire it).
-  auto d = deps.record(3, f.req(f.r, Privilege::kReadOnly), e3.event());
+  auto d = deps.record(3, f.req(f.r, Privilege::kReadOnly), e3);
   ASSERT_EQ(d.size(), 1u);
-  EXPECT_EQ(d[0], e1.event());
+  EXPECT_EQ(d[0], e1);
 }
 
 TEST(Dependence, FieldsAreIndependent) {
   Fixture f;
   const FieldId w = f.fs->add_field("w");
   DependenceTracker deps(f.forest);
-  sim::UserEvent e1(f.sim), e2(f.sim);
+  const sim::Event e1 = f.sim.make_event();
+  const sim::Event e2 = f.sim.make_event();
   deps.record(1, Requirement{f.r, Privilege::kReadWrite, ReduceOp::kSum,
                              {f.v}},
-              e1.event());
+              e1);
   auto d = deps.record(
       2, Requirement{f.r, Privilege::kReadWrite, ReduceOp::kSum, {w}},
-      e2.event());
+      e2);
   EXPECT_TRUE(d.empty());
 }
 
 TEST(Dependence, StatsCountPairs) {
   Fixture f;
   DependenceTracker deps(f.forest);
-  sim::UserEvent e1(f.sim), e2(f.sim);
-  deps.record(1, f.req(f.r, Privilege::kReadWrite), e1.event());
-  deps.record(2, f.req(f.r, Privilege::kReadWrite), e2.event());
+  const sim::Event e1 = f.sim.make_event();
+  const sim::Event e2 = f.sim.make_event();
+  deps.record(1, f.req(f.r, Privilege::kReadWrite), e1);
+  deps.record(2, f.req(f.r, Privilege::kReadWrite), e2);
   EXPECT_EQ(deps.pairs_tested(), 1u);
   EXPECT_EQ(deps.pairs_scanned(), 1u);
   EXPECT_EQ(deps.dependences_found(), 1u);
@@ -185,25 +198,25 @@ TEST(Dependence, StatsCountPairs) {
 TEST(Dependence, TailScanWorkTriggersRebuild) {
   Fixture f;
   DependenceTracker deps(f.forest);
-  std::vector<sim::UserEvent> events;
+  std::vector<sim::Event> events;
   events.reserve(1200);
   uint64_t op = 0;
   // Phase 1: a large live epoch of disjoint-region readers.
   for (int i = 0; i < 1000; ++i) {
-    events.emplace_back(f.sim);
+    events.push_back(f.sim.make_event());
     deps.record(++op, f.req(f.forest.subregion(f.p, i % 4),
                             Privilege::kReadOnly),
-                events.back().event());
+                events.back());
   }
   const uint64_t rebuilds_before = deps.index_rebuilds();
   // Phase 2: 100 more readers. Staleness stays below alive/8 the whole
   // time (stale <= 100+64 vs alive ~1100), but each record rescans the
   // growing tail: ~5000 touched slots, far more than one rebuild pass.
   for (int i = 0; i < 100; ++i) {
-    events.emplace_back(f.sim);
+    events.push_back(f.sim.make_event());
     deps.record(++op, f.req(f.forest.subregion(f.p, i % 4),
                             Privilege::kReadOnly),
-                events.back().event());
+                events.back());
   }
   EXPECT_GT(deps.index_rebuilds(), rebuilds_before)
       << "tail-scan work did not amortize into a rebuild";
@@ -311,7 +324,7 @@ TEST_P(DependenceIndexEquivalence, IndexedMatchesLinearScan) {
 
   const Privilege privs[] = {Privilege::kReadOnly, Privilege::kReadWrite,
                              Privilege::kWriteDiscard, Privilege::kReduce};
-  std::vector<sim::UserEvent> events;
+  std::vector<sim::Event> events;
   events.reserve(400);
   for (uint64_t op = 1; op <= 400; ++op) {
     // Some operations (like copies) record several requirements.
@@ -323,8 +336,8 @@ TEST_P(DependenceIndexEquivalence, IndexedMatchesLinearScan) {
       req.redop = rng.next_bool() ? ReduceOp::kSum : ReduceOp::kMin;
       req.fields = rng.next_bool(0.8) ? std::vector<FieldId>{fv}
                                       : std::vector<FieldId>{fv, fw};
-      events.emplace_back(sim);
-      const sim::Event done = events.back().event();
+      events.push_back(sim.make_event());
+      const sim::Event done = events.back();
       auto expected = scan.record(op, req, done);
       auto got = indexed.record(op, req, done);
       ASSERT_EQ(got, expected) << "op " << op << " (seed " << GetParam()

@@ -22,37 +22,40 @@ TEST(PhaseBarrier, ReleasesAfterAllArrivals) {
   PhaseBarrier pb(sim, net, 4);
   sim::Event done = pb.wait(0);
   for (uint32_t i = 0; i < 4; ++i) {
-    sim::UserEvent arrival(sim);
-    pb.arrive(0, arrival.event());
-    sim.schedule_at(10 * (i + 1), [arrival]() mutable { arrival.trigger(); });
+    const sim::Event arrival = sim.make_event();
+    pb.arrive(0, arrival);
+    sim.schedule_at(10 * (i + 1), [&sim, arrival] { sim.trigger(arrival); });
   }
   sim.run();
-  ASSERT_TRUE(done.has_triggered());
+  ASSERT_TRUE(sim.has_triggered(done));
   // Last arrival at 40, plus 2 * tree latency (2 levels * 100ns).
-  EXPECT_EQ(done.trigger_time(), 40u + 2 * net.tree_latency(4));
+  EXPECT_EQ(sim.trigger_time(done), 40u + 2 * net.tree_latency(4));
 }
 
 TEST(PhaseBarrier, GenerationsAreIndependent) {
   sim::Simulator sim;
   sim::Network net(sim, 2, flat_net());
   PhaseBarrier pb(sim, net, 2);
-  sim::UserEvent a0(sim), b0(sim), a1(sim), b1(sim);
-  pb.arrive(0, a0.event());
-  pb.arrive(1, a1.event());
-  pb.arrive(0, b0.event());
-  pb.arrive(1, b1.event());
+  const sim::Event a0 = sim.make_event();
+  const sim::Event b0 = sim.make_event();
+  const sim::Event a1 = sim.make_event();
+  const sim::Event b1 = sim.make_event();
+  pb.arrive(0, a0);
+  pb.arrive(1, a1);
+  pb.arrive(0, b0);
+  pb.arrive(1, b1);
   sim::Event g0 = pb.wait(0), g1 = pb.wait(1);
-  sim.schedule_at(10, [&] { a0.trigger(); });
-  sim.schedule_at(20, [&] { b0.trigger(); });
+  sim.schedule_at(10, [&] { sim.trigger(a0); });
+  sim.schedule_at(20, [&] { sim.trigger(b0); });
   // Generation 1 completes *before* generation 0 arrives fully — phases
   // don't serialize unless the program orders them.
   sim.schedule_at(1, [&] {
-    a1.trigger();
-    b1.trigger();
+    sim.trigger(a1);
+    sim.trigger(b1);
   });
   sim.run();
-  EXPECT_TRUE(g0.has_triggered() && g1.has_triggered());
-  EXPECT_LT(g1.trigger_time(), g0.trigger_time());
+  EXPECT_TRUE(sim.has_triggered(g0) && sim.has_triggered(g1));
+  EXPECT_LT(sim.trigger_time(g1), sim.trigger_time(g0));
 }
 
 TEST(PhaseBarrier, SingleParticipantCostsNothing) {
@@ -62,7 +65,7 @@ TEST(PhaseBarrier, SingleParticipantCostsNothing) {
   pb.arrive(0, sim::Event());
   sim::Event done = pb.wait(0);
   sim.run();
-  EXPECT_EQ(done.trigger_time(), 0u);
+  EXPECT_EQ(sim.trigger_time(done), 0u);
 }
 
 TEST(PhaseBarrierDeath, OverSubscriptionAborts) {
@@ -83,9 +86,9 @@ TEST(DynamicCollective, FoldsAllContributionsDeterministically) {
   }
   sim::Event done = dc.result_event(0);
   sim.run();
-  ASSERT_TRUE(done.has_triggered());
+  ASSERT_TRUE(sim.has_triggered(done));
   EXPECT_EQ(dc.result(0), 2.0);
-  EXPECT_EQ(done.trigger_time(), 2 * net.tree_latency(4));
+  EXPECT_EQ(sim.trigger_time(done), 2 * net.tree_latency(4));
 }
 
 TEST(DynamicCollective, SamplesValuesAtCompletionNotRegistration) {
@@ -93,12 +96,12 @@ TEST(DynamicCollective, SamplesValuesAtCompletionNotRegistration) {
   sim::Network net(sim, 2, flat_net());
   DynamicCollective dc(sim, net, 2, ReduceOp::kSum);
   double acc = 0.0;  // filled "by point tasks" during the run
-  sim::UserEvent local_done(sim);
-  dc.contribute(0, 0, local_done.event(), [&acc] { return acc; });
+  const sim::Event local_done = sim.make_event();
+  dc.contribute(0, 0, local_done, [&acc] { return acc; });
   dc.contribute(0, 1, sim::Event(), [] { return 1.0; });
   sim.schedule_at(50, [&] {
     acc = 41.0;
-    local_done.trigger();
+    sim.trigger(local_done);
   });
   sim.run();
   EXPECT_EQ(dc.result(0), 42.0);

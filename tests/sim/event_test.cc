@@ -2,84 +2,253 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "sim/processor.h"
 #include "sim/simulator.h"
+#include "support/trace.h"
 
 namespace cr::sim {
 namespace {
 
 TEST(Event, DefaultEventIsTriggered) {
+  Simulator sim;
   Event e;
-  EXPECT_TRUE(e.has_triggered());
-  EXPECT_EQ(e.trigger_time(), 0u);
+  EXPECT_TRUE(sim.has_triggered(e));
+  EXPECT_EQ(sim.trigger_time(e), 0u);
+  EXPECT_EQ(e.uid(), 0u);
   bool ran = false;
-  e.subscribe([&](Time t) {
-    ran = true;
-    EXPECT_EQ(t, 0u);
-  });
+  sim.subscribe(e, [&] { ran = true; });
   EXPECT_TRUE(ran);
 }
 
 TEST(UserEvent, TriggerRunsWaitersAtNow) {
   Simulator sim;
-  UserEvent ue(sim);
+  const Event ue = sim.make_event();
   Time seen = 0;
   bool ran = false;
-  ue.event().subscribe([&](Time t) {
+  sim.subscribe(ue, [&] {
     ran = true;
-    seen = t;
+    seen = sim.now();
   });
   EXPECT_FALSE(ran);
-  sim.schedule_at(42, [&] { ue.trigger(); });
+  sim.schedule_at(42, [&] { sim.trigger(ue); });
   sim.run();
   EXPECT_TRUE(ran);
   EXPECT_EQ(seen, 42u);
-  EXPECT_TRUE(ue.event().has_triggered());
+  EXPECT_TRUE(sim.has_triggered(ue));
+  EXPECT_EQ(sim.trigger_time(ue), 42u);
 }
 
 TEST(UserEvent, SubscribeAfterTriggerRunsImmediately) {
   Simulator sim;
-  UserEvent ue(sim);
-  ue.trigger();
+  const Event ue = sim.make_event();
+  sim.trigger(ue);
   bool ran = false;
-  ue.event().subscribe([&](Time) { ran = true; });
+  sim.subscribe(ue, [&] { ran = true; });
   EXPECT_TRUE(ran);
+}
+
+TEST(Event, IdsFollowCreationOrder) {
+  Simulator sim;
+  const Event a = sim.make_event();
+  const Event b = sim.make_event();
+  const Event m = sim.merge({a, b});
+  EXPECT_EQ(a.uid(), 1u);
+  EXPECT_EQ(b.uid(), 2u);
+  EXPECT_EQ(m.uid(), 3u);
+  // An already-complete merge allocates nothing.
+  EXPECT_EQ(sim.merge({Event(), Event()}), Event());
+  EXPECT_EQ(sim.make_event().uid(), 4u);
 }
 
 TEST(Event, MergeWaitsForAll) {
   Simulator sim;
-  UserEvent a(sim), b(sim), c(sim);
-  Event m = Event::merge(sim, {a.event(), b.event(), c.event()});
+  const Event a = sim.make_event();
+  const Event b = sim.make_event();
+  const Event c = sim.make_event();
+  const Event m = sim.merge({a, b, c});
   Time seen = 0;
-  m.subscribe([&](Time t) { seen = t; });
+  sim.subscribe(m, [&] { seen = sim.now(); });
 
-  sim.schedule_at(10, [&] { b.trigger(); });
-  sim.schedule_at(30, [&] { a.trigger(); });
-  sim.schedule_at(20, [&] { c.trigger(); });
+  sim.schedule_at(10, [&] { sim.trigger(b); });
+  sim.schedule_at(30, [&] { sim.trigger(a); });
+  sim.schedule_at(20, [&] { sim.trigger(c); });
   sim.run();
-  EXPECT_TRUE(m.has_triggered());
+  EXPECT_TRUE(sim.has_triggered(m));
   EXPECT_EQ(seen, 30u);  // max of trigger times
 }
 
 TEST(Event, MergeOfTriggeredIsTriggered) {
   Simulator sim;
-  Event m = Event::merge(sim, {Event(), Event()});
-  EXPECT_TRUE(m.has_triggered());
+  const Event m = sim.merge({Event(), Event()});
+  EXPECT_TRUE(sim.has_triggered(m));
 }
 
 TEST(Event, MergeOfEmptyListIsTriggered) {
   Simulator sim;
-  EXPECT_TRUE(Event::merge(sim, {}).has_triggered());
+  EXPECT_TRUE(sim.has_triggered(sim.merge(std::vector<Event>{})));
 }
 
 TEST(Event, MergeMixedTriggeredAndPending) {
   Simulator sim;
-  UserEvent a(sim);
-  Event m = Event::merge(sim, {Event(), a.event()});
-  EXPECT_FALSE(m.has_triggered());
-  sim.schedule_at(5, [&] { a.trigger(); });
+  const Event a = sim.make_event();
+  const Event m = sim.merge({Event(), a});
+  EXPECT_FALSE(sim.has_triggered(m));
+  sim.schedule_at(5, [&] { sim.trigger(a); });
   sim.run();
-  EXPECT_TRUE(m.has_triggered());
-  EXPECT_EQ(m.trigger_time(), 5u);
+  EXPECT_TRUE(sim.has_triggered(m));
+  EXPECT_EQ(sim.trigger_time(m), 5u);
+}
+
+// Waiters run in subscription order; a waiter that triggers another
+// event runs that event's whole waiter list before the next waiter of
+// the outer event (depth first).
+TEST(Event, WaitersRunFifoThroughNestedCascades) {
+  Simulator sim;
+  const Event a = sim.make_event();
+  const Event b = sim.make_event();
+  const Event c = sim.make_event();
+  std::vector<std::string> order;
+  sim.subscribe(a, [&] { order.push_back("a1"); });
+  sim.trigger_when(b, a);  // typed continuation, second in a's list
+  sim.subscribe(a, [&] { order.push_back("a3"); });
+  sim.subscribe(b, [&] { order.push_back("b1"); });
+  sim.trigger_when(c, b, [&] { order.push_back("b2 work"); });
+  sim.subscribe(b, [&] { order.push_back("b3"); });
+  sim.subscribe(c, [&] { order.push_back("c1"); });
+  sim.schedule_at(7, [&] { sim.trigger(a); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"a1", "b1", "b2 work", "c1",
+                                             "b3", "a3"}));
+  EXPECT_EQ(sim.trigger_time(c), 7u);  // the cascade stays at now()
+  EXPECT_EQ(sim.events_processed(), 1u);
+}
+
+TEST(Event, MergeWithDuplicateInputs) {
+  Simulator sim;
+  const Event a = sim.make_event();
+  const Event b = sim.make_event();
+  // `a` twice: both of its waiters count down in a's one cascade.
+  const Event m = sim.merge({a, a, b});
+  sim.schedule_at(10, [&] { sim.trigger(a); });
+  sim.schedule_at(20, [&] {
+    EXPECT_FALSE(sim.has_triggered(m));
+    sim.trigger(b);
+  });
+  sim.run();
+  EXPECT_EQ(sim.trigger_time(m), 20u);
+
+  // Duplicates of the one pending input: the merge completes with it.
+  Simulator sim2;
+  const Event c = sim2.make_event();
+  const Event m2 = sim2.merge({c, Event(), c});
+  sim2.schedule_at(3, [&] { sim2.trigger(c); });
+  sim2.run();
+  EXPECT_EQ(sim2.trigger_time(m2), 3u);
+}
+
+TEST(Event, MergeOfTriggeredAndPendingInputs) {
+  Simulator sim;
+  const Event early = sim.make_event();
+  const Event late = sim.make_event();
+  sim.schedule_at(4, [&] {
+    sim.trigger(early);
+    // Wired during the drain: `early` already fired, only `late` counts.
+    const Event m = sim.merge({early, late, early});
+    sim.subscribe(m, [&, m] { EXPECT_EQ(sim.trigger_time(m), 9u); });
+  });
+  sim.schedule_at(9, [&] { sim.trigger(late); });
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), 2u);  // the merge adds no entry
+}
+
+// The remote merge resolves its critical predecessor by trigger time,
+// latest wins and ties keep input order, whatever order the inputs fire
+// in. It shows on the trace's critical path.
+TEST(Event, MergeRemoteAliasesLatestInputFirstOnTies) {
+  Simulator sim;
+  support::Tracer tracer;
+  sim.set_tracer(&tracer);
+  Processor p0(sim, {0, 0}), p1(sim, {0, 1}), p2(sim, {0, 2}),
+      p3(sim, {0, 3});
+  const Event gate = sim.make_event();
+  // `tie` is picked up later than `second` but ends at the same time.
+  const Event first = p0.spawn(Event(), 10, nullptr, {{}, "first"});
+  const Event second = p1.spawn(Event(), 30, nullptr, {{}, "second"});
+  const Event tie = p2.spawn(gate, 10, nullptr, {{}, "tie"});
+  const Event m = sim.merge_remote(std::vector<Event>{first, second, tie});
+  p3.spawn(m, 5, nullptr, {{}, "consumer"});
+  sim.schedule_at(20, [&] { sim.trigger(gate); });
+  sim.run();
+  EXPECT_EQ(sim.trigger_time(m), 30u);
+  const support::TraceSummary summary = tracer.summarize(sim.now());
+  std::vector<std::string> path;
+  for (const auto& [name, ns] : summary.cp_top) path.push_back(name);
+  EXPECT_NE(std::find(path.begin(), path.end(), "second"), path.end());
+  EXPECT_EQ(std::find(path.begin(), path.end(), "tie"), path.end());
+  EXPECT_NE(std::find(path.begin(), path.end(), "consumer"), path.end());
+}
+
+TEST(Event, MergeRemoteCompletesInItsOwnEntry) {
+  Simulator sim;
+  const Event a = sim.make_event();
+  const Event b = sim.make_event();
+  const Event m = sim.merge_remote(std::vector<Event>{a, Event(), b});
+  sim.schedule_at(8, [&] { sim.trigger(b); });
+  sim.schedule_at(12, [&] {
+    sim.trigger(a);
+    EXPECT_FALSE(sim.has_triggered(m));  // deferred, not in the cascade
+  });
+  sim.run();
+  EXPECT_EQ(sim.trigger_time(m), 12u);
+  EXPECT_EQ(sim.events_processed(), 3u);
+}
+
+TEST(Event, TriggerAfterDelaysFromTheCause) {
+  Simulator sim;
+  const Event cause = sim.make_event();
+  const Event target = sim.make_event();
+  int folds = 0;
+  sim.trigger_after(target, cause, 100, [&] {
+    ++folds;
+    EXPECT_EQ(sim.now(), 5u);  // the work runs at the cause
+  });
+  sim.schedule_at(5, [&] { sim.trigger(cause); });
+  sim.run();
+  EXPECT_EQ(folds, 1);
+  EXPECT_EQ(sim.trigger_time(target), 105u);
+}
+
+TEST(Event, TrackCountsLiveOps) {
+  Simulator sim;
+  const Event a = sim.make_event();
+  const Event b = sim.make_event();
+  sim.track(a);
+  sim.track(b);
+  sim.track(Event());  // already complete: not live
+  EXPECT_EQ(sim.live_ops(), 2u);
+  sim.schedule_at(1, [&] { sim.trigger(a); });
+  sim.run();
+  EXPECT_EQ(sim.live_ops(), 1u);  // b never triggers
+}
+
+TEST(EventDeath, TriggerTwiceAborts) {
+  Simulator sim;
+  const Event a = sim.make_event();
+  sim.trigger(a);
+  EXPECT_DEATH(sim.trigger(a), "event triggered twice");
+}
+
+TEST(EventDeath, IdSpaceOverflowAborts) {
+  // make_event() checks each id against the 32-bit id space; the check
+  // itself is probed at the boundary instead of allocating 2^32 slots.
+  EXPECT_EQ(Simulator::kMaxEvents, uint64_t{UINT32_MAX} - 1);
+  Simulator::check_id_space(Simulator::kMaxEvents);  // the last id fits
+  EXPECT_DEATH(Simulator::check_id_space(Simulator::kMaxEvents + 1),
+               "event id space exhausted.*fewer nodes or time steps");
 }
 
 }  // namespace

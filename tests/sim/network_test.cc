@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/processor.h"
 #include "sim/simulator.h"
 
 namespace cr::sim {
@@ -21,7 +22,7 @@ TEST(Network, DeliveryTimeIsLatencyPlusSerialization) {
   Network net(sim, 2, test_config());
   Event d = net.send(0, 1, 500, Event());
   sim.run();
-  EXPECT_EQ(d.trigger_time(), 1500u);  // 500 B / 1 B/ns + 1000 ns
+  EXPECT_EQ(sim.trigger_time(d), 1500u);  // 500 B / 1 B/ns + 1000 ns
 }
 
 TEST(Network, NicSerializesConcurrentSends) {
@@ -30,8 +31,8 @@ TEST(Network, NicSerializesConcurrentSends) {
   Event d1 = net.send(0, 1, 1000, Event());
   Event d2 = net.send(0, 2, 1000, Event());
   sim.run();
-  EXPECT_EQ(d1.trigger_time(), 2000u);  // injected [0,1000), +latency
-  EXPECT_EQ(d2.trigger_time(), 3000u);  // injected [1000,2000), +latency
+  EXPECT_EQ(sim.trigger_time(d1), 2000u);  // injected [0,1000), +latency
+  EXPECT_EQ(sim.trigger_time(d2), 3000u);  // injected [1000,2000), +latency
 }
 
 TEST(Network, DifferentSourcesDoNotSerialize) {
@@ -40,8 +41,8 @@ TEST(Network, DifferentSourcesDoNotSerialize) {
   Event d1 = net.send(0, 2, 1000, Event());
   Event d2 = net.send(1, 2, 1000, Event());
   sim.run();
-  EXPECT_EQ(d1.trigger_time(), 2000u);
-  EXPECT_EQ(d2.trigger_time(), 2000u);
+  EXPECT_EQ(sim.trigger_time(d1), 2000u);
+  EXPECT_EQ(sim.trigger_time(d2), 2000u);
 }
 
 TEST(Network, LocalSendUsesMemoryBandwidthNoLatency) {
@@ -49,17 +50,17 @@ TEST(Network, LocalSendUsesMemoryBandwidthNoLatency) {
   Network net(sim, 2, test_config());
   Event d = net.send(1, 1, 1000, Event());
   sim.run();
-  EXPECT_EQ(d.trigger_time(), 100u);  // 1000 B / 10 B/ns
+  EXPECT_EQ(sim.trigger_time(d), 100u);  // 1000 B / 10 B/ns
 }
 
 TEST(Network, PreconditionDelaysInjection) {
   Simulator sim;
   Network net(sim, 2, test_config());
-  UserEvent gate(sim);
-  Event d = net.send(0, 1, 100, gate.event());
-  sim.schedule_at(5000, [&] { gate.trigger(); });
+  const Event gate = sim.make_event();
+  Event d = net.send(0, 1, 100, gate);
+  sim.schedule_at(5000, [&] { sim.trigger(gate); });
   sim.run();
-  EXPECT_EQ(d.trigger_time(), 6100u);
+  EXPECT_EQ(sim.trigger_time(d), 6100u);
 }
 
 TEST(Network, OnDeliveryRunsAtDeliveryTime) {
@@ -121,7 +122,7 @@ TEST(Network, SubNanosecondSerializationRoundsUp) {
   EXPECT_EQ(net.transfer_time(1), 1001u);   // latency + ceil(1/1)
   Event d = net.send(1, 1, 1, Event());     // local 1 B at 10 B/ns
   sim.run();
-  EXPECT_EQ(d.trigger_time(), 1u);
+  EXPECT_EQ(sim.trigger_time(d), 1u);
 }
 
 TEST(Network, SubNanosecondRemoteSendsStillOccupyTheNic) {
@@ -132,8 +133,36 @@ TEST(Network, SubNanosecondRemoteSendsStillOccupyTheNic) {
   Event d1 = net.send(0, 1, 8, Event());
   Event d2 = net.send(0, 1, 8, Event());
   sim.run();
-  EXPECT_EQ(d1.trigger_time(), 1001u);  // inject [0,1) + latency
-  EXPECT_EQ(d2.trigger_time(), 1002u);  // queued behind the first
+  EXPECT_EQ(sim.trigger_time(d1), 1001u);  // inject [0,1) + latency
+  EXPECT_EQ(sim.trigger_time(d2), 1002u);  // queued behind the first
+}
+
+// Jitter hashes the delivery event's id, so the ids a fixed wiring
+// sequence allocates (spawns, sends, merges, remote merges) are part of
+// the virtual timeline. These trigger times are pinned: a change to id
+// allocation shows up here as a different timeline.
+TEST(Network, HandlerJitterPinnedForFixedSendSequence) {
+  Simulator sim;
+  NetworkConfig c = test_config();
+  c.am_jitter_ns = 500;
+  c.jitter_seed = 3;
+  Network net(sim, 3, c);
+  Processor proc(sim, {0, 0});
+  const Event a = proc.spawn(Event(), 10);
+  const Event d1 = net.send(0, 1, 100, a);
+  const Event m = sim.merge({a, d1});
+  const Event d2 = net.send(1, 2, 50, m);
+  const Event d3 = net.send(2, 0, 0, Event());
+  const Event r = sim.merge_remote(std::vector<Event>{d2, d3});
+  const Event d4 = net.send(0, 2, 10, r);
+  sim.run();
+  const std::vector<Event> events = {a, d1, m, d2, d3, r, d4};
+  const std::vector<Time> pinned = {10, 1491, 1491, 2606, 1366, 2606, 3971};
+  for (size_t k = 0; k < events.size(); ++k) {
+    EXPECT_EQ(events[k].uid(), k + 1);
+    EXPECT_EQ(sim.trigger_time(events[k]), pinned[k]) << "event " << k + 1;
+  }
+  EXPECT_EQ(sim.events_processed(), 6u);
 }
 
 TEST(Network, HandlerJitterIsDeterministicAndBounded) {
@@ -160,8 +189,8 @@ TEST(Network, JitterOnlyAddsDelay) {
   Event d = net.send(0, 1, 500, Event());
   sim.run();
   // Jitter is strictly additive on top of the analytic arrival.
-  EXPECT_GE(d.trigger_time(), 1500u);
-  EXPECT_LE(d.trigger_time(), 1700u);
+  EXPECT_GE(sim.trigger_time(d), 1500u);
+  EXPECT_LE(sim.trigger_time(d), 1700u);
 }
 
 }  // namespace

@@ -16,19 +16,19 @@ TEST(Processor, SerializesWork) {
   Event a = p.spawn(Event(), 100);
   Event b = p.spawn(Event(), 50);
   sim.run();
-  EXPECT_EQ(a.trigger_time(), 100u);
-  EXPECT_EQ(b.trigger_time(), 150u);  // queued behind a
+  EXPECT_EQ(sim.trigger_time(a), 100u);
+  EXPECT_EQ(sim.trigger_time(b), 150u);  // queued behind a
   EXPECT_EQ(p.busy_time(), 150u);
 }
 
 TEST(Processor, WaitsForPrecondition) {
   Simulator sim;
   Processor p(sim, {0, 0});
-  UserEvent gate(sim);
-  Event done = p.spawn(gate.event(), 10);
-  sim.schedule_at(100, [&] { gate.trigger(); });
+  const Event gate = sim.make_event();
+  Event done = p.spawn(gate, 10);
+  sim.schedule_at(100, [&] { sim.trigger(gate); });
   sim.run();
-  EXPECT_EQ(done.trigger_time(), 110u);
+  EXPECT_EQ(sim.trigger_time(done), 110u);
 }
 
 TEST(Processor, WorkRunsAtStartTime) {
@@ -47,21 +47,22 @@ TEST(Processor, IndependentItemsOverlapAcrossCores) {
   Event a = m.proc(0, 0).spawn(Event(), 100);
   Event b = m.proc(0, 1).spawn(Event(), 100);
   sim.run();
-  EXPECT_EQ(a.trigger_time(), 100u);
-  EXPECT_EQ(b.trigger_time(), 100u);
+  EXPECT_EQ(sim.trigger_time(a), 100u);
+  EXPECT_EQ(sim.trigger_time(b), 100u);
   EXPECT_EQ(m.node_busy_time(0), 200u);
 }
 
 TEST(Processor, ReadyOrderIsFifo) {
   Simulator sim;
   Processor p(sim, {0, 0});
-  UserEvent g1(sim), g2(sim);
+  const Event g1 = sim.make_event();
+  const Event g2 = sim.make_event();
   std::vector<int> order;
-  p.spawn(g1.event(), 10, [&] { order.push_back(1); });
-  p.spawn(g2.event(), 10, [&] { order.push_back(2); });
+  p.spawn(g1, 10, [&] { order.push_back(1); });
+  p.spawn(g2, 10, [&] { order.push_back(2); });
   // g2 becomes ready first, so item 2 runs first.
-  sim.schedule_at(5, [&] { g2.trigger(); });
-  sim.schedule_at(6, [&] { g1.trigger(); });
+  sim.schedule_at(5, [&] { sim.trigger(g2); });
+  sim.schedule_at(6, [&] { sim.trigger(g1); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
 }
@@ -78,11 +79,11 @@ TEST(Machine, ProcLookup) {
 TEST(Processor, ZeroDurationCompletesAtReadyTime) {
   Simulator sim;
   Processor p(sim, {0, 0});
-  UserEvent gate(sim);
-  Event done = p.spawn(gate.event(), 0);
-  sim.schedule_at(7, [&] { gate.trigger(); });
+  const Event gate = sim.make_event();
+  Event done = p.spawn(gate, 0);
+  sim.schedule_at(7, [&] { sim.trigger(gate); });
   sim.run();
-  EXPECT_EQ(done.trigger_time(), 7u);
+  EXPECT_EQ(sim.trigger_time(done), 7u);
 }
 
 TEST(Processor, NodePerfScalesDurations) {
@@ -92,7 +93,7 @@ TEST(Processor, NodePerfScalesDurations) {
   Processor p(sim, {0, 0}, &perf);
   Event a = p.spawn(Event(), 100);
   sim.run();
-  EXPECT_EQ(a.trigger_time(), 200u);
+  EXPECT_EQ(sim.trigger_time(a), 200u);
   EXPECT_EQ(p.busy_time(), 200u);
 }
 
@@ -104,8 +105,8 @@ TEST(Processor, SlowdownWindowAppliesByStartTime) {
   Event a = p.spawn(Event(), 50);  // starts at 0, inside: 150 ns
   Event b = p.spawn(Event(), 50);  // starts at 150, outside: 50 ns
   sim.run();
-  EXPECT_EQ(a.trigger_time(), 150u);
-  EXPECT_EQ(b.trigger_time(), 200u);
+  EXPECT_EQ(sim.trigger_time(a), 150u);
+  EXPECT_EQ(sim.trigger_time(b), 200u);
 }
 
 TEST(Processor, ScaledWorkNeverRoundsToZero) {
@@ -115,7 +116,7 @@ TEST(Processor, ScaledWorkNeverRoundsToZero) {
   Processor p(sim, {0, 0}, &perf);
   Event a = p.spawn(Event(), 1);
   sim.run();
-  EXPECT_EQ(a.trigger_time(), 1u);
+  EXPECT_EQ(sim.trigger_time(a), 1u);
 }
 
 TEST(Machine, NodeSpeedsReachProcessors) {
@@ -126,8 +127,8 @@ TEST(Machine, NodeSpeedsReachProcessors) {
   Event fast = m.proc(0, 0).spawn(Event(), 100);
   Event slow = m.proc(1, 0).spawn(Event(), 100);
   sim.run();
-  EXPECT_EQ(fast.trigger_time(), 100u);
-  EXPECT_EQ(slow.trigger_time(), 200u);
+  EXPECT_EQ(sim.trigger_time(fast), 100u);
+  EXPECT_EQ(sim.trigger_time(slow), 200u);
 }
 
 }  // namespace
