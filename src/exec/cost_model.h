@@ -41,14 +41,12 @@ struct CostModel {
   // (Cores reserved for the runtime moved to rt::MapperOptions — the
   // mapper owns every placement decision; see ExecConfig::mapper.)
 
-  // Deterministic pseudo-random compute-time noise per point task
-  // (fraction of the nominal duration). Models OS/system variability:
-  // bulk-synchronous baselines amplify it through their barriers and
-  // blocking collectives, while deferred execution absorbs it — the
-  // §5.3 asynchrony effect.
-  double task_jitter_pct = 0.0;
-  // Heavy-tailed variant: with probability task_slow_prob a point task
-  // runs (1 + task_slow_frac) times longer.
+  // Deterministic pseudo-random compute-time noise per point task: with
+  // probability task_slow_prob (a hash of the op id) it runs
+  // (1 + task_slow_frac) times longer. Models heavy-tailed OS/system
+  // variability: bulk-synchronous baselines amplify it through their
+  // barriers and blocking collectives, while deferred execution absorbs
+  // it — the §5.3 asynchrony effect.
   double task_slow_prob = 0.0;
   double task_slow_frac = 0.0;
 

@@ -162,44 +162,4 @@ std::vector<Fragment> find_fragments(const ir::Program& program,
   return out;
 }
 
-std::optional<Fragment> find_fragment(const ir::Program& program,
-                                      std::string* why) {
-  // Enumerate maximal runs of replicable statements; score each run by
-  // (contains a time loop, total statement weight) and keep the best.
-  std::optional<Fragment> best;
-  uint64_t best_score = 0;
-  std::string last_reason;
-
-  size_t i = 0;
-  const size_t n = program.body.size();
-  while (i < n) {
-    std::string reason;
-    if (!statement_replicable(program, program.body[i], &reason)) {
-      if (!reason.empty()) last_reason = reason;
-      ++i;
-      continue;
-    }
-    size_t j = i;
-    uint64_t score = 0;
-    while (j < n && statement_replicable(program, program.body[j], nullptr)) {
-      // Weight time loops by their trip count so the main simulation
-      // loop wins over e.g. a run of initialization launches.
-      score += program.body[j].kind == ir::StmtKind::kForTime
-                   ? 1 + program.body[j].trip_count
-                   : 1;
-      ++j;
-    }
-    if (score > best_score) {
-      best_score = score;
-      best = Fragment{i, j};
-    }
-    i = j;
-  }
-
-  if (!best && why) {
-    *why = last_reason.empty() ? "no replicable statements" : last_reason;
-  }
-  return best;
-}
-
 }  // namespace cr::passes

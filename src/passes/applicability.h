@@ -2,11 +2,10 @@
 //
 // CR applies to loops of task calls with no loop-carried dependencies
 // except reductions; arbitrary control flow may surround the fragment.
-// The optimization is applied automatically to the largest contiguous
-// range of top-level statements that qualifies.
+// The optimization is applied automatically to every maximal contiguous
+// range of top-level statements that qualifies and contains a launch.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "ir/program.h"
@@ -14,20 +13,9 @@
 
 namespace cr::passes {
 
-// Why a statement cannot be control-replicated (for diagnostics).
-struct Rejection {
-  std::string reason;
-};
-
 // Is this statement (recursively) CR-able?
 bool statement_replicable(const ir::Program& program, const ir::Stmt& stmt,
                           std::string* why = nullptr);
-
-// The largest qualifying contiguous range of program.body, preferring
-// ranges that contain time loops. nullopt (with `why`) when nothing
-// qualifies.
-std::optional<Fragment> find_fragment(const ir::Program& program,
-                                      std::string* why = nullptr);
 
 // All maximal qualifying ranges, in program order. Control replication
 // is a local transformation (paper §1: "it need not be applied only at

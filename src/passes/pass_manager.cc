@@ -58,13 +58,6 @@ bool PassManager::enabled(std::string_view name) const {
   return false;
 }
 
-std::vector<std::string_view> PassManager::pass_names() const {
-  std::vector<std::string_view> names;
-  names.reserve(entries_.size());
-  for (const Entry& e : entries_) names.push_back(e.pass->name());
-  return names;
-}
-
 void PassManager::run_fragment(ir::Program& program, Fragment fragment,
                                PassContext& ctx) {
   ctx.begin_fragment(fragment);

@@ -108,9 +108,6 @@ class PassManager {
   bool enable(std::string_view name, bool on);
   bool enabled(std::string_view name) const;
 
-  // Registered pass names in execution order (including disabled ones).
-  std::vector<std::string_view> pass_names() const;
-
   void set_observer(Observer observer) { observer_ = std::move(observer); }
 
   // Runs every enabled pass in registration order over `fragment`, then

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "support/check.h"
 #include "support/hash.h"
-#include "support/log.h"
 
 namespace cr::rt {
 
@@ -38,10 +38,10 @@ Mapper::Mapper(const sim::Machine& machine, const MapperOptions& options)
     // round-robin in compute_proc into a division by zero. Clamp so at
     // least one compute core survives (on a 1-core node the control and
     // compute roles share core 0, as they must).
-    CR_LOG(kWarn) << "mapper: reserved_cores=" << reserved_
-                  << " >= cores_per_node=" << cores_
-                  << "; clamping to " << (cores_ - 1)
-                  << " so one compute core remains";
+    std::fprintf(stderr,
+                 "[WARN] mapper: reserved_cores=%u >= cores_per_node=%u; "
+                 "clamping to %u so one compute core remains\n",
+                 reserved_, cores_, cores_ - 1);
     reserved_ = cores_ - 1;
   }
   compute_cores_ = cores_ - reserved_;

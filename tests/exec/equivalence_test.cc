@@ -187,5 +187,98 @@ TEST(MultiFragment, TwoLoopsSplitBySingleTaskMatchOracle) {
   }
 }
 
+// Scalars cross shard-body boundaries (paper §4.4: scalars are
+// replicated): a shard launch hands every shard the main task's latest
+// scalar versions, and the main task continues from shard 0's. A(32
+// points, 8 colors) is initialized, s sums A over a 2-iteration loop,
+// then a single task adds s to A. With `tail`, the main task then
+// computes s = 2s + 1, adds s to A again, and a second fragment adds s
+// to every tile.
+struct ScalarProgram {
+  std::shared_ptr<rt::FieldSpace> fs;
+  rt::FieldId fa;
+  rt::RegionId a;
+  ir::ScalarId s;
+  ir::Program program;
+
+  ScalarProgram(rt::RegionForest& f, bool tail) {
+    using P = rt::Privilege;
+    using B = ir::ProgramBuilder;
+    fs = std::make_shared<rt::FieldSpace>();
+    fa = fs->add_field("va");
+    a = f.create_region(rt::IndexSpace::dense(32), fs, "A");
+    const rt::PartitionId pa = rt::partition_equal(f, a, 8, "PA");
+    ir::ProgramBuilder b(f, "scalars");
+    s = b.scalar("s", 0.0);
+    const ir::ScalarId sv = s;
+    auto add_s = [sv](ir::TaskContext& ctx) {
+      ctx.domain().points().for_each_point([&](uint64_t p) {
+        ctx.write_f64(0, 0, p, ctx.read_f64(0, 0, p) + ctx.scalar(sv));
+      });
+    };
+    const ir::TaskId t_init = b.task(
+        "TInit", {{P::kWriteDiscard, rt::ReduceOp::kSum, {fa}}}, 500, 0.5,
+        [](ir::TaskContext& ctx) {
+          ctx.domain().points().for_each_point([&](uint64_t p) {
+            ctx.write_f64(0, 0, p, static_cast<double>(p % 5) + 1.0);
+          });
+        });
+    const ir::TaskId t_sum = b.task(
+        "TSum", {{P::kReadOnly, rt::ReduceOp::kSum, {fa}}}, 500, 0.5,
+        [](ir::TaskContext& ctx) {
+          double acc = 0;
+          ctx.domain().points().for_each_point(
+              [&](uint64_t p) { acc += ctx.read_f64(0, 0, p); });
+          ctx.reduce_scalar(acc);
+        });
+    const ir::TaskId t_add = b.task(
+        "TAdd", {{P::kReadWrite, rt::ReduceOp::kSum, {fa}}}, 500, 0.5, add_s);
+
+    b.index_launch(t_init, 8, {B::arg(pa, P::kWriteDiscard, {fa})});
+    b.begin_for_time(2);
+    b.index_launch_red(t_sum, 8, {B::arg(pa, P::kReadOnly, {fa})},
+                       {s, rt::ReduceOp::kSum});
+    b.end_for_time();
+    b.single_task(t_add, {a}, {s});
+    if (tail) {
+      b.scalar_op({s}, {s},
+                  [sv](const std::vector<double>& in,
+                       std::vector<double>& out) { out[sv] = 2 * in[sv] + 1; });
+      b.single_task(t_add, {a}, {s});
+      b.index_launch(t_add, 8, {B::arg(pa, P::kReadWrite, {fa})}, {s});
+    }
+    program = b.finish();
+  }
+};
+
+void expect_scalars_cross_fragments(bool tail, ExecMode mode) {
+  rt::Runtime rt(runtime_config(4, 4, CostModel{}, /*real_data=*/true));
+  ScalarProgram sp(rt.forest(), tail);
+  SequentialResult oracle = run_sequential(sp.program);
+  ExecConfig ecfg;
+  ecfg.mode = mode;
+  PreparedRun run = prepare(rt, sp.program, ecfg);
+  if (mode == ExecMode::kSpmd) {
+    ASSERT_TRUE(run.report.applied) << run.report.failure;
+  }
+  run.run();
+  for (uint64_t pt = 0; pt < 32; ++pt) {
+    ASSERT_EQ(run.engine->read_root_f64(sp.a, sp.fa, pt),
+              oracle.read_f64(sp.a, sp.fa, pt))
+        << "A[" << pt << "]";
+  }
+  EXPECT_EQ(run.engine->scalar(sp.s), oracle.scalar(sp.s));
+}
+
+TEST(MultiFragment, ShardScalarReachesLaterSingleTask) {
+  expect_scalars_cross_fragments(/*tail=*/false, ExecMode::kSpmd);
+  expect_scalars_cross_fragments(/*tail=*/false, ExecMode::kImplicit);
+}
+
+TEST(MultiFragment, MainScalarOpReachesLaterFragment) {
+  expect_scalars_cross_fragments(/*tail=*/true, ExecMode::kSpmd);
+  expect_scalars_cross_fragments(/*tail=*/true, ExecMode::kImplicit);
+}
+
 }  // namespace
 }  // namespace cr::exec

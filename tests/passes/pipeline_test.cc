@@ -15,28 +15,30 @@ TEST(Applicability, SelectsTheTimeLoopFragment) {
   rt::RegionForest forest;
   testing::Fig2 fig(forest, 24, 4, 3);
   std::string why;
-  auto frag = find_fragment(fig.program, &why);
-  ASSERT_TRUE(frag.has_value()) << why;
+  auto frags = find_fragments(fig.program, &why);
+  ASSERT_EQ(frags.size(), 1u) << why;
   // Both the init launch and the time loop qualify.
-  EXPECT_EQ(frag->begin, 0u);
-  EXPECT_EQ(frag->end, 2u);
+  EXPECT_EQ(frags[0].begin, 0u);
+  EXPECT_EQ(frags[0].end, 2u);
 }
 
 TEST(Applicability, SingleTaskSplitsFragments) {
   rt::RegionForest forest;
   testing::Fig2 fig(forest, 24, 4, 3);
   ir::Program p = fig.program;
-  // Insert a single task between init and the loop: the loop side wins
-  // (higher weight).
+  // Insert a single task between init and the loop: each side becomes
+  // its own fragment.
   ir::Stmt st;
   st.kind = ir::StmtKind::kSingleTask;
   st.task = fig.t_init;
   st.regions = {fig.a};
   p.body.insert(p.body.begin() + 1, st);
-  auto frag = find_fragment(p);
-  ASSERT_TRUE(frag.has_value());
-  EXPECT_EQ(frag->begin, 2u);
-  EXPECT_EQ(frag->end, 3u);
+  auto frags = find_fragments(p);
+  ASSERT_EQ(frags.size(), 2u);
+  EXPECT_EQ(frags[0].begin, 0u);
+  EXPECT_EQ(frags[0].end, 1u);
+  EXPECT_EQ(frags[1].begin, 2u);
+  EXPECT_EQ(frags[1].end, 3u);
 }
 
 TEST(Applicability, RejectsAliasedWriteLaunch) {
