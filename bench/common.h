@@ -7,6 +7,7 @@
 // Bench object the main function owns — there are no mutable globals.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
@@ -174,14 +175,16 @@ struct BenchOptions {
   // (ExecutionResult::metrics) plus makespan and attribution as one
   // BENCH_metrics JSON document — the bench_diff input. Empty = off.
   std::string metrics_path;
-  // --mapper=<name>: placement policy for every engine run, resolved
-  // through rt::MapperRegistry ("default", "balanced", "adversarial",
-  // "random"). --mapper-seed seeds the "random" policy.
+  // --mapper=<name>: placement policy for every engine run, one of
+  // rt::mapper_names() ("default", "balanced", "adversarial", "random");
+  // any other name is a bad argument. --mapper-seed seeds the "random"
+  // policy.
   std::string mapper = "default";
   int64_t mapper_seed = 0;
   // --mapper-matrix: instead of the weak-scaling sweep, run the fixed
-  // heterogeneous/faulty-node scenario once per registered policy and
-  // emit one BENCH_mapper.<app>.<policy>.json artifact per cell.
+  // heterogeneous/faulty-node scenario once per policy (default,
+  // balanced, adversarial) and emit one BENCH_mapper.<app>.<policy>.json
+  // artifact per cell.
   bool mapper_matrix = false;
   // Registers the run flags every bench honours (--check,
   // --check-mutate, --mapper, --mapper-seed) plus those `kind` adds: the
@@ -193,10 +196,17 @@ struct BenchOptions {
                       BenchKind kind) {
     flags.add_flag("check", "run the happens-before race checker",
                    &check);
-    flags.add("mapper", "=<name>",
-              "placement policy (default, balanced, adversarial, random)",
-              [this](const std::string& value, bool has_value) {
-                if (!has_value || value.empty()) return false;
+    std::string policies;
+    for (const std::string& name : rt::mapper_names()) {
+      policies += (policies.empty() ? "" : ", ") + name;
+    }
+    flags.add("mapper", "=<name>", "placement policy (" + policies + ")",
+              [this](const std::string& value, bool) {
+                const std::vector<std::string>& names = rt::mapper_names();
+                if (std::find(names.begin(), names.end(), value) ==
+                    names.end()) {
+                  return false;
+                }
                 mapper = value;
                 return true;
               });

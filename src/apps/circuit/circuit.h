@@ -60,10 +60,6 @@ struct App {
   rt::PartitionId p_wires = rt::kNoId; // wires by piece (disjoint)
   uint64_t pieces = 0;
   ir::Program program;
-
-  uint64_t graph_nodes_per_machine_node() const {
-    return config.pieces_per_node * config.nodes_per_piece;
-  }
 };
 
 App build(rt::Runtime& rt, const Config& config);

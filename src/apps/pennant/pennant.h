@@ -66,11 +66,6 @@ struct App {
   // Scalars.
   ir::ScalarId s_dt = 0, s_dtrec = 0;
   ir::Program program;
-
-  uint64_t zones_per_node() const {
-    return config.pieces_per_node * config.zones_x_per_piece *
-           config.zones_y;
-  }
 };
 
 App build(rt::Runtime& rt, const Config& config);

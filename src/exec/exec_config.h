@@ -21,7 +21,7 @@ struct ExecConfig {
   CostModel cost;
   ExecMode mode = ExecMode::kSpmd;
 
-  // Placement policy: a rt::MapperRegistry name ("default", "balanced",
+  // Placement policy: a rt::mapper_names() entry ("default", "balanced",
   // "adversarial", "random") plus its knobs (seed, reserved cores). The
   // Engine installs the selected mapper on the Runtime at construction;
   // this field is the only way to configure placement (one-struct rule).

@@ -7,14 +7,14 @@
 //   shard creation.
 //
 // Every optimization can be disabled independently for the ablation
-// studies; disabling correctness-relevant stages falls back to the
+// studies through PipelineOptions, the one configuration route;
+// disabling correctness-relevant stages falls back to the
 // naive-but-correct form (all-pairs copies, barrier synchronization),
 // never to an incorrect program.
 #pragma once
 
-#include <map>
+#include <functional>
 #include <string>
-#include <vector>
 
 #include "ir/program.h"
 
@@ -31,9 +31,10 @@ struct PipelineOptions {
   bool intersection_opt = true;  // §3.3 (ablation A1)
   bool p2p_sync = true;          // §3.4 (ablation A2; false = barriers)
   bool hierarchical = true;      // §4.5 (ablation A3; false = flat aliasing)
-  // When set, per-pass counters and IR size deltas are mirrored into
-  // this registry under "passes.*" (observability only; never read by
-  // the passes).
+  // When set, every pass that runs records its counters and IR size
+  // delta (recursive statement count before/after, "stmts_in" /
+  // "stmts_out") here as "passes.<pass>.<counter>", summed over
+  // fragments (observability only; never read by the passes).
   support::MetricsRegistry* metrics = nullptr;
 };
 
@@ -52,15 +53,19 @@ struct PipelineReport {
   size_t collectives = 0;
   size_t p2p_copies = 0;
   size_t barriers = 0;
-  // The uniform per-pass counters the fields above are derived from,
-  // keyed "<pass>.<counter>" (see passes/pass_manager.h).
-  std::map<std::string, uint64_t> stats;
 };
+
+// Called after every pass that runs, with the pass name and the program
+// in its post-pass state (before the fragment's init/pre/finalize copies
+// are spliced in). The golden IR-snapshot tests hook in here.
+using PassObserver =
+    std::function<void(const char* pass, const ir::Program& program)>;
 
 // Transform `program` in place. Returns the report; when the program is
 // not replicable it is left untouched and report.applied is false.
 PipelineReport control_replicate(ir::Program& program,
-                                 const PipelineOptions& options);
+                                 const PipelineOptions& options,
+                                 const PassObserver& observer = {});
 
 // The distributed-memory preparation *without* control replication:
 // projection normalization, data replication, reductions, placement and
@@ -69,6 +74,7 @@ PipelineReport control_replicate(ir::Program& program,
 // Legion runtime performs from a single control thread when CR is off
 // (every copy and every point task issued centrally).
 PipelineReport prepare_distributed(ir::Program& program,
-                                   const PipelineOptions& options);
+                                   const PipelineOptions& options,
+                                   const PassObserver& observer = {});
 
 }  // namespace cr::passes

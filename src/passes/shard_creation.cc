@@ -1,6 +1,5 @@
 #include "passes/shard_creation.h"
 
-#include "rt/mapper.h"
 #include "support/check.h"
 
 namespace cr::passes {
@@ -22,15 +21,6 @@ void shard_creation(ir::Program& program, Fragment& fragment,
   program.body.insert(program.body.begin() + static_cast<long>(fragment.begin),
                       std::move(shard));
   fragment.end = fragment.begin + 1;
-}
-
-ColorRange shard_block(uint64_t colors, uint32_t num_shards, uint32_t s) {
-  // Even block split with the remainder on the leading shards — the one
-  // shared definition (rt::block_range) also backs the default mapper's
-  // node_of_color, so shard-owned tasks are node-local under the default
-  // placement policy.
-  const rt::BlockRange r = rt::block_range(colors, num_shards, s);
-  return ColorRange{r.begin, r.end};
 }
 
 }  // namespace cr::passes

@@ -6,7 +6,8 @@
 // space (SI = block(I, X)) and of every copy's source colors; the
 // intersection tables are filtered per shard (SIQPB). Initialization and
 // finalization stay with the main task. The blocking itself is performed
-// by the SPMD executor from `num_shards`; this pass restructures the IR.
+// by the SPMD executor from `num_shards` (rt::block_range); this pass
+// restructures the IR.
 #pragma once
 
 #include "ir/program.h"
@@ -18,14 +19,5 @@ namespace cr::passes {
 // fragment is updated to the new single-statement range.
 void shard_creation(ir::Program& program, Fragment& fragment,
                     uint32_t num_shards);
-
-// The color range of a width-`colors` launch owned by shard `s` of
-// `num_shards`: the block partition of Figure 4d line 14. Exposed for
-// the executors and tests.
-struct ColorRange {
-  uint64_t begin = 0;
-  uint64_t end = 0;
-};
-ColorRange shard_block(uint64_t colors, uint32_t num_shards, uint32_t s);
 
 }  // namespace cr::passes

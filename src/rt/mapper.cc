@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 
 #include "support/check.h"
 #include "support/hash.h"
@@ -196,51 +197,30 @@ class RandomMapper : public Mapper {
 
 }  // namespace
 
-MapperRegistry& MapperRegistry::instance() {
-  static MapperRegistry* reg = [] {
-    auto* r = new MapperRegistry();
-    r->register_policy("default", [](const sim::Machine& m,
-                                     const MapperOptions& o) {
-      return std::make_unique<Mapper>(m, o);
-    });
-    r->register_policy("balanced", [](const sim::Machine& m,
-                                      const MapperOptions& o) {
-      return std::make_unique<BalancedMapper>(m, o);
-    });
-    r->register_policy("adversarial", [](const sim::Machine& m,
-                                         const MapperOptions& o) {
-      return std::make_unique<AdversarialMapper>(m, o);
-    });
-    r->register_policy("random", [](const sim::Machine& m,
-                                    const MapperOptions& o) {
-      return std::make_unique<RandomMapper>(m, o);
-    });
-    return r;
-  }();
-  return *reg;
+const std::vector<std::string>& mapper_names() {
+  static const std::vector<std::string> names = {"default", "balanced",
+                                                 "adversarial", "random"};
+  return names;
 }
 
-void MapperRegistry::register_policy(const std::string& name,
-                                     Factory factory) {
-  factories_[name] = std::move(factory);
-}
-
-std::unique_ptr<Mapper> MapperRegistry::create(
-    const sim::Machine& machine, const MapperOptions& options) const {
-  auto it = factories_.find(options.name);
-  if (it == factories_.end()) {
-    std::string msg = "unknown mapper \"" + options.name + "\"; registered:";
-    for (const auto& [n, f] : factories_) msg += " " + n;
-    CR_CHECK_MSG(false, msg.c_str());
+std::unique_ptr<Mapper> make_mapper(const sim::Machine& machine,
+                                    const MapperOptions& options) {
+  if (options.name == "default") {
+    return std::make_unique<Mapper>(machine, options);
   }
-  return it->second(machine, options);
-}
-
-std::vector<std::string> MapperRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [n, f] : factories_) out.push_back(n);
-  return out;
+  if (options.name == "balanced") {
+    return std::make_unique<BalancedMapper>(machine, options);
+  }
+  if (options.name == "adversarial") {
+    return std::make_unique<AdversarialMapper>(machine, options);
+  }
+  if (options.name == "random") {
+    return std::make_unique<RandomMapper>(machine, options);
+  }
+  std::string msg = "unknown mapper \"" + options.name + "\"; known:";
+  for (const std::string& n : mapper_names()) msg += " " + n;
+  CR_CHECK_MSG(false, msg.c_str());
+  return nullptr;
 }
 
 }  // namespace cr::rt

@@ -2,7 +2,7 @@
 //
 // All placement decisions — shard→node, launch color→node, point
 // task→core, control thread→core — pass through a Mapper. Policies are
-// pluggable: the MapperRegistry holds named factories ("default",
+// pluggable: make_mapper builds one of the named built-ins ("default",
 // "balanced", "adversarial", "random") and ExecConfig::mapper selects
 // one per run; the Engine installs it on the Runtime at construction.
 //
@@ -21,8 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,7 +54,7 @@ struct LaunchShape {
 };
 
 // The blocked distribution shared by the default mapper, the engine's
-// copy-ownership rule and passes::shard_block: ceil(colors/parts) per
+// copy-ownership rule and the SPMD shard blocking: ceil(colors/parts) per
 // part with the remainder on the leading parts. Keeping one definition
 // guarantees shard-owned colors are node-local under the default policy
 // (paper §3.5).
@@ -70,7 +68,7 @@ BlockRange block_range(uint64_t colors, uint32_t parts, uint32_t part);
 class Mapper {
  public:
   // Constructing a Mapper directly yields the default blocked policy;
-  // named policies come from MapperRegistry::create.
+  // named policies come from make_mapper.
   Mapper(const sim::Machine& machine, const MapperOptions& options);
   virtual ~Mapper() = default;
 
@@ -109,26 +107,15 @@ class Mapper {
   std::vector<double> speeds_;
 };
 
-// Named placement policies. Built-ins: "default" (blocked, the pre-
-// registry behavior bit-for-bit), "balanced" (speed- and weight-aware
-// contiguous blocks), "adversarial" (every color on the slowest node),
-// "random" (seeded hash placement). register_policy adds user policies.
-class MapperRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<Mapper>(
-      const sim::Machine&, const MapperOptions&)>;
+// The named placement policies: "default" (blocked; the committed
+// baselines pin its placements bit for bit), "balanced" (speed- and
+// weight-aware contiguous blocks), "adversarial" (every color on the
+// slowest node), "random" (seeded hash placement).
+const std::vector<std::string>& mapper_names();
 
-  static MapperRegistry& instance();
-
-  void register_policy(const std::string& name, Factory factory);
-  // CHECK-fails on an unknown name (a typo must not silently fall back
-  // to a different placement).
-  std::unique_ptr<Mapper> create(const sim::Machine& machine,
-                                 const MapperOptions& options) const;
-  std::vector<std::string> names() const;
-
- private:
-  std::map<std::string, Factory> factories_;
-};
+// Builds the policy named options.name. CHECK-fails on an unknown name
+// (a typo must not silently fall back to a different placement).
+std::unique_ptr<Mapper> make_mapper(const sim::Machine& machine,
+                                    const MapperOptions& options);
 
 }  // namespace cr::rt

@@ -10,10 +10,10 @@ Runtime::Runtime(RuntimeConfig config)
       deps_(forest_),
       copies_(network_, forest_,
               config.real_data ? &instances_ : nullptr),
-      mapper_(MapperRegistry::instance().create(machine_, MapperOptions{})) {}
+      mapper_(make_mapper(machine_, MapperOptions{})) {}
 
 Mapper& Runtime::select_mapper(const MapperOptions& options) {
-  mapper_ = MapperRegistry::instance().create(machine_, options);
+  mapper_ = make_mapper(machine_, options);
   return *mapper_;
 }
 

@@ -40,7 +40,7 @@ class Runtime {
   DependenceTracker& deps() { return deps_; }
   CopyEngine& copies() { return copies_; }
   Mapper& mapper() { return *mapper_; }
-  // Install the named placement policy (MapperRegistry) as the active
+  // Install the named placement policy (make_mapper) as the active
   // mapper. Called by the Engine at construction from ExecConfig::mapper
   // — the one way to configure placement. A fresh Runtime starts with
   // the default policy.

@@ -1,5 +1,5 @@
-// Conformance suite for the programmable mapper API: every policy in
-// the MapperRegistry must produce in-range, deterministic placements
+// Conformance suite for the programmable mapper API: every named policy
+// (rt::mapper_names) must produce in-range, deterministic placements
 // (a mapper is a pure function of its construction inputs and call
 // arguments), the default policy's placements are golden-snapshotted
 // (committed baselines depend on them bit-for-bit), and under every
@@ -35,27 +35,26 @@ sim::MachineConfig hetero_machine() {
 }
 
 TEST(MapperRegistry, BuiltInPoliciesAreRegistered) {
-  const std::vector<std::string> names =
-      rt::MapperRegistry::instance().names();
+  const std::vector<std::string>& names = rt::mapper_names();
   for (const char* want : {"default", "balanced", "adversarial", "random"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), want), names.end())
         << want;
   }
 }
 
-// Every registered policy: placements within the machine, and two
+// Every named policy: placements within the machine, and two
 // independently constructed instances agree point-for-point.
 TEST(MapperConformance, PlacementsInRangeAndDeterministic) {
   sim::Simulator sim;
   sim::Machine machine(sim, hetero_machine());
   const std::vector<uint64_t> weights = {5, 1, 1, 1, 9, 2,
                                          2, 2, 1, 1, 3, 7};
-  for (const std::string& name : rt::MapperRegistry::instance().names()) {
+  for (const std::string& name : rt::mapper_names()) {
     rt::MapperOptions opt;
     opt.name = name;
     opt.seed = 42;
-    const auto a = rt::MapperRegistry::instance().create(machine, opt);
-    const auto b = rt::MapperRegistry::instance().create(machine, opt);
+    const auto a = rt::make_mapper(machine, opt);
+    const auto b = rt::make_mapper(machine, opt);
     EXPECT_EQ(a->name(), name);
     for (const uint64_t colors : {uint64_t{1}, uint64_t{4}, uint64_t{12}}) {
       const rt::LaunchShape shape{
@@ -87,7 +86,7 @@ TEST(MapperConformance, PlacementsInRangeAndDeterministic) {
 TEST(MapperConformance, DefaultGoldenPlacements) {
   sim::Simulator sim;
   sim::Machine machine(sim, hetero_machine());
-  const auto m = rt::MapperRegistry::instance().create(machine, {});
+  const auto m = rt::make_mapper(machine, {});
   const std::vector<uint32_t> golden8 = {0, 0, 1, 1, 2, 2, 3, 3};
   const std::vector<uint32_t> golden6 = {0, 0, 1, 1, 2, 3};
   for (uint64_t c = 0; c < 8; ++c) {
@@ -111,7 +110,7 @@ TEST(MapperConformance, DefaultGoldenPlacements) {
 TEST(MapperConformance, BalancedFollowsSpeedFactors) {
   sim::Simulator sim;
   sim::Machine machine(sim, hetero_machine());
-  const auto m = rt::MapperRegistry::instance().create(
+  const auto m = rt::make_mapper(
       machine, rt::MapperOptions{.name = "balanced"});
   const uint64_t colors = 36;
   std::vector<uint32_t> count(4, 0);
@@ -139,7 +138,7 @@ TEST(MapperConformance, BalancedFollowsSpeedFactors) {
 TEST(MapperConformance, AdversarialClustersOnSlowestNode) {
   sim::Simulator sim;
   sim::Machine machine(sim, hetero_machine());
-  const auto m = rt::MapperRegistry::instance().create(
+  const auto m = rt::make_mapper(
       machine, rt::MapperOptions{.name = "adversarial"});
   for (uint64_t c = 0; c < 12; ++c) {
     EXPECT_EQ(m->node_of_color(c, 12), 0u);  // node 0 runs at 0.5x
@@ -149,11 +148,11 @@ TEST(MapperConformance, AdversarialClustersOnSlowestNode) {
 TEST(MapperConformance, RandomIsSeedStable) {
   sim::Simulator sim;
   sim::Machine machine(sim, hetero_machine());
-  const auto a = rt::MapperRegistry::instance().create(
+  const auto a = rt::make_mapper(
       machine, rt::MapperOptions{.name = "random", .seed = 7});
-  const auto b = rt::MapperRegistry::instance().create(
+  const auto b = rt::make_mapper(
       machine, rt::MapperOptions{.name = "random", .seed = 7});
-  const auto c = rt::MapperRegistry::instance().create(
+  const auto c = rt::make_mapper(
       machine, rt::MapperOptions{.name = "random", .seed = 8});
   bool any_diff = false;
   for (uint64_t col = 0; col < 64; ++col) {
@@ -202,7 +201,7 @@ class MapperScenario : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(MapperScenario, WorkerCountsAgreeUnderEveryPolicy) {
   const uint64_t seed = GetParam();
   for (const std::string& mapper :
-       rt::MapperRegistry::instance().names()) {
+       rt::mapper_names()) {
     const std::string where = mapper + " seed " + std::to_string(seed);
     const ExecutionResult ref = run_random(seed, mapper);
     ASSERT_GT(ref.makespan_ns, 0u) << where;

@@ -1,6 +1,6 @@
-// Golden-file IR snapshots after each registered pass.
+// Golden-file IR snapshots after each pass.
 //
-// The PassManager observer hook fires after every enabled pass; this
+// The pipeline's PassObserver fires after every pass that runs; this
 // test drives the full to-SPMD pipeline over a miniature 4-shard
 // stencil fragment and compares the printed IR (with stable sync ids)
 // after each pass against checked-in goldens under
@@ -22,7 +22,7 @@
 #include "exec/implicit_exec.h"
 #include "ir/printer.h"
 #include "passes/applicability.h"
-#include "passes/pass_manager.h"
+#include "passes/pipeline.h"
 
 namespace cr::passes {
 namespace {
@@ -44,7 +44,7 @@ std::string read_file(const std::string& path) {
 }
 
 // Printed IR after each pass, in pipeline order, plus a final snapshot
-// once run_fragment has spliced the init/pre/finalize copy lists.
+// once the pipeline has spliced the init/pre/finalize copy lists.
 std::vector<std::pair<std::string, std::string>> snapshot_stencil() {
   exec::CostModel cost;
   rt::Runtime rt(exec::runtime_config(4, 2, cost, /*real_data=*/false));
@@ -58,24 +58,18 @@ std::vector<std::pair<std::string, std::string>> snapshot_stencil() {
 
   PipelineOptions options;
   options.num_shards = 4;
-  PassManager manager = make_pipeline(options, /*to_spmd=*/true);
-  PassContext ctx(program, options, /*to_spmd=*/true);
   const ir::PrintOptions print{/*with_decls=*/false, /*show_sync_ids=*/true};
 
+  EXPECT_EQ(find_fragments(program).size(), 1u);
   std::vector<std::pair<std::string, std::string>> snaps;
   int step = 0;
-  manager.set_observer([&](const Pass& pass, const ir::Program& p,
-                           PassContext&) {
-    char tag[64];
-    std::snprintf(tag, sizeof(tag), "stencil_%02d_%s", step++, pass.name());
-    snaps.emplace_back(tag, ir::to_string(p, print));
-  });
-
-  std::vector<Fragment> fragments = find_fragments(program);
-  EXPECT_EQ(fragments.size(), 1u);
-  for (auto it = fragments.rbegin(); it != fragments.rend(); ++it) {
-    manager.run_fragment(program, *it, ctx);
-  }
+  const PipelineReport report = control_replicate(
+      program, options, [&](const char* pass, const ir::Program& p) {
+        char tag[64];
+        std::snprintf(tag, sizeof(tag), "stencil_%02d_%s", step++, pass);
+        snaps.emplace_back(tag, ir::to_string(p, print));
+      });
+  EXPECT_TRUE(report.applied);
   char tag[64];
   std::snprintf(tag, sizeof(tag), "stencil_%02d_spliced", step++);
   snaps.emplace_back(tag, ir::to_string(program, print));
@@ -85,8 +79,8 @@ std::vector<std::pair<std::string, std::string>> snapshot_stencil() {
 TEST(GoldenSnapshot, StencilPerPassIR) {
   const bool update = std::getenv("CR_UPDATE_GOLDEN") != nullptr;
   const auto snaps = snapshot_stencil();
-  // Every registered pass fired (defaults enable all eight), plus the
-  // post-splice snapshot.
+  // Every pass fired (the defaults run all eight), plus the post-splice
+  // snapshot.
   ASSERT_EQ(snaps.size(), 9u);
   for (const auto& [name, text] : snaps) {
     const std::string path = golden_path(name);
@@ -105,8 +99,8 @@ TEST(GoldenSnapshot, StencilPerPassIR) {
   }
 }
 
-// The ablation toggles flow through PassManager::enable: disabled
-// passes do not fire the observer and do not transform.
+// The ablation toggles are PipelineOptions guards: a disabled pass does
+// not fire the observer and does not transform.
 TEST(GoldenSnapshot, DisabledPassSkipsObserver) {
   exec::CostModel cost;
   rt::Runtime rt(exec::runtime_config(4, 2, cost, /*real_data=*/false));
@@ -121,23 +115,18 @@ TEST(GoldenSnapshot, DisabledPassSkipsObserver) {
   PipelineOptions options;
   options.num_shards = 4;
   options.intersection_opt = false;  // ablation A1
-  PassManager manager = make_pipeline(options, /*to_spmd=*/true);
-  EXPECT_FALSE(manager.enabled("intersection-opt"));
-  PassContext ctx(program, options, /*to_spmd=*/true);
 
   std::vector<std::string> fired;
-  manager.set_observer(
-      [&](const Pass& pass, const ir::Program&, PassContext&) {
-        fired.push_back(pass.name());
-      });
-  std::vector<Fragment> fragments = find_fragments(program);
-  ASSERT_EQ(fragments.size(), 1u);
-  manager.run_fragment(program, fragments.front(), ctx);
+  const PipelineReport report = control_replicate(
+      program, options,
+      [&](const char* pass, const ir::Program&) { fired.push_back(pass); });
+  ASSERT_TRUE(report.applied);
+  EXPECT_EQ(report.intersection_tables, 0u);
 
   for (const std::string& name : fired) {
     EXPECT_NE(name, "intersection-opt");
   }
-  EXPECT_EQ(fired.size(), 7u);  // eight registered minus the disabled one
+  EXPECT_EQ(fired.size(), 7u);  // all eight passes minus the disabled one
 }
 
 }  // namespace
