@@ -246,10 +246,6 @@ void Engine::Impl::export_metrics(support::MetricsRegistry& m) {
   m.counter("rt.dep.pairs_scanned").set(deps.pairs_scanned());
   m.counter("rt.dep.pairs_tested").set(deps.pairs_tested());
   m.counter("rt.dep.dependences").set(deps.dependences_found());
-  m.counter("rt.dep.index_queries").set(deps.index_queries());
-  m.counter("rt.dep.index_rebuilds").set(deps.index_rebuilds());
-
-  forest().export_metrics(m);
 }
 
 // --- race-checker instrumentation -------------------------------------------

@@ -49,10 +49,9 @@ struct ExecutionResult {
   // every "sim." / "rt." / "passes." / "exec." / "check." counter, taken
   // after all of the above are mirrored in. Virtual-time and count
   // quantities only (safe to diff across hosts). This is the one record
-  // of the host-side analysis work too: the dependence ("rt.dep."),
-  // aliasing ("rt.alias.") and overlap ("rt.overlap.") counters. Virtual
-  // time depends only on rt.dep.pairs_scanned, never on how well the
-  // index and memo absorbed the work.
+  // of the host-side analysis work too: the dependence counters
+  // ("rt.dep."). Virtual time depends only on rt.dep.pairs_scanned, never
+  // on how many pairs the overlap lists let the tracker skip.
   std::map<std::string, double> metrics;
 };
 

@@ -376,7 +376,8 @@ struct Engine::Impl {
   // Append the completions of the current op's conflicting predecessors
   // on `req` to `pre`; returns the charge for it. The virtual charge is
   // the pairs an exhaustive scan tests (what the simulated master pays);
-  // the indexed tracker only changes how fast the host reproduces it.
+  // the tracker's overlap lists only change how fast the host
+  // reproduces it.
   double depend(const rt::Requirement& req, sim::Event completion,
                 std::vector<sim::Event>& pre);
 

@@ -8,10 +8,7 @@
 namespace cr::exec {
 
 bool is_analysis_counter(const std::string& key) {
-  for (const char* prefix : {"rt.dep.", "rt.alias.", "rt.overlap."}) {
-    if (key.rfind(prefix, 0) == 0) return true;
-  }
-  return false;
+  return key.rfind("rt.dep.", 0) == 0;
 }
 
 double ScalingSeries::efficiency_at(uint32_t nodes) const {

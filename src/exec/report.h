@@ -65,7 +65,7 @@ struct ScalingReport {
 };
 
 // Whether a registry key is one of the dynamic-analysis counters the
-// --selftime appendix reports (rt.dep.*, rt.alias.*, rt.overlap.*).
+// --selftime appendix reports (rt.dep.*).
 bool is_analysis_counter(const std::string& key);
 
 // Duration helper: virtual ns -> seconds.

@@ -4,8 +4,8 @@
 // variables or constants. This module answers may-alias queries over such
 // symbolic references using only the *structure* of the region forest —
 // partition disjointness flags and parent/child edges — never the index
-// space contents (those are runtime information; compare
-// rt::RegionForest::overlaps_exact).
+// space contents (those are runtime information; compare the exact
+// overlap lists of rt::DependenceTracker).
 //
 // It also provides the partition-granularity oracle the data replication
 // pass consults, in two precisions:

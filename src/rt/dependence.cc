@@ -2,140 +2,125 @@
 
 #include <algorithm>
 
-#include "support/check.h"
+#include "rt/intersect.h"
 
 namespace cr::rt {
+
+DependenceTracker::DependenceTracker(const RegionForest& forest)
+    : forest_(&forest) {}
+DependenceTracker::~DependenceTracker() = default;
+
+const std::vector<DependenceTracker::Overlap>& DependenceTracker::overlaps_of(
+    RegionId r) {
+  // The passes create partitions, so the forest can grow between runs:
+  // a list built before then would miss the new regions.
+  if (lists_.size() != forest_->num_regions()) {
+    lists_.assign(forest_->num_regions(), OverlapList{});
+    child_index_.clear();
+  }
+  OverlapList& list = lists_[r];
+  if (list.built) return list.entries;
+  list.built = true;
+  const support::IntervalSet& pts = forest_->region(r).ispace.points();
+  if (pts.empty()) return list.entries;  // overlaps nothing, not even r
+
+  // Descend r's tree from the root (which contains r, so overlaps it).
+  // Each partition's child index yields exactly the children sharing an
+  // element with r; a subtree whose root misses r is skipped whole.
+  std::vector<RegionId> stack{forest_->region(r).root};
+  std::vector<uint64_t> colors;
+  while (!stack.empty()) {
+    const RegionNode& q = forest_->region(stack.back());
+    stack.pop_back();
+    list.entries.push_back({q.id, pts.contains_all(q.ispace.points())});
+    for (PartitionId p : q.partitions) {
+      std::unique_ptr<IntervalTree>& index = child_index_[p];
+      if (!index) {
+        index = std::make_unique<IntervalTree>(subregion_index(*forest_, p));
+      }
+      overlapping_colors(*index, pts, colors);
+      for (uint64_t c : colors) stack.push_back(forest_->subregion(p, c));
+    }
+  }
+  return list.entries;
+}
 
 std::vector<sim::Event> DependenceTracker::record(uint64_t op_id,
                                                   const Requirement& req,
                                                   sim::Event completion) {
   std::vector<sim::Event> preconditions;
-  const RegionNode& node = forest_->region(req.region);
-  const support::IntervalSet& pts = node.ispace.points();
+  const RegionId root = forest_->region(req.region).root;
+  const std::vector<Overlap>& overlaps = overlaps_of(req.region);
   const bool can_prune = privilege_writes(req.privilege);
-  support::Interval query{0, 0};
-  if (!pts.empty()) query = pts.bounds();
 
   for (FieldId f : req.fields) {
-    FieldState& st = users_[{node.root, f}];
+    FieldState& st = users_[{root, f}];
     // The exhaustive scan tests every live non-self user; charge that to
-    // the simulated master regardless of what the index skips.
+    // the simulated master regardless of how many buckets are skipped.
     const uint64_t self_live = st.last_op == op_id ? st.last_op_live : 0;
     pairs_scanned_ += st.alive - self_live;
 
-    // Candidate slots, in insertion order. The geometric candidate set
-    // is a superset of every exactly-overlapping user (bounding extents
-    // are conservative), so the conflicts found — and the epochs pruned
-    // — match the exhaustive scan's exactly.
-    cand_.clear();
-    if (!pts.empty()) {
-      ++index_queries_;
-      hits_.clear();
-      st.tree.query(query, hits_);
-      cand_.assign(hits_.begin(), hits_.end());
-      st.tail_touched +=
-          static_cast<uint64_t>(st.slots.size() - st.indexed_end);
-      for (size_t i = st.indexed_end; i < st.slots.size(); ++i) {
-        const support::Interval& b = st.slots[i].bounds;
-        if (b.lo < query.hi && query.lo < b.hi) {
-          cand_.push_back(static_cast<uint32_t>(i));
-        }
-      }
-      std::sort(cand_.begin(), cand_.end());
+    // Every live user sharing an element with the requirement, in issue
+    // order — the exhaustive scan's order with the non-overlapping users
+    // left out.
+    gathered_.clear();
+    for (const Overlap& o : overlaps) {
+      auto it = st.buckets.find(o.region);
+      if (it == st.buckets.end()) continue;
+      for (User& u : it->second) gathered_.emplace_back(&u, o.covered);
     }
+    std::sort(gathered_.begin(), gathered_.end(),
+              [](const auto& a, const auto& b) {
+                return a.first->seq < b.first->seq;
+              });
 
-    for (uint32_t idx : cand_) {
-      User& u = st.slots[idx];
-      // Tombstones, and an operation never depending on itself (e.g. a
-      // copy registering both its read and write requirements).
-      if (!u.alive || u.op_id == op_id) continue;
+    bool pruned = false;
+    for (auto [u, covered] : gathered_) {
+      // An operation never depends on itself (e.g. a copy registering
+      // both its read and write requirements).
+      if (u->op_id == op_id) continue;
       ++pairs_tested_;
-      const bool conflict =
-          privileges_conflict(u.privilege, u.redop, req.privilege,
-                              req.redop) &&
-          forest_->may_alias(u.region, req.region) &&
-          forest_->overlaps_exact(u.region, req.region);
-      if (!conflict) continue;
+      if (!privileges_conflict(u->privilege, u->redop, req.privilege,
+                               req.redop)) {
+        continue;
+      }
       ++dependences_found_;
       // One precondition per predecessor: the same completion reached
       // via several fields would only make Simulator::merge re-wait on it.
       if (std::find(preconditions.begin(), preconditions.end(),
-                    u.completion) == preconditions.end()) {
-        preconditions.push_back(u.completion);
+                    u->completion) == preconditions.end()) {
+        preconditions.push_back(u->completion);
       }
       // Epoch pruning: a writer that covers a prior user transitively
       // orders every later conflicting operation, so the prior user can
       // retire. Only writers dominate (a reader covering a writer must
       // not hide it from later readers).
-      if (can_prune &&
-          pts.contains_all(forest_->region(u.region).ispace.points())) {
-        u.alive = false;
+      if (can_prune && covered) {
+        u->alive = false;
         --st.alive;
-        ++st.dead;
+        pruned = true;
+      }
+    }
+    if (pruned) {
+      for (const Overlap& o : overlaps) {
+        auto it = st.buckets.find(o.region);
+        if (o.covered && it != st.buckets.end()) {
+          std::erase_if(it->second, [](const User& u) { return !u.alive; });
+        }
       }
     }
 
-    register_user(st, op_id, req, completion, query);
-    maybe_rebuild(st);
-  }
-  return preconditions;
-}
-
-void DependenceTracker::register_user(FieldState& st, uint64_t op_id,
-                                      const Requirement& req,
-                                      sim::Event completion,
-                                      support::Interval bounds) {
-  User nu;
-  nu.op_id = op_id;
-  nu.privilege = req.privilege;
-  nu.redop = req.redop;
-  nu.region = req.region;
-  nu.completion = completion;
-  nu.bounds = bounds;
-  st.slots.push_back(std::move(nu));
-  ++st.alive;
-  if (st.last_op == op_id) {
-    ++st.last_op_live;
-  } else {
-    st.last_op = op_id;
-    st.last_op_live = 1;
-  }
-}
-
-void DependenceTracker::maybe_rebuild(FieldState& st) {
-  // Staleness = users the index doesn't cover well: appends past
-  // indexed_end (scanned linearly per query) plus tombstones (returned
-  // by queries, then skipped). Rebuilding once staleness reaches an
-  // eighth of the live list amortizes to O(log n) per record. That
-  // ratio alone is not a bound on tail work, though: with heavy
-  // tombstone churn `alive` stays large while a short unindexed tail is
-  // rescanned by every query, so the second trigger caps *accumulated*
-  // tail scans — once they have cost as much as one pass over the live
-  // list (the price of a rebuild), rebuilding amortizes to O(1) extra.
-  // Rebuild timing is host-side only: candidates are live slots whose
-  // bounds overlap the query either way, so pairs_tested and the
-  // dependence set are unaffected.
-  const uint64_t stale =
-      static_cast<uint64_t>(st.slots.size() - st.indexed_end) + st.dead;
-  const bool ratio_stale = stale > 64 && stale * 8 >= st.alive;
-  const bool tail_hot = st.tail_touched > 64 && st.tail_touched >= st.alive;
-  if (!ratio_stale && !tail_hot) return;
-  st.tail_touched = 0;
-  if (st.dead > 0) {
-    std::erase_if(st.slots, [](const User& u) { return !u.alive; });
-    st.dead = 0;
-  }
-  CR_DCHECK(st.slots.size() == st.alive);
-  std::vector<IntervalTree::Entry> entries;
-  entries.reserve(st.slots.size());
-  for (size_t i = 0; i < st.slots.size(); ++i) {
-    if (!st.slots[i].bounds.empty()) {
-      entries.push_back({st.slots[i].bounds, i});
+    st.buckets[req.region].push_back(
+        {next_seq_++, op_id, req.privilege, req.redop, true, completion});
+    ++st.alive;
+    if (st.last_op == op_id) {
+      ++st.last_op_live;
+    } else {
+      st.last_op = op_id;
+      st.last_op_live = 1;
     }
   }
-  st.tree = IntervalTree(std::move(entries));
-  st.indexed_end = st.slots.size();
-  ++index_rebuilds_;
+  return preconditions;
 }
 
 void DependenceTracker::reset() {
@@ -143,8 +128,6 @@ void DependenceTracker::reset() {
   pairs_tested_ = 0;
   pairs_scanned_ = 0;
   dependences_found_ = 0;
-  index_queries_ = 0;
-  index_rebuilds_ = 0;
 }
 
 }  // namespace cr::rt

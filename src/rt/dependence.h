@@ -17,31 +17,38 @@
 //    would test. This is the virtual-time cost basis fed to the cost
 //    model — it models the implicit master and must not change when the
 //    host-side analysis gets faster.
-//  - pairs_tested(): exact conflict tests this implementation actually
-//    ran. The tracker keeps an interval tree over each user list's
-//    bounding extents, so a new requirement only tests geometric
-//    candidates and pairs_tested() drops far below pairs_scanned() on
-//    mostly-disjoint access patterns.
+//  - pairs_tested(): privilege tests this implementation actually ran.
+//    Live users are bucketed by region, and a requirement on R visits
+//    only the buckets of regions that overlap R, so pairs_tested() stays
+//    far below pairs_scanned() on mostly-disjoint access patterns.
 //
-// The index finds the same dependence set, in the same order, and prunes
-// the same epochs as the exhaustive scan: a user whose bounding extent
-// misses the requirement's cannot overlap it exactly, so the geometric
-// candidate set is a superset of every conflicting user.
+// Which regions overlap R is a fixed fact of the region forest (geometry
+// never changes after creation), so each region's overlap list is
+// computed once, the first time a requirement names it, by descending
+// R's tree from the root through one interval index per partition. The
+// buckets on the list hold exactly the users an exhaustive scan would
+// find overlapping; sorting them by issue sequence reproduces the scan's
+// dependence set, precondition order and pruned epochs.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <unordered_map>
 #include <vector>
 
-#include "rt/intersect.h"
 #include "rt/task.h"
 #include "sim/event.h"
 
 namespace cr::rt {
 
+class IntervalTree;
+
 class DependenceTracker {
  public:
-  explicit DependenceTracker(const RegionForest& forest) : forest_(&forest) {}
+  // Out of line: the child indexes hold an IntervalTree (rt/intersect.h).
+  explicit DependenceTracker(const RegionForest& forest);
+  ~DependenceTracker();
 
   // Record an operation's use of a region; returns the completion events
   // of conflicting predecessors (deduplicated: a predecessor reached via
@@ -55,66 +62,58 @@ class DependenceTracker {
   // Clear all user lists (between independent executions).
   void reset();
 
-  // Exact conflict tests performed by this implementation.
+  // Privilege tests performed by this implementation.
   uint64_t pairs_tested() const { return pairs_tested_; }
   // Pairs an exhaustive scan would have tested (virtual-time cost basis).
   uint64_t pairs_scanned() const { return pairs_scanned_; }
   uint64_t dependences_found() const { return dependences_found_; }
-  uint64_t index_queries() const { return index_queries_; }
-  uint64_t index_rebuilds() const { return index_rebuilds_; }
 
  private:
   struct User {
+    uint64_t seq = 0;  // issue order across every bucket of the tracker
     uint64_t op_id = 0;
     Privilege privilege = Privilege::kReadOnly;
     ReduceOp redop = ReduceOp::kSum;
-    RegionId region = kNoId;
-    sim::Event completion;
-    support::Interval bounds;  // bounding extent of the region's points
-                               // ({0, 0} for an empty region: matches no
-                               // query, exactly as it overlaps nothing)
     bool alive = true;
+    sim::Event completion;
   };
 
-  // Per-(root, field) user list. Users append in issue order and retire
-  // in place (tombstones), so a slot index is an insertion timestamp:
-  // candidate sets sorted by index reproduce the exhaustive scan's order
-  // exactly. The interval tree indexes the prefix [0, indexed_end);
-  // younger users are scanned linearly until enough staleness (pending
-  // appends + tombstones) accumulates to amortize a rebuild.
+  // Per-(root, field) live users, bucketed by region in issue order.
   struct FieldState {
-    std::vector<User> slots;
-    IntervalTree tree{std::vector<IntervalTree::Entry>{}};
-    size_t indexed_end = 0;
+    std::unordered_map<RegionId, std::vector<User>> buckets;
     uint64_t alive = 0;
-    uint64_t dead = 0;
     // Self-requirement tracking: live entries of the most recent
     // recording operation (an operation never depends on itself, and the
     // exhaustive scan skips such entries without counting them).
     uint64_t last_op = UINT64_MAX;
     uint64_t last_op_live = 0;
-    // Accumulated linear tail-scan work since the last rebuild. The
-    // staleness ratio alone is not enough to bound it: heavy tombstone
-    // churn keeps `alive` large while the unindexed tail is rescanned by
-    // every query, so total tail work between rebuilds can grow
-    // quadratically in the query count.
-    uint64_t tail_touched = 0;
   };
 
-  void register_user(FieldState& st, uint64_t op_id, const Requirement& req,
-                     sim::Event completion, support::Interval bounds);
-  void maybe_rebuild(FieldState& st);
+  // A region overlapping the list's owner; `covered` when the owner
+  // contains all of its elements (a writer of the owner retires it).
+  struct Overlap {
+    RegionId region = kNoId;
+    bool covered = false;
+  };
+  struct OverlapList {
+    bool built = false;
+    std::vector<Overlap> entries;
+  };
+
+  const std::vector<Overlap>& overlaps_of(RegionId r);
 
   const RegionForest* forest_;
   // Keyed by (tree root, field).
   std::map<std::pair<RegionId, FieldId>, FieldState> users_;
-  std::vector<uint32_t> cand_;   // scratch: candidate slot indices
-  std::vector<uint64_t> hits_;   // scratch: raw interval-tree payloads
+  // Geometry caches, indexed by region / keyed by partition. Valid while
+  // lists_.size() == forest_->num_regions(); dropped when the forest grows.
+  std::vector<OverlapList> lists_;
+  std::unordered_map<PartitionId, std::unique_ptr<IntervalTree>> child_index_;
+  std::vector<std::pair<User*, bool>> gathered_;  // scratch: (user, covered)
+  uint64_t next_seq_ = 0;
   uint64_t pairs_tested_ = 0;
   uint64_t pairs_scanned_ = 0;
   uint64_t dependences_found_ = 0;
-  uint64_t index_queries_ = 0;
-  uint64_t index_rebuilds_ = 0;
 };
 
 }  // namespace cr::rt

@@ -125,32 +125,39 @@ void Bvh::query(const Rect& q, std::vector<uint64_t>& out) const {
 // Shallow / complete intersections
 // ---------------------------------------------------------------------
 
+IntervalTree subregion_index(const RegionForest& forest, PartitionId p) {
+  const PartitionNode& node = forest.partition(p);
+  std::vector<IntervalTree::Entry> entries;
+  for (uint64_t c = 0; c < node.subregions.size(); ++c) {
+    for (const support::Interval& iv :
+         forest.region(node.subregions[c]).ispace.points().intervals()) {
+      entries.push_back({iv, c});
+    }
+  }
+  return IntervalTree(std::move(entries));
+}
+
+void overlapping_colors(const IntervalTree& index,
+                        const support::IntervalSet& pts,
+                        std::vector<uint64_t>& out) {
+  out.clear();
+  for (const support::Interval& iv : pts.intervals()) index.query(iv, out);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
 namespace {
 
 std::vector<IntersectionPair> shallow_unstructured(const RegionForest& forest,
                                                    PartitionId src,
                                                    PartitionId dst) {
   const PartitionNode& ps = forest.partition(src);
-  const PartitionNode& pd = forest.partition(dst);
-  // Index the destination's intervals, payload = destination color.
-  std::vector<IntervalTree::Entry> entries;
-  for (uint64_t j = 0; j < pd.subregions.size(); ++j) {
-    for (const support::Interval& iv :
-         forest.region(pd.subregions[j]).ispace.points().intervals()) {
-      entries.push_back({iv, j});
-    }
-  }
-  IntervalTree tree(std::move(entries));
+  const IntervalTree tree = subregion_index(forest, dst);
   std::vector<IntersectionPair> pairs;
   std::vector<uint64_t> hits;
   for (uint64_t i = 0; i < ps.subregions.size(); ++i) {
-    hits.clear();
-    for (const support::Interval& iv :
-         forest.region(ps.subregions[i]).ispace.points().intervals()) {
-      tree.query(iv, hits);
-    }
-    std::sort(hits.begin(), hits.end());
-    hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+    overlapping_colors(tree, forest.region(ps.subregions[i]).ispace.points(),
+                       hits);
     for (uint64_t j : hits) pairs.push_back({i, j});
   }
   return pairs;

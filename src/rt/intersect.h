@@ -67,6 +67,19 @@ class Bvh {
   std::vector<Node> nodes_;
 };
 
+// Interval tree over a partition's subregions: one entry per interval,
+// payload = color. Built once per partition and queried with another
+// region's intervals, it answers "which children overlap this region"
+// without touching the children that miss it.
+IntervalTree subregion_index(const RegionForest& forest, PartitionId p);
+
+// Colors (payloads) of `index` overlapping any interval of `pts`,
+// ascending and deduplicated, written to `out` (cleared first). Exact:
+// interval overlap implies element overlap for IntervalSets.
+void overlapping_colors(const IntervalTree& index,
+                        const support::IntervalSet& pts,
+                        std::vector<uint64_t>& out);
+
 struct IntersectionPair {
   uint64_t src_color = 0;  // color i in the source partition
   uint64_t dst_color = 0;  // color j in the destination partition

@@ -118,79 +118,6 @@ PartitionId partition_image(
                                  /*complete=*/false, std::move(name));
 }
 
-PartitionId partition_preimage(
-    RegionForest& forest, RegionId region, PartitionId source,
-    const std::function<void(uint64_t, std::vector<uint64_t>&)>& targets,
-    std::string name) {
-  const PartitionNode& src = forest.partition(source);
-  const IndexSpace& domain = forest.region(region).ispace;
-  std::vector<std::vector<uint64_t>> pts(src.subregions.size());
-  std::vector<uint64_t> buf;
-  domain.points().for_each_point([&](uint64_t x) {
-    buf.clear();
-    targets(x, buf);
-    for (uint64_t y : buf) {
-      for (size_t i = 0; i < src.subregions.size(); ++i) {
-        if (forest.region(src.subregions[i]).ispace.contains(y)) {
-          pts[i].push_back(x);
-        }
-      }
-    }
-  });
-  std::vector<IndexSpace> subs;
-  subs.reserve(pts.size());
-  for (auto& p : pts) {
-    subs.push_back(
-        domain.subspace(support::IntervalSet::from_points(std::move(p))));
-  }
-  return forest.create_partition(region, std::move(subs),
-                                 /*disjoint=*/false, /*complete=*/false,
-                                 std::move(name));
-}
-
-PartitionId partition_union(RegionForest& forest, PartitionId a,
-                            PartitionId b, std::string name) {
-  const PartitionNode& pa = forest.partition(a);
-  const PartitionNode& pb = forest.partition(b);
-  CR_CHECK_MSG(pa.parent == pb.parent,
-               "pointwise operators need partitions of the same region");
-  CR_CHECK(pa.subregions.size() == pb.subregions.size());
-  const IndexSpace& parent = forest.region(pa.parent).ispace;
-  std::vector<IndexSpace> subs;
-  subs.reserve(pa.subregions.size());
-  for (size_t i = 0; i < pa.subregions.size(); ++i) {
-    subs.push_back(parent.subspace(
-        forest.region(pa.subregions[i])
-            .ispace.points()
-            .set_union(forest.region(pb.subregions[i]).ispace.points())));
-  }
-  return forest.create_partition(pa.parent, std::move(subs),
-                                 /*disjoint=*/false, /*complete=*/false,
-                                 std::move(name));
-}
-
-PartitionId partition_difference(RegionForest& forest, PartitionId a,
-                                 PartitionId b, std::string name) {
-  const PartitionNode& pa = forest.partition(a);
-  const PartitionNode& pb = forest.partition(b);
-  CR_CHECK_MSG(pa.parent == pb.parent,
-               "pointwise operators need partitions of the same region");
-  CR_CHECK(pa.subregions.size() == pb.subregions.size());
-  const IndexSpace& parent = forest.region(pa.parent).ispace;
-  std::vector<IndexSpace> subs;
-  subs.reserve(pa.subregions.size());
-  for (size_t i = 0; i < pa.subregions.size(); ++i) {
-    subs.push_back(parent.subspace(
-        forest.region(pa.subregions[i])
-            .ispace.points()
-            .set_subtract(
-                forest.region(pb.subregions[i]).ispace.points())));
-  }
-  return forest.create_partition(pa.parent, std::move(subs),
-                                 /*disjoint=*/pa.disjoint,
-                                 /*complete=*/false, std::move(name));
-}
-
 PartitionId partition_compose(
     RegionForest& forest, PartitionId source, uint64_t colors,
     const std::function<uint64_t(uint64_t)>& f, std::string name) {
@@ -205,21 +132,6 @@ PartitionId partition_compose(
   return forest.create_partition(src.parent, std::move(subs),
                                  /*disjoint=*/false, /*complete=*/false,
                                  std::move(name));
-}
-
-PartitionId partition_intersect(RegionForest& forest, RegionId window,
-                                PartitionId source, std::string name) {
-  const PartitionNode& src = forest.partition(source);
-  const IndexSpace& wis = forest.region(window).ispace;
-  std::vector<IndexSpace> subs;
-  subs.reserve(src.subregions.size());
-  for (RegionId sub : src.subregions) {
-    subs.push_back(wis.subspace(
-        forest.region(sub).ispace.points().set_intersect(wis.points())));
-  }
-  return forest.create_partition(window, std::move(subs),
-                                 /*disjoint=*/src.disjoint,
-                                 /*complete=*/false, std::move(name));
 }
 
 }  // namespace cr::rt

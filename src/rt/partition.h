@@ -48,30 +48,4 @@ PartitionId partition_compose(
     RegionForest& forest, PartitionId source, uint64_t colors,
     const std::function<uint64_t(uint64_t)>& f, std::string name = {});
 
-// Preimage partition: subregion i = { x in `region` : targets(x) ∩
-// source[i] != ∅ } — the set of elements *pointing into* each subregion
-// (dependent partitioning's dual of image). Disjoint iff each element
-// has exactly one target subregion, which cannot be assumed: aliased.
-PartitionId partition_preimage(
-    RegionForest& forest, RegionId region, PartitionId source,
-    const std::function<void(uint64_t, std::vector<uint64_t>&)>& targets,
-    std::string name = {});
-
-// Pointwise boolean operators over two partitions with the same color
-// space: subregion i = a[i] ∪ b[i] / a[i] \ b[i]. Union preserves
-// disjointness only if both inputs are disjoint and never share
-// elements across colors (not assumed: aliased); difference preserves
-// the first input's disjointness.
-PartitionId partition_union(RegionForest& forest, PartitionId a,
-                            PartitionId b, std::string name = {});
-PartitionId partition_difference(RegionForest& forest, PartitionId a,
-                                 PartitionId b, std::string name = {});
-
-// Restrict each subregion of `source` to `window`'s index space:
-// subregion i = source[i] ∩ window (paper §4.5 builds PB, SB, QB this
-// way from all_private / all_ghost). Preserves the source's
-// disjointness; registered under `window`.
-PartitionId partition_intersect(RegionForest& forest, RegionId window,
-                                PartitionId source, std::string name = {});
-
 }  // namespace cr::rt

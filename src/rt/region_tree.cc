@@ -5,19 +5,8 @@
 #include <sstream>
 
 #include "support/check.h"
-#include "support/metrics.h"
 
 namespace cr::rt {
-
-void RegionForest::export_metrics(support::MetricsRegistry& m) const {
-  m.counter("rt.alias.queries").set(counters_.alias_queries);
-  m.counter("rt.alias.fast").set(counters_.alias_fast);
-  m.counter("rt.alias.cache_hits").set(counters_.alias_hits);
-  m.counter("rt.overlap.queries").set(counters_.overlap_queries);
-  m.counter("rt.overlap.static").set(counters_.overlap_static);
-  m.counter("rt.overlap.cache_hits").set(counters_.overlap_hits);
-  m.counter("rt.overlap.exact").set(counters_.overlap_exact);
-}
 
 RegionId RegionForest::create_region(IndexSpace ispace,
                                      std::shared_ptr<FieldSpace> fs,
@@ -96,8 +85,7 @@ RegionId RegionForest::subregion(PartitionId p, uint64_t color) const {
   return node.subregions[color];
 }
 
-RegionForest::Relation RegionForest::relation_walk(RegionId a,
-                                                   RegionId b) const {
+bool RegionForest::lca_disjoint(RegionId a, RegionId b) const {
   // Lift the deeper region to the shallower's depth; arriving at the
   // other region means ancestor/descendant.
   RegionId x = a, y = b;
@@ -105,7 +93,7 @@ RegionForest::Relation RegionForest::relation_walk(RegionId a,
   while (regions_[x].depth > regions_[y].depth) {
     x = partitions_[regions_[x].parent].parent;
   }
-  if (x == y) return Relation::kAncestor;
+  if (x == y) return false;
   // Walk up in lockstep until the paths meet (at the LCA region at the
   // latest, the shared tree root). The steps just below the meeting
   // point decide (paper §2.3): the same partition with different colors
@@ -116,101 +104,22 @@ RegionForest::Relation RegionForest::relation_walk(RegionId a,
     const PartitionId py = regions_[y].parent;
     x = partitions_[px].parent;
     y = partitions_[py].parent;
-    if (x == y) {
-      if (px != py) return Relation::kDynamic;
-      return partitions_[px].disjoint ? Relation::kDisjoint
-                                      : Relation::kDynamic;
-    }
+    if (x == y) return px == py && partitions_[px].disjoint;
   }
-}
-
-RegionForest::Relation RegionForest::relation(RegionId a, RegionId b,
-                                              uint64_t& cache_hits) const {
-  const uint64_t key =
-      support::pack_pair32(std::min(a, b), std::max(a, b));
-  uint8_t& slot = pair_cache_[key];
-  if ((slot & 3u) != 0) {
-    ++cache_hits;
-    return static_cast<Relation>(slot & 3u);
-  }
-  const Relation r = relation_walk(a, b);
-  slot = static_cast<uint8_t>(slot | static_cast<uint8_t>(r));
-  return r;
 }
 
 bool RegionForest::may_alias(RegionId a, RegionId b) const {
   CR_CHECK(a < regions_.size() && b < regions_.size());
-  ++counters_.alias_queries;
-  if (a == b) {
-    ++counters_.alias_fast;
-    return true;
-  }
+  if (a == b) return true;
   const RegionNode& na = regions_[a];
   const RegionNode& nb = regions_[b];
-  if (na.root != nb.root) {  // separate trees
-    ++counters_.alias_fast;
-    return false;
-  }
+  if (na.root != nb.root) return false;  // separate trees
   if (na.parent != kNoId && na.parent == nb.parent) {
     // Siblings (colors differ since a != b): disjoint iff the shared
-    // partition is — no walk, no cache entry needed.
-    ++counters_.alias_fast;
+    // partition is, no walk needed.
     return !partitions_[na.parent].disjoint;
   }
-  return relation(a, b, counters_.alias_hits) != Relation::kDisjoint;
-}
-
-bool RegionForest::overlaps_exact(RegionId a, RegionId b) const {
-  CR_CHECK(a < regions_.size() && b < regions_.size());
-  ++counters_.overlap_queries;
-  const RegionNode& na = regions_[a];
-  const RegionNode& nb = regions_[b];
-  if (a == b) {
-    ++counters_.overlap_static;
-    return !na.ispace.empty();
-  }
-  if (na.root != nb.root) {
-    ++counters_.overlap_static;
-    return false;
-  }
-  uint64_t relation_hits = 0;  // folded into overlap_hits only when the
-                               // relation alone answers the query
-  const Relation r = relation(a, b, relation_hits);
-  if (r == Relation::kDisjoint) {
-    // The partition's static disjointness claim (debug-verified at
-    // creation) proves the index spaces share no elements.
-    counters_.overlap_static += relation_hits == 0;
-    counters_.overlap_hits += relation_hits;
-    return false;
-  }
-  if (r == Relation::kAncestor) {
-    // The descendant's elements are a subset of the ancestor's: they
-    // overlap iff the descendant is non-empty.
-    counters_.overlap_static += relation_hits == 0;
-    counters_.overlap_hits += relation_hits;
-    return !(na.depth >= nb.depth ? na : nb).ispace.empty();
-  }
-  // Genuinely dynamic pair: memoized exact interval test.
-  const uint64_t key =
-      support::pack_pair32(std::min(a, b), std::max(a, b));
-  uint8_t& slot = pair_cache_[key];
-  if ((slot & 4u) != 0) {
-    ++counters_.overlap_hits;
-    return (slot & 8u) != 0;
-  }
-  ++counters_.overlap_exact;
-  const support::IntervalSet& sa = na.ispace.points();
-  const support::IntervalSet& sb = nb.ispace.points();
-  bool overlap = false;
-  if (!sa.empty() && !sb.empty()) {
-    // Bounding-interval precheck skips the linear merge for far-apart
-    // sets; bounds() is O(1).
-    const support::Interval ba = sa.bounds();
-    const support::Interval bb = sb.bounds();
-    overlap = ba.lo < bb.hi && bb.lo < ba.hi && sa.overlaps(sb);
-  }
-  slot = static_cast<uint8_t>(slot | 4u | (overlap ? 8u : 0u));
-  return overlap;
+  return !lca_disjoint(a, b);
 }
 
 bool RegionForest::partitions_may_alias(PartitionId p, PartitionId q) const {

@@ -7,32 +7,19 @@
 // ancestor test: walk both paths to their common ancestor; if the
 // ancestor is a *disjoint* partition and the paths descend through
 // different colors, the regions are provably disjoint, otherwise they may
-// alias. An exact (dynamic) overlap test is also provided for
-// verification and for the runtime's dependence analysis.
-//
-// Both queries sit on the dependence-analysis hot path (one pair test
-// per prior user per launched task), so they are memoized: the forest is
-// append-only — region geometry never changes after creation — which
-// makes every cached answer valid forever (no invalidation). Static
-// O(1) fast paths (same region, different trees, siblings of one
-// partition, ancestor/descendant detected by the depth-lockstep walk)
-// answer most pairs without touching the cache or any interval data.
+// alias. The forest is append-only: region geometry never changes after
+// creation, which lets the runtime's dependence analysis compute each
+// region's exact overlaps once (rt/dependence.h).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "rt/field.h"
 #include "rt/index_space.h"
-#include "support/hash.h"
-
-namespace cr::support {
-class MetricsRegistry;
-}  // namespace cr::support
 
 namespace cr::rt {
 
@@ -82,20 +69,9 @@ class RegionForest {
   size_t num_partitions() const { return partitions_.size(); }
 
   // Paper §2.3: symbolic LCA test. True unless the tree proves disjoint.
-  // Memoized; O(1) for pairs resolved by a static fast path or a cache
-  // hit, one O(depth) walk on a cold genuinely-dynamic pair.
+  // O(1) for the same region, different trees and siblings; one O(depth)
+  // walk otherwise.
   bool may_alias(RegionId a, RegionId b) const;
-  // Exact dynamic test on index spaces. Memoized; statically disjoint or
-  // ancestor/descendant pairs never touch interval data, and each
-  // remaining pair pays the exact interval merge at most once.
-  bool overlaps_exact(RegionId a, RegionId b) const;
-
-  // Export the memoization query/hit tallies into a metrics registry
-  // under rt.alias.* / rt.overlap.* (idempotent set, not add — the
-  // forest keeps the authoritative cumulative values). `fast`/`static`
-  // count pairs resolved by an O(1) structural rule, `cache_hits` count
-  // memo hits, `exact` counts interval merges actually performed.
-  void export_metrics(support::MetricsRegistry& m) const;
 
   // Partition-level may-alias: could any subregion of p overlap any
   // subregion of q? Used by the data replication pass. For p == q this
@@ -108,32 +84,9 @@ class RegionForest {
   std::string to_string() const;
 
  private:
-  // Structural relation of two distinct regions in one tree, computed by
-  // an allocation-free depth-lockstep walk and memoized per pair.
-  enum class Relation : uint8_t {
-    kDisjoint = 1,  // provably disjoint (disjoint partition divergence)
-    kAncestor = 2,  // one contains the other's index space
-    kDynamic = 3,   // may alias; only interval data can decide overlap
-  };
-  Relation relation(RegionId a, RegionId b, uint64_t& cache_hits) const;
-  Relation relation_walk(RegionId a, RegionId b) const;
-
-  // Query/hit tallies for the memoized tests (cheap host-side bumps on
-  // the hot path; exported on demand via export_metrics).
-  struct AliasCounters {
-    uint64_t alias_queries = 0;
-    uint64_t alias_fast = 0;
-    uint64_t alias_hits = 0;
-    uint64_t overlap_queries = 0;
-    uint64_t overlap_static = 0;
-    uint64_t overlap_hits = 0;
-    uint64_t overlap_exact = 0;
-  };
-
-  // Memo for (min, max) region pairs. Low 2 bits: Relation (0 = not yet
-  // computed). Bit 2: exact overlap known. Bit 3: exact overlap value.
-  mutable std::unordered_map<uint64_t, uint8_t, support::U64Hash> pair_cache_;
-  mutable AliasCounters counters_;
+  // Whether two distinct regions of one tree are provably disjoint: an
+  // allocation-free depth-lockstep walk to their common ancestor.
+  bool lca_disjoint(RegionId a, RegionId b) const;
 
   // Deques: node references (and the IndexSpace objects inside them) stay
   // stable while the forest grows — physical instances, executors, and

@@ -7,6 +7,30 @@
 
 namespace cr::support {
 
+namespace {
+
+// First index k >= i with v[k].hi > x (v.size() if none). Gallops: the
+// step doubles from i until it passes the answer, then a binary search
+// finishes the last bracket, so skipping d intervals costs O(log d) and a
+// skip of one (interleaved inputs) stays O(1).
+size_t skip_ending_by(const std::vector<Interval>& v, size_t i, uint64_t x) {
+  if (i >= v.size() || v[i].hi > x) return i;
+  size_t lo = i + 1;  // v[lo - 1].hi <= x
+  size_t step = 1;
+  while (lo + step - 1 < v.size() && v[lo + step - 1].hi <= x) {
+    lo += step;
+    step *= 2;
+  }
+  const size_t hi = std::min(v.size(), lo + step - 1);
+  return static_cast<size_t>(
+      std::partition_point(v.begin() + static_cast<std::ptrdiff_t>(lo),
+                           v.begin() + static_cast<std::ptrdiff_t>(hi),
+                           [x](const Interval& iv) { return iv.hi <= x; }) -
+      v.begin());
+}
+
+}  // namespace
+
 IntervalSet::IntervalSet(std::initializer_list<Interval> ivs) {
   for (const Interval& iv : ivs) add(iv.lo, iv.hi);
 }
@@ -58,9 +82,16 @@ IntervalSet IntervalSet::set_intersect(const IntervalSet& other) const {
   const auto& a = ivs_;
   const auto& b = other.ivs_;
   while (i < a.size() && j < b.size()) {
-    const uint64_t lo = std::max(a[i].lo, b[j].lo);
-    const uint64_t hi = std::min(a[i].hi, b[j].hi);
-    if (lo < hi) out.ivs_.push_back({lo, hi});
+    if (a[i].hi <= b[j].lo) {
+      i = skip_ending_by(a, i, b[j].lo);
+      continue;
+    }
+    if (b[j].hi <= a[i].lo) {
+      j = skip_ending_by(b, j, a[i].lo);
+      continue;
+    }
+    out.ivs_.push_back(
+        {std::max(a[i].lo, b[j].lo), std::min(a[i].hi, b[j].hi)});
     if (a[i].hi < b[j].hi) {
       ++i;
     } else {
@@ -75,7 +106,7 @@ IntervalSet IntervalSet::set_subtract(const IntervalSet& other) const {
   size_t j = 0;
   const auto& b = other.ivs_;
   for (Interval iv : ivs_) {
-    while (j < b.size() && b[j].hi <= iv.lo) ++j;
+    j = skip_ending_by(b, j, iv.lo);
     uint64_t lo = iv.lo;
     size_t k = j;
     while (k < b.size() && b[k].lo < iv.hi) {
@@ -99,7 +130,15 @@ bool IntervalSet::contains(uint64_t point) const {
 }
 
 bool IntervalSet::contains_all(const IntervalSet& other) const {
-  return other.set_subtract(*this).empty();
+  // Coalesced intervals: each of other's intervals must fit inside one.
+  size_t j = 0;
+  for (const Interval& iv : other.ivs_) {
+    j = skip_ending_by(ivs_, j, iv.lo);
+    if (j == ivs_.size() || ivs_[j].lo > iv.lo || ivs_[j].hi < iv.hi) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool IntervalSet::overlaps(const IntervalSet& other) const {
@@ -108,9 +147,9 @@ bool IntervalSet::overlaps(const IntervalSet& other) const {
   const auto& b = other.ivs_;
   while (i < a.size() && j < b.size()) {
     if (a[i].hi <= b[j].lo) {
-      ++i;
+      i = skip_ending_by(a, i, b[j].lo);
     } else if (b[j].hi <= a[i].lo) {
-      ++j;
+      j = skip_ending_by(b, j, a[i].lo);
     } else {
       return true;
     }

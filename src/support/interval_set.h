@@ -34,7 +34,9 @@ class IntervalSet {
   // From arbitrary (possibly unsorted, duplicated) points.
   static IntervalSet from_points(std::vector<uint64_t> points);
 
-  // Set algebra; all O(|a| + |b|) in interval counts.
+  // Set algebra; O(|a| + |b|) in interval counts at worst. Runs of
+  // intervals that cannot meet the other set are skipped by galloping,
+  // so a few intervals against a large set cost O(few · log |large|).
   IntervalSet set_union(const IntervalSet& other) const;
   IntervalSet set_intersect(const IntervalSet& other) const;
   IntervalSet set_subtract(const IntervalSet& other) const;

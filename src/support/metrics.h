@@ -4,7 +4,7 @@
 // the system produces — analysis counters (rt/), simulator occupancy
 // (sim/), per-pass IR sizes (passes/), executor rollups (exec/) and the
 // race checker (check/). Names are hierarchical dot-paths
-// ("rt.alias.queries", "passes.sync-insertion.barriers"); the registry
+// ("rt.dep.pairs_tested", "passes.sync-insertion.barriers"); the registry
 // owns the instruments, hands out stable references, and renders a
 // deterministic flat snapshot (sorted by name) so two identical
 // simulated runs serialize byte-identically.

@@ -146,6 +146,39 @@ TEST(Stencil, MpiBaselinesRunAndScaleFlat) {
   EXPECT_GT(t16_omp, 0u);
 }
 
+// Host-side growth gate for the implicit master's dependence analysis:
+// the privilege tests run per issued operation must stay flat as the
+// machine grows (the exhaustive pairs_scanned cost basis is what grows).
+// Stencil config of the host benchmark: 11 tiles per node, 32x32 tiles,
+// 4 steps, kernels off. Deterministic: the counts never depend on timing.
+TEST(Stencil, ImplicitDependenceTestsPerOpStayFlat) {
+  auto tested_per_op = [](uint32_t nodes) {
+    CostModel cost = CostModel::piz_daint();
+    cost.track_dependences = true;
+    rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
+    Config cfg;
+    cfg.nodes = nodes;
+    cfg.tasks_per_node = 11;
+    cfg.tile_x = 32;
+    cfg.tile_y = 32;
+    cfg.steps = 4;
+    App app = build(rt, cfg);
+    for (auto& t : app.program.tasks) t.kernel = nullptr;
+    exec::ExecConfig ecfg;
+    ecfg.cost = cost;
+    ecfg.mode = exec::ExecMode::kImplicit;
+    PreparedRun run = exec::prepare(rt, app.program, ecfg);
+    const exec::ExecutionResult res = run.run();
+    const double ops = static_cast<double>(
+        res.point_tasks + res.copies_issued + res.copies_skipped);
+    return res.metrics.at("rt.dep.pairs_tested") / ops;
+  };
+  const double at16 = tested_per_op(16);
+  const double at64 = tested_per_op(64);
+  EXPECT_GT(at16, 0.0);
+  EXPECT_LE(at64, 1.25 * at16) << "16 nodes: " << at16
+                               << " tests/op, 64 nodes: " << at64;
+}
 
 // Radius generality: the halo construction and the closed form hold for
 // any star radius the tile can accommodate.

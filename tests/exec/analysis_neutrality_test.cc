@@ -2,10 +2,9 @@
 // race checker change how fast the host computes the schedule — never
 // the schedule itself. Every combination of {traced, untraced} x
 // {checked, unchecked} must produce bit-identical simulated makespans
-// and output data. (The indexed
-// dependence tracker and the alias memo are checked against exhaustive
-// references directly, in DependenceIndexEquivalence and
-// RegionTreeMemoization.)
+// and output data. (The dependence tracker and may_alias are checked
+// against exhaustive references directly, in DependenceIndexEquivalence
+// and RegionTreeMemoization.)
 #include <gtest/gtest.h>
 
 #include "exec/implicit_exec.h"

@@ -116,7 +116,10 @@ std::set<std::pair<uint64_t, uint64_t>> brute_force_pairs(
   const auto& qs = forest.partition(q).subregions;
   for (uint64_t i = 0; i < ps.size(); ++i) {
     for (uint64_t j = 0; j < qs.size(); ++j) {
-      if (forest.overlaps_exact(ps[i], qs[j])) out.insert({i, j});
+      if (forest.region(ps[i]).ispace.points().overlaps(
+              forest.region(qs[j]).ispace.points())) {
+        out.insert({i, j});
+      }
     }
   }
   return out;

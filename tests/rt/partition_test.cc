@@ -148,23 +148,6 @@ TEST(Partition, ComposeRemapsColors) {
   EXPECT_FALSE(forest.partition(q).disjoint);
 }
 
-TEST(Partition, IntersectRestrictsToWindow) {
-  RegionForest forest;
-  RegionId a = forest.create_region(IndexSpace::dense(20), fs());
-  PartitionId top = partition_by_color(forest, a, 2, [](uint64_t id) {
-    return id < 12 ? 0 : 1;  // "private" vs "ghost" split
-  });
-  RegionId priv = forest.subregion(top, 0);
-  PartitionId pa = partition_equal(forest, a, 4);  // 5 elements each
-  PartitionId pp = partition_intersect(forest, priv, pa);
-  const PartitionNode& pn = forest.partition(pp);
-  EXPECT_TRUE(pn.disjoint);  // inherits from pa
-  EXPECT_EQ(pn.parent, priv);
-  EXPECT_EQ(forest.region(pn.subregions[0]).ispace.size(), 5u);
-  EXPECT_EQ(forest.region(pn.subregions[2]).ispace.size(), 2u);  // 10..12
-  EXPECT_EQ(forest.region(pn.subregions[3]).ispace.size(), 0u);
-}
-
 TEST(PartitionDeath, DisjointClaimVerifiedInDebug) {
 #ifndef NDEBUG
   RegionForest forest;
@@ -180,74 +163,6 @@ TEST(PartitionDeath, DisjointClaimVerifiedInDebug) {
 #else
   GTEST_SKIP() << "debug-only check";
 #endif
-}
-
-
-TEST(Partition, PreimageMatchesDefinition) {
-  // preimage: x lands in subregion i iff some target of x is in src[i].
-  RegionForest forest;
-  RegionId a = forest.create_region(IndexSpace::dense(12), fs(), "A");
-  RegionId b = forest.create_region(IndexSpace::dense(12), fs(), "B");
-  PartitionId pb = partition_equal(forest, b, 3);
-  auto h = [](uint64_t x) { return (x * 7 + 2) % 12; };
-  PartitionId pre = partition_preimage(
-      forest, a, pb, [&](uint64_t x, std::vector<uint64_t>& out) {
-        out.push_back(h(x));
-      });
-  for (uint64_t x = 0; x < 12; ++x) {
-    for (uint64_t i = 0; i < 3; ++i) {
-      const bool in_sub =
-          forest.region(forest.subregion(pre, i)).ispace.contains(x);
-      const bool target_in =
-          forest.region(forest.subregion(pb, i)).ispace.contains(h(x));
-      EXPECT_EQ(in_sub, target_in) << "x=" << x << " i=" << i;
-    }
-  }
-}
-
-TEST(Partition, PreimageMultiTargetLandsInSeveralColors) {
-  RegionForest forest;
-  RegionId a = forest.create_region(IndexSpace::dense(8), fs(), "A");
-  RegionId b = forest.create_region(IndexSpace::dense(8), fs(), "B");
-  PartitionId pb = partition_equal(forest, b, 2);
-  PartitionId pre = partition_preimage(
-      forest, a, pb, [](uint64_t, std::vector<uint64_t>& out) {
-        out.push_back(0);  // first half
-        out.push_back(7);  // second half
-      });
-  // Every element points into both halves.
-  EXPECT_EQ(forest.region(forest.subregion(pre, 0)).ispace.size(), 8u);
-  EXPECT_EQ(forest.region(forest.subregion(pre, 1)).ispace.size(), 8u);
-  EXPECT_FALSE(forest.partition(pre).disjoint);
-}
-
-TEST(Partition, PointwiseUnionAndDifference) {
-  RegionForest forest;
-  RegionId a = forest.create_region(IndexSpace::dense(20), fs(), "A");
-  PartitionId p = partition_equal(forest, a, 2);   // [0,10) [10,20)
-  PartitionId q = partition_image(
-      forest, a, p, [](uint64_t x, std::vector<uint64_t>& out) {
-        out.push_back((x + 5) % 20);
-      });
-  PartitionId u = partition_union(forest, p, q);
-  PartitionId d = partition_difference(forest, p, q);
-  // u[0] = [0,10) U ([5,15)) = [0,15)
-  EXPECT_EQ(forest.region(forest.subregion(u, 0)).ispace.points(),
-            support::IntervalSet::range(0, 15));
-  // d[0] = [0,10) \ [5,15) = [0,5)
-  EXPECT_EQ(forest.region(forest.subregion(d, 0)).ispace.points(),
-            support::IntervalSet::range(0, 5));
-  EXPECT_TRUE(forest.partition(d).disjoint);   // inherits from p
-  EXPECT_FALSE(forest.partition(u).disjoint);  // conservative
-}
-
-TEST(PartitionDeath, PointwiseOpsRequireSameParent) {
-  RegionForest forest;
-  RegionId a = forest.create_region(IndexSpace::dense(10), fs());
-  RegionId b = forest.create_region(IndexSpace::dense(10), fs());
-  PartitionId pa = partition_equal(forest, a, 2);
-  PartitionId pb = partition_equal(forest, b, 2);
-  EXPECT_DEATH((void)partition_union(forest, pa, pb), "same region");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -188,6 +189,105 @@ TEST_P(IntervalSetProperty, AlgebraMatchesSetOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetProperty,
                          ::testing::Range<uint64_t>(0, 50));
+
+// ---- Galloping merges against the plain two-finger merges. ----
+
+// Reference merges that step one interval at a time (no skipping).
+std::vector<Interval> plain_intersect(const IntervalSet& a,
+                                      const IntervalSet& b) {
+  std::vector<Interval> out;
+  const auto& x = a.intervals();
+  const auto& y = b.intervals();
+  size_t i = 0, j = 0;
+  while (i < x.size() && j < y.size()) {
+    const uint64_t lo = std::max(x[i].lo, y[j].lo);
+    const uint64_t hi = std::min(x[i].hi, y[j].hi);
+    if (lo < hi) out.push_back({lo, hi});
+    if (x[i].hi < y[j].hi) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return out;
+}
+
+std::vector<Interval> plain_subtract(const IntervalSet& a,
+                                     const IntervalSet& b) {
+  std::vector<Interval> out;
+  const auto& y = b.intervals();
+  size_t j = 0;
+  for (Interval iv : a.intervals()) {
+    while (j < y.size() && y[j].hi <= iv.lo) ++j;
+    uint64_t lo = iv.lo;
+    for (size_t k = j; k < y.size() && y[k].lo < iv.hi && lo < iv.hi; ++k) {
+      if (y[k].lo > lo) out.push_back({lo, y[k].lo});
+      lo = std::max(lo, y[k].hi);
+    }
+    if (lo < iv.hi) out.push_back({lo, iv.hi});
+  }
+  return out;
+}
+
+// `count` random intervals with gaps, from `start`; widths and gaps in
+// [1, max_step].
+IntervalSet random_run(Rng& rng, uint64_t start, int count,
+                       uint64_t max_step) {
+  IntervalSet s;
+  uint64_t at = start;
+  for (int k = 0; k < count; ++k) {
+    at += 1 + rng.next_below(max_step);
+    const uint64_t hi = at + 1 + rng.next_below(max_step);
+    s.append(at, hi);
+    at = hi;
+  }
+  return s;
+}
+
+void expect_matches_plain(const IntervalSet& a, const IntervalSet& b) {
+  EXPECT_EQ(a.set_intersect(b).intervals(), plain_intersect(a, b));
+  EXPECT_EQ(b.set_intersect(a).intervals(), plain_intersect(b, a));
+  EXPECT_EQ(a.set_subtract(b).intervals(), plain_subtract(a, b));
+  EXPECT_EQ(b.set_subtract(a).intervals(), plain_subtract(b, a));
+  EXPECT_EQ(a.overlaps(b), !plain_intersect(a, b).empty());
+  EXPECT_EQ(b.overlaps(a), a.overlaps(b));
+  EXPECT_EQ(a.contains_all(b), plain_subtract(b, a).empty());
+  EXPECT_EQ(b.contains_all(a), plain_subtract(a, b).empty());
+}
+
+class IntervalSetGallop : public ::testing::TestWithParam<uint64_t> {};
+
+// A few intervals against a thousand: the shape of a tile's halo reach
+// intersected with a whole boundary region.
+TEST_P(IntervalSetGallop, LopsidedMatchesPlainMerges) {
+  Rng rng(GetParam() * 7 + 3);
+  const IntervalSet large = random_run(rng, 0, 1000, 8);
+  const uint64_t span = large.bounds().hi;
+  for (int trial = 0; trial < 20; ++trial) {
+    const IntervalSet small = random_run(
+        rng, rng.next_below(span), 1 + static_cast<int>(rng.next_below(4)),
+        1 + rng.next_below(40));
+    expect_matches_plain(small, large);
+    // Subsets and supersets exercise contains_all's both answers.
+    const IntervalSet inside = large.set_intersect(small);
+    expect_matches_plain(inside, large);
+    expect_matches_plain(small.set_union(large), large);
+  }
+}
+
+// Interleaved sets: every skip is a single interval, so the galloping
+// merge must degrade to the plain one.
+TEST_P(IntervalSetGallop, InterleavedMatchesPlainMerges) {
+  Rng rng(GetParam() * 5 + 1);
+  const IntervalSet a = random_run(rng, 0, 300, 4);
+  const IntervalSet b = random_run(rng, rng.next_below(4), 300, 4);
+  expect_matches_plain(a, b);
+  expect_matches_plain(a, a);
+  expect_matches_plain(a, IntervalSet());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetGallop,
+                         ::testing::Range<uint64_t>(0, 20));
 
 TEST(IntervalSet, UnionIdentityAndIdempotence) {
   Rng rng(42);
