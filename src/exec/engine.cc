@@ -437,6 +437,10 @@ ExecutionResult Engine::run() {
   return impl_->result_;
 }
 
+const check::AccessLog& Engine::access_log() const { return impl_->log_; }
+
+const sim::EventGraph& Engine::event_graph() const { return impl_->graph_; }
+
 bool Engine::write_trace(const std::string& path) const {
   if (const support::Tracer* t = impl_->tracer()) {
     return t->write_chrome_json(path);

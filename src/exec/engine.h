@@ -85,6 +85,12 @@ class Engine {
   // Final value of a scalar in the main (or implicit) environment.
   double scalar(ir::ScalarId id) const;
 
+  // The race checker's inputs as the run under ExecConfig::check
+  // recorded them: every access, and the happens-before graph with its
+  // fire order. Empty without the checker.
+  const check::AccessLog& access_log() const;
+  const sim::EventGraph& event_graph() const;
+
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;

@@ -9,9 +9,13 @@
 //   - every queue entry captures the ambient cause so that edges
 //     survive deferred work (processor spans, network deliveries,
 //     barrier/collective releases).
+// It also records the order in which events fire. An edge's source
+// fires before its target (a cause before its effect, every merge input
+// before the merge), so the fire order is a topological order of the
+// edges: the race checker sweeps it instead of sorting the graph.
 // The resulting edge list is the ground-truth happens-before DAG the
 // race checker walks. Like the Tracer, a detached graph is the
-// zero-cost disabled path: no edges are recorded and the virtual
+// zero-cost disabled path: nothing is recorded and the virtual
 // timeline is unaffected either way.
 #pragma once
 
@@ -25,20 +29,28 @@ class EventGraph {
  public:
   // Record "from happens-before to". Edges touching the no-event
   // (uid 0) carry no information and are dropped.
-  void edge(uint64_t from, uint64_t to) {
+  void edge(uint32_t from, uint32_t to) {
     if (from == 0 || to == 0 || from == to) return;
     edges_.push_back({from, to});
   }
 
+  // Record that `uid` fired (each event fires at most once).
+  void fired(uint32_t uid) { fire_order_.push_back(uid); }
+
   // Only valid once recording has quiesced (after the run completes).
-  const std::vector<std::pair<uint64_t, uint64_t>>& edges() const {
+  const std::vector<std::pair<uint32_t, uint32_t>>& edges() const {
     return edges_;
   }
+  const std::vector<uint32_t>& fire_order() const { return fire_order_; }
 
-  void clear() { edges_.clear(); }
+  void clear() {
+    edges_.clear();
+    fire_order_.clear();
+  }
 
  private:
-  std::vector<std::pair<uint64_t, uint64_t>> edges_;
+  std::vector<std::pair<uint32_t, uint32_t>> edges_;
+  std::vector<uint32_t> fire_order_;
 };
 
 }  // namespace cr::sim

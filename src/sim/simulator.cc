@@ -45,6 +45,7 @@ void Simulator::fire(uint32_t id) {
     // the cause of everything its waiters do (including queue entries
     // they push, which capture the ambient cause).
     graph_->edge(current_cause_, id);
+    graph_->fired(id);
     current_cause_ = id;
   }
   while (w != 0) {

@@ -8,13 +8,27 @@
 //     compiler-inserted sync op in the stencil program must make the
 //     checker report a race. A mutant the checker misses would mean a
 //     sync op the checker cannot justify.
+//  3. Equivalence: the frontier checker's verdict and race list equal
+//     the exhaustive all-pairs checker's (brute_force.h) on every run
+//     above and on seeded synthetic logs, and the precondition its
+//     frontier argument rests on holds on every application.
+//  4. Growth: the pairs checked per access stay flat as the machine
+//     grows.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
 
 #include "apps/circuit/circuit.h"
 #include "apps/miniaero/miniaero.h"
 #include "apps/pennant/pennant.h"
 #include "apps/stencil/stencil.h"
+#include "check/brute_force.h"
 #include "exec/implicit_exec.h"
+#include "support/rng.h"
 
 namespace cr::exec {
 namespace {
@@ -83,7 +97,10 @@ ir::Program build_app(rt::Runtime& rt, AppKind kind) {
   return p;
 }
 
+// The engine keeps the checker's inputs; the runtime must outlive it.
 struct CheckedRun {
+  std::unique_ptr<rt::Runtime> rt;
+  PreparedRun prepared;
   ExecutionResult res;
   uint32_t num_sync_ops = 0;
 };
@@ -91,18 +108,104 @@ struct CheckedRun {
 CheckedRun run_checked(AppKind kind, ExecMode mode, bool p2p,
                        ir::SyncId mutate = ir::kNoSyncId) {
   CostModel cost;
-  rt::Runtime rt(runtime_config(4, 2, cost, /*real_data=*/false));
+  CheckedRun out;
+  out.rt = std::make_unique<rt::Runtime>(
+      runtime_config(4, 2, cost, /*real_data=*/false));
   ExecConfig cfg;
   cfg.cost = cost;
   cfg.mode = mode;
   cfg.pipeline.p2p_sync = p2p;
   cfg.check = true;
   cfg.check_mutate = mutate;
-  PreparedRun run = prepare(rt, build_app(rt, kind), cfg);
-  CheckedRun out;
-  out.res = run.run();
-  out.num_sync_ops = run.program->num_sync_ops;
+  out.prepared = prepare(*out.rt, build_app(*out.rt, kind), cfg);
+  out.res = out.prepared.run();
+  out.num_sync_ops = out.prepared.program->num_sync_ops;
   return out;
+}
+
+// The frontier checker and the exhaustive one agree on the verdict and
+// on every race: same pair, same order, same text.
+void expect_same_as_brute_force(const check::CheckResult& got,
+                                const check::AccessLog& log,
+                                const sim::EventGraph& graph,
+                                const ir::Program& program,
+                                const std::string& what) {
+  const check::CheckResult want =
+      check::testing::brute_force_check(log, graph, program);
+  EXPECT_EQ(got.ok(), want.ok()) << what;
+  EXPECT_EQ(got.stats.accesses, want.stats.accesses) << what;
+  EXPECT_EQ(got.stats.hb_edges, want.stats.hb_edges) << what;
+  EXPECT_EQ(got.stats.races, want.stats.races) << what;
+  EXPECT_LE(got.stats.pairs_checked, want.stats.pairs_checked) << what;
+  ASSERT_EQ(got.races.size(), want.races.size()) << what;
+  for (size_t i = 0; i < got.races.size(); ++i) {
+    EXPECT_EQ(got.races[i].first, want.races[i].first) << what << " race " << i;
+    EXPECT_EQ(got.races[i].second, want.races[i].second)
+        << what << " race " << i;
+    EXPECT_EQ(got.races[i].text, want.races[i].text) << what << " race " << i;
+  }
+}
+
+void expect_same_as_brute_force(const CheckedRun& run,
+                                const std::string& what) {
+  ASSERT_NE(run.res.check, nullptr) << what;
+  const Engine& engine = *run.prepared.engine;
+  expect_same_as_brute_force(*run.res.check, engine.access_log(),
+                             engine.event_graph(), *run.prepared.program,
+                             what);
+}
+
+// The frontier argument's precondition: every access's start anchors
+// reach its done event, and done_uid 0 comes with no start anchors.
+// Returns the first violation, or "" when it holds. Each done event is
+// searched backwards, only through events that fired after its
+// earliest start anchor.
+std::string anchors_reach_done(const check::AccessLog& log,
+                               const sim::EventGraph& graph) {
+  std::map<uint64_t, std::vector<uint64_t>> preds;
+  for (const auto& [from, to] : graph.edges()) preds[to].push_back(from);
+  std::map<uint64_t, size_t> fired_at;
+  for (size_t i = 0; i < graph.fire_order().size(); ++i) {
+    fired_at[graph.fire_order()[i]] = i;
+  }
+  auto position = [&](uint64_t uid) {
+    const auto it = fired_at.find(uid);
+    return it == fired_at.end() ? size_t{0} : it->second;
+  };
+  std::map<uint64_t, std::set<uint64_t>> starts_of;  // done -> starts
+  for (size_t i = 0; i < log.accesses.size(); ++i) {
+    const check::Access& a = log.accesses[i];
+    if (a.done_uid == 0) {
+      if (!a.start_uids.empty()) {
+        return "access " + std::to_string(i) + " has done 0 and starts";
+      }
+      continue;
+    }
+    starts_of[a.done_uid].insert(a.start_uids.begin(), a.start_uids.end());
+  }
+  for (const auto& [done, starts] : starts_of) {
+    size_t floor = SIZE_MAX;
+    for (uint64_t s : starts) floor = std::min(floor, position(s));
+    std::set<uint64_t> seen{done};
+    std::vector<uint64_t> stack{done};
+    while (!stack.empty()) {
+      const uint64_t u = stack.back();
+      stack.pop_back();
+      const auto it = preds.find(u);
+      if (it == preds.end()) continue;
+      for (uint64_t p : it->second) {
+        if (position(p) < floor || !seen.insert(p).second) continue;
+        stack.push_back(p);
+      }
+    }
+    for (uint64_t s : starts) {
+      if (seen.count(s) == 0) {
+        return "start anchor " + std::to_string(s) +
+               " does not reach done event " + std::to_string(done);
+      }
+    }
+  }
+  return "";
 }
 
 TEST(Checker, FourAppsZeroRacesAcrossModesAndSyncRegimes) {
@@ -111,15 +214,32 @@ TEST(Checker, FourAppsZeroRacesAcrossModesAndSyncRegimes) {
     for (ExecMode mode : {ExecMode::kImplicit, ExecMode::kSpmd}) {
       for (bool p2p : {true, false}) {
         const CheckedRun run = run_checked(kind, mode, p2p);
+        const std::string what =
+            std::string(app_name(kind)) +
+            (mode == ExecMode::kSpmd ? " spmd" : " implicit") +
+            (p2p ? " p2p" : " barrier");
         ASSERT_NE(run.res.check, nullptr);
         EXPECT_GT(run.res.check->stats.pairs_checked, 0u)
-            << app_name(kind) << " checked nothing";
+            << what << " checked nothing";
         EXPECT_TRUE(run.res.check->ok())
-            << app_name(kind)
-            << (mode == ExecMode::kSpmd ? " spmd" : " implicit")
-            << (p2p ? " p2p: " : " barrier: ")
-            << run.res.check->to_text();
+            << what << ": " << run.res.check->to_text();
+        expect_same_as_brute_force(run, what);
       }
+    }
+  }
+}
+
+TEST(Checker, AnchorsReachDoneOnEveryApp) {
+  for (AppKind kind : {AppKind::kStencil, AppKind::kCircuit,
+                       AppKind::kPennant, AppKind::kMiniAero}) {
+    for (ExecMode mode : {ExecMode::kImplicit, ExecMode::kSpmd}) {
+      const CheckedRun run = run_checked(kind, mode, /*p2p=*/true);
+      const Engine& engine = *run.prepared.engine;
+      ASSERT_FALSE(engine.access_log().accesses.empty());
+      EXPECT_EQ(anchors_reach_done(engine.access_log(), engine.event_graph()),
+                "")
+          << app_name(kind)
+          << (mode == ExecMode::kSpmd ? " spmd" : " implicit");
     }
   }
 }
@@ -137,6 +257,8 @@ void mutation_sweep(bool p2p) {
         << "deleting sync op " << id << " of " << clean.num_sync_ops
         << (p2p ? " (p2p)" : " (barrier)")
         << " went undetected: every inserted sync op must be load-bearing";
+    expect_same_as_brute_force(
+        mutant, "mutant " + std::to_string(id) + (p2p ? " p2p" : " barrier"));
   }
 }
 
@@ -146,6 +268,197 @@ TEST(Checker, StencilMutationSweepP2PAllDetected) {
 
 TEST(Checker, StencilMutationSweepBarrierAllDetected) {
   mutation_sweep(/*p2p=*/false);
+}
+
+// Host-side growth gate: the pairs the checker orders per access must
+// stay flat as the machine grows (an all-pairs enumeration grows with
+// the accesses per place). Implicit stencil with the dependence
+// tracker on, small tiles. Deterministic: no count depends on timing.
+TEST(Checker, PairsPerAccessStayFlat) {
+  auto pairs_per_access = [](uint32_t nodes) {
+    CostModel cost;
+    cost.track_dependences = true;
+    rt::Runtime rt(runtime_config(nodes, 2, cost, /*real_data=*/false));
+    apps::stencil::Config cfg;
+    cfg.nodes = nodes;
+    cfg.tasks_per_node = 2;
+    cfg.tile_x = 6;
+    cfg.tile_y = 6;
+    cfg.steps = 2;
+    ir::Program p = apps::stencil::build(rt, cfg).program;
+    for (auto& t : p.tasks) t.kernel = nullptr;
+    ExecConfig ecfg;
+    ecfg.cost = cost;
+    ecfg.mode = ExecMode::kImplicit;
+    ecfg.check = true;
+    PreparedRun run = prepare(rt, std::move(p), ecfg);
+    const ExecutionResult res = run.run();
+    EXPECT_TRUE(res.check->ok()) << res.check->to_text();
+    return res.metrics.at("check.pairs_checked") /
+           res.metrics.at("check.accesses");
+  };
+  const double at16 = pairs_per_access(16);
+  const double at64 = pairs_per_access(64);
+  EXPECT_GT(at16, 0.0);
+  EXPECT_LE(at64, 1.25 * at16) << "16 nodes: " << at16
+                               << " pairs/access, 64 nodes: " << at64;
+}
+
+// --- Seeded synthetic logs ---------------------------------------------
+
+// A random log over a few places and fields: partial point overlaps,
+// multi-field accesses, mixed reduction operators, statements of
+// several pieces, operations complete at time 0 (done_uid 0) and
+// operations that wait on nothing. Each operation gets a start event,
+// extra start anchors that feed it, and a done event its start events
+// reach; most operations also wait on a few recent operations' done
+// events (every third seed on all of them, the next now and then not
+// on the latest, the next on most), so some pairs are ordered and some
+// race. The log is shuffled (SPMD shards interleave their accesses),
+// and the graph fires in a random topological order.
+struct SyntheticRun {
+  check::AccessLog log;
+  sim::EventGraph graph;
+};
+
+SyntheticRun synthetic_run(uint64_t seed) {
+  support::Rng rng(seed * 7919 + 3);
+  SyntheticRun out;
+  std::vector<std::pair<uint32_t, uint32_t>> edges;
+  uint32_t nodes = 0;
+  auto node = [&] { return ++nodes; };
+  std::vector<uint32_t> dones;  // done events of earlier operations
+  const uint32_t statements = 24 + static_cast<uint32_t>(rng.next_below(24));
+  // Seeds cycle through three waiting regimes: every recent operation
+  // (race-free); all but, now and then, the latest (a few places race);
+  // most.
+  const uint64_t regime = seed % 3;
+  for (uint32_t seq = 1; seq <= statements; ++seq) {
+    const uint32_t pieces =
+        seq == 1 ? 3 : 1 + static_cast<uint32_t>(rng.next_below(3));
+    for (uint32_t piece = 0; piece < pieces; ++piece) {
+      const uint64_t sub = piece * 3 + rng.next_below(2);
+      std::vector<uint64_t> starts;
+      uint64_t done = 0;
+      // The first statement always has an operation complete at time 0
+      // and one that waits on nothing.
+      const uint64_t kind = seq == 1 && piece < 2 ? piece
+                            : regime < 2      ? 2
+                                              : rng.next_below(20);
+      if (kind != 0) {  // kind 0: complete at time 0, no anchors
+        const uint32_t start = node();
+        done = node();
+        edges.push_back({start, static_cast<uint32_t>(done)});
+        if (kind != 1) {  // kind 1: waits on nothing
+          starts.push_back(start);
+          const uint32_t extra = static_cast<uint32_t>(rng.next_below(3));
+          for (uint32_t k = 0; k < extra; ++k) {
+            const uint32_t anchor = node();
+            edges.push_back({anchor, start});
+            starts.push_back(anchor);
+          }
+          for (size_t back = 1; back <= 4 && back <= dones.size(); ++back) {
+            const double drop = regime == 0   ? 0.0
+                                : regime == 2 ? 0.2
+                                : back == 1   ? 0.15
+                                              : 0.0;
+            if (!rng.next_bool(drop)) {
+              edges.push_back({dones[dones.size() - back], start});
+            }
+          }
+        }
+        dones.push_back(static_cast<uint32_t>(done));
+      }
+      const uint32_t accesses = 1 + static_cast<uint32_t>(rng.next_below(2));
+      for (uint32_t k = 0; k < accesses; ++k) {
+        check::Access a;
+        a.place = rng.next_below(3);
+        a.root = 0;
+        for (rt::FieldId f = 0; f < 3; ++f) {
+          if (rng.next_bool(0.45)) a.fields.push_back(f);
+        }
+        if (a.fields.empty()) a.fields.push_back(rng.next_below(3));
+        const uint32_t intervals = 1 + static_cast<uint32_t>(rng.next_below(3));
+        for (uint32_t i = 0; i < intervals; ++i) {
+          const uint64_t lo = rng.next_below(40);
+          a.points.add(lo, lo + 1 + rng.next_below(12));
+        }
+        const uint64_t type = rng.next_below(10);
+        a.type = type < 4   ? check::AccessType::kRead
+                 : type < 7 ? check::AccessType::kWrite
+                            : check::AccessType::kReduce;
+        a.redop = static_cast<rt::ReduceOp>(rng.next_below(3));
+        a.start_uids = starts;
+        a.done_uid = done;
+        a.seq = seq;
+        a.sub = sub;
+        a.shard = static_cast<uint32_t>(sub);
+        a.what = "synthetic";
+        out.log.accesses.push_back(std::move(a));
+      }
+    }
+  }
+  for (size_t i = out.log.accesses.size(); i > 1; --i) {
+    std::swap(out.log.accesses[i - 1],
+              out.log.accesses[rng.next_below(i)]);
+  }
+
+  // Random Kahn order as the fire order.
+  std::vector<std::vector<uint32_t>> succ(nodes + 1);
+  std::vector<uint32_t> indeg(nodes + 1, 0);
+  for (const auto& [from, to] : edges) {
+    succ[from].push_back(to);
+    ++indeg[to];
+    out.graph.edge(from, to);
+  }
+  std::vector<uint32_t> ready;
+  for (uint32_t u = 1; u <= nodes; ++u) {
+    if (indeg[u] == 0) ready.push_back(u);
+  }
+  while (!ready.empty()) {
+    std::swap(ready[rng.next_below(ready.size())], ready.back());
+    const uint32_t u = ready.back();
+    ready.pop_back();
+    out.graph.fired(u);
+    for (uint32_t v : succ[u]) {
+      if (--indeg[v] == 0) ready.push_back(v);
+    }
+  }
+  return out;
+}
+
+class CheckerOracle : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CheckerOracle, SyntheticLogMatchesBruteForce) {
+  const SyntheticRun run = synthetic_run(GetParam());
+  ASSERT_EQ(anchors_reach_done(run.log, run.graph), "");
+  const ir::Program program;
+  const check::CheckResult got = check::check(run.log, run.graph, program);
+  expect_same_as_brute_force(got, run.log, run.graph, program,
+                             "seed " + std::to_string(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CheckerOracle,
+                         ::testing::Range<uint64_t>(0, 48));
+
+// The synthetic logs exercise both verdicts: some seeds are race-free,
+// and in some racy seeds a place races while another does not.
+TEST(CheckerOracle, SyntheticLogsCoverBothVerdicts) {
+  size_t clean = 0, mixed = 0;
+  for (uint64_t seed = 0; seed < 48; ++seed) {
+    const SyntheticRun run = synthetic_run(seed);
+    const check::CheckResult r = check::check(run.log, run.graph,
+                                              ir::Program{});
+    std::set<uint64_t> places, racy;
+    for (const check::Access& a : run.log.accesses) places.insert(a.place);
+    for (const check::Race& race : r.races) {
+      racy.insert(run.log.accesses[race.first].place);
+    }
+    clean += r.ok();
+    mixed += !r.ok() && racy.size() < places.size();
+  }
+  EXPECT_GT(clean, 0u);
+  EXPECT_GT(mixed, 0u);
 }
 
 }  // namespace
