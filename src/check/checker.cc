@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstdio>
+#include <span>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -39,8 +40,8 @@ bool conflicting(const Access& a, const Access& b) {
       a.redop == b.redop) {
     return false;
   }
-  if (!fields_overlap(a.fields, b.fields)) return false;
-  return a.points.overlaps(b.points);
+  if (!fields_overlap(*a.fields, *b.fields)) return false;
+  return a.points->overlaps(*b.points);
 }
 
 // A conflicting pair, stored with `first` logically earlier. Pairs with
@@ -52,11 +53,6 @@ struct PairCheck {
   bool concurrent = false;  // equal seq: either direction satisfies
   bool ordered = false;
 };
-
-uint32_t uid32(uint64_t uid) {
-  CR_CHECK_MSG(uid < kNone, "happens-before anchor is not a 32-bit event uid");
-  return static_cast<uint32_t>(uid);
-}
 
 // --- Reachability over the happens-before graph in fire order. -------
 
@@ -110,16 +106,16 @@ HbOrder::HbOrder(const sim::EventGraph& graph, const AccessLog& log) {
   for (const auto& [from, to] : graph.edges()) {
     max_uid = std::max({max_uid, from, to});
   }
+  for (uint32_t s : log.anchors) max_uid = std::max(max_uid, s);
   for (const Access& a : log.accesses) {
-    for (uint64_t s : a.start_uids) max_uid = std::max(max_uid, uid32(s));
-    max_uid = std::max(max_uid, uid32(a.done_uid));
+    max_uid = std::max(max_uid, a.done_uid);
   }
+  CR_CHECK_MSG(max_uid < kNone,
+               "happens-before anchor is not a 32-bit event uid");
   std::vector<uint8_t> seen(size_t{max_uid} + 1, 0);
   for (const auto& [from, to] : graph.edges()) seen[from] = seen[to] = 1;
-  for (const Access& a : log.accesses) {
-    for (uint64_t s : a.start_uids) seen[s] = 1;
-    seen[a.done_uid] = 1;
-  }
+  for (uint32_t s : log.anchors) seen[s] = 1;
+  for (const Access& a : log.accesses) seen[a.done_uid] = 1;
   seen[0] = 0;  // the no-event: done_uid 0 means complete at time 0
 
   pos_.assign(seen.size(), kNone);
@@ -160,7 +156,7 @@ void HbOrder::order(std::vector<PairCheck>& pairs, const AccessLog& log) {
       pairs[p].ordered = true;
       return;
     }
-    const std::vector<uint64_t>& starts = log.accesses[to].start_uids;
+    const std::span<const uint32_t> starts = log.starts(log.accesses[to]);
     if (std::find(starts.begin(), starts.end(), a.done_uid) != starts.end()) {
       pairs[p].ordered = true;  // waits on it directly
       return;
@@ -193,7 +189,7 @@ void HbOrder::order(std::vector<PairCheck>& pairs, const AccessLog& log) {
         sources.push_back({q.src, uint64_t{1} << sources.size()});
       }
       const size_t before = anchors.size();
-      for (uint64_t s : log.accesses[q.dst].start_uids) {
+      for (uint32_t s : log.starts(log.accesses[q.dst])) {
         // An anchor before the source in fire order cannot be reached.
         const uint32_t p = pos_[s];
         if (p >= q.src) {
@@ -325,7 +321,9 @@ using FieldHistories =
 // access of the place covers entirely or not at all. All points of an
 // atom share one history, so the frontier is a flat array per field
 // and an access costs its atom count, not its interval count. Accesses
-// of one region share a shape (point set), whose atoms are found once.
+// of one region share a shape (point set), whose atoms are found once;
+// they share its address too, so a shape is looked up by address and
+// compared by value only the first time an address is seen.
 class Atoms {
  public:
   // `ids`: the place's accesses.
@@ -392,9 +390,15 @@ class Atoms {
     shapes_.clear();
     same_key_.clear();
     by_key_.clear();
+    by_addr_.clear();
     cuts_.clear();
     for (size_t i = 0; i < n; ++i) {
-      const support::IntervalSet& pts = acc[ids[i]].points;
+      const support::IntervalSet& pts = *acc[ids[i]].points;
+      auto [at, fresh] = by_addr_.try_emplace(&pts, kNone);
+      if (!fresh) {
+        shape_of_[i] = at->second;
+        continue;
+      }
       const std::vector<support::Interval>& ivs = pts.intervals();
       // A cheap key; the sets under one key are compared in full.
       uint64_t key = support::hash_mix(ivs.size());
@@ -416,6 +420,7 @@ class Atoms {
           cuts_.push_back(iv.hi);
         }
       }
+      at->second = s;
       shape_of_[i] = s;
     }
   }
@@ -435,6 +440,7 @@ class Atoms {
   std::vector<const support::IntervalSet*> shapes_;
   std::vector<uint32_t> same_key_;  // per shape: the next under its key
   std::unordered_map<uint64_t, uint32_t, support::U64Hash> by_key_;
+  std::unordered_map<const support::IntervalSet*, uint32_t> by_addr_;
   std::vector<uint64_t> cuts_;
   std::vector<uint32_t> class_;       // per segment [cuts_[k], cuts_[k+1])
   std::vector<uint32_t> split_into_;  // per class (then: its atom)
@@ -466,7 +472,7 @@ class FrontierWalk {
       // 1. Each access against the earlier statements' frontier.
       for (size_t i = g0; i < g1; ++i) {
         const Access& y = acc_[ids[i]];
-        for (rt::FieldId f : y.fields) {
+        for (rt::FieldId f : *y.fields) {
           std::vector<History>& hist = histories(frontier_, f);
           atoms_.for_each(i, [&](uint32_t k) {
             against(hist[k], ids[i], /*concurrent=*/false);
@@ -477,7 +483,7 @@ class FrontierWalk {
       if (several) {
         for (size_t i = g0; i < g1; ++i) {
           const Access& y = acc_[ids[i]];
-          for (rt::FieldId f : y.fields) {
+          for (rt::FieldId f : *y.fields) {
             std::vector<History>& hist = histories(pieces_, f);
             atoms_.for_each(i, [&](uint32_t k) {
               against(hist[k], ids[i], /*concurrent=*/true);
@@ -486,7 +492,7 @@ class FrontierWalk {
           }
         }
         for (size_t i = g0; i < g1; ++i) {
-          for (rt::FieldId f : acc_[ids[i]].fields) {
+          for (rt::FieldId f : *acc_[ids[i]].fields) {
             std::vector<History>& hist = histories(pieces_, f);
             atoms_.for_each(i, [&](uint32_t k) { hist[k] = History{}; });
           }
@@ -497,7 +503,7 @@ class FrontierWalk {
       for (size_t i = g0; i < g1; ++i) {
         const Access& y = acc_[ids[i]];
         if (y.type != AccessType::kWrite) continue;
-        for (rt::FieldId f : y.fields) {
+        for (rt::FieldId f : *y.fields) {
           std::vector<History>& hist = histories(frontier_, f);
           atoms_.for_each(i, [&](uint32_t k) {
             if (hist[k].written_by != seq + 1) {
@@ -510,7 +516,7 @@ class FrontierWalk {
       for (size_t i = g0; i < g1; ++i) {
         const Access& y = acc_[ids[i]];
         if (y.type == AccessType::kWrite) continue;
-        for (rt::FieldId f : y.fields) {
+        for (rt::FieldId f : *y.fields) {
           std::vector<History>& hist = histories(frontier_, f);
           atoms_.for_each(i, [&](uint32_t k) { add(hist[k], ids[i]); });
         }
@@ -595,7 +601,7 @@ void all_pairs(const std::vector<Access>& acc, const std::vector<uint32_t>& ids,
   }
 }
 
-std::string uid_list(const std::vector<uint64_t>& uids) {
+std::string uid_list(std::span<const uint32_t> uids) {
   std::string s = "{";
   for (size_t i = 0; i < uids.size(); ++i) {
     if (i > 0) s += ", ";
@@ -608,14 +614,15 @@ std::string uid_list(const std::vector<uint64_t>& uids) {
   return s + "}";
 }
 
-std::string site_text(const Access& a, const ir::Program& program) {
+std::string site_text(const AccessLog& log, const Access& a,
+                      const ir::Program& program) {
   std::string s = std::string(to_string(a.type)) + " " + a.what + " (seq " +
                   std::to_string(a.seq) + " sub " + std::to_string(a.sub) +
                   ", " +
                   (a.shard == UINT32_MAX ? std::string("main task")
                                          : "shard " + std::to_string(a.shard)) +
                   ")";
-  s += "\n      anchors: starts=" + uid_list(a.start_uids) +
+  s += "\n      anchors: starts=" + uid_list(log.starts(a)) +
        " done=" + std::to_string(a.done_uid);
   if (a.stmt != nullptr) {
     std::string stmt = ir::to_string(*a.stmt, program, 0);
@@ -650,16 +657,18 @@ std::string CheckResult::to_text() const {
   return s;
 }
 
-std::string race_text(const Access& a, const Access& b, bool concurrent,
-                      const ir::Program& program) {
-  const support::IntervalSet overlap = a.points.set_intersect(b.points);
+std::string race_text(const AccessLog& log, size_t earlier, size_t later,
+                      bool concurrent, const ir::Program& program) {
+  const Access& a = log.accesses[earlier];
+  const Access& b = log.accesses[later];
+  const support::IntervalSet overlap = a.points->set_intersect(*b.points);
   return "race on root " + std::to_string(a.root) + " place " +
          std::to_string(a.place) + " points " + overlap.to_string() +
          (concurrent ? " (concurrent within one statement)" : "") +
-         "\n    earlier: " + site_text(a, program) +
-         "\n    later:   " + site_text(b, program) +
+         "\n    earlier: " + site_text(log, a, program) +
+         "\n    later:   " + site_text(log, b, program) +
          "\n    missing edge: " + std::to_string(a.done_uid) + " -> " +
-         uid_list(b.start_uids);
+         uid_list(log.starts(b));
 }
 
 CheckResult check(const AccessLog& log, const sim::EventGraph& graph,
@@ -737,7 +746,7 @@ CheckResult check(const AccessLog& log, const sim::EventGraph& graph,
     Race r;
     r.first = pc.first;
     r.second = pc.second;
-    r.text = race_text(acc[pc.first], acc[pc.second], pc.concurrent, program);
+    r.text = race_text(log, pc.first, pc.second, pc.concurrent, program);
     out.races.push_back(std::move(r));
   }
   out.stats.races = out.races.size();

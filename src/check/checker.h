@@ -69,9 +69,9 @@ struct CheckResult {
 CheckResult check(const AccessLog& log, const sim::EventGraph& graph,
                   const ir::Program& program);
 
-// The report text of a race between `earlier` and `later` (concurrent:
-// pieces of one statement).
-std::string race_text(const Access& earlier, const Access& later,
+// The report text of a race between the log's accesses `earlier` and
+// `later` (concurrent: pieces of one statement).
+std::string race_text(const AccessLog& log, size_t earlier, size_t later,
                       bool concurrent, const ir::Program& program);
 
 }  // namespace cr::check

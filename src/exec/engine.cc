@@ -250,57 +250,59 @@ void Engine::Impl::export_metrics(support::MetricsRegistry& m) {
 
 // --- race-checker instrumentation -------------------------------------------
 
-std::vector<uint64_t> Engine::Impl::uids_of(
-    const std::vector<sim::Event>& pre) {
-  std::vector<uint64_t> out;
-  out.reserve(pre.size());
-  for (const sim::Event& e : pre) {
-    if (e.uid() != 0) out.push_back(e.uid());
-  }
-  return out;
+const support::IntervalSet& Engine::Impl::partials_range(uint64_t lo,
+                                                         uint64_t hi) {
+  auto [it, inserted] = partials_sets_.try_emplace({lo, hi}, nullptr);
+  if (inserted) it->second = log_.own(support::IntervalSet::range(lo, hi));
+  return *it->second;
+}
+
+check::AnchorSpan Engine::Impl::log_starts(const std::vector<sim::Event>& pre) {
+  check::AnchorSpan span = log_.open_span();
+  for (const sim::Event& e : pre) log_.add_anchor(span, e.uid());
+  return span;
 }
 
 void Engine::Impl::log_access(check::AccessType type, rt::ReduceOp redop,
                               uint64_t place, rt::RegionId root,
                               const std::vector<rt::FieldId>& fields,
-                              support::IntervalSet points,
-                              std::vector<uint64_t> starts, uint64_t done_uid,
+                              const support::IntervalSet& points,
+                              check::AnchorSpan starts, uint64_t done_uid,
                               uint64_t sub, uint32_t shard, const char* what) {
-  check::Access a;
-  a.place = place;
-  a.root = root;
-  a.fields = fields;
-  a.points = std::move(points);
-  a.type = type;
-  a.redop = redop;
-  a.start_uids = std::move(starts);
-  a.done_uid = done_uid;
-  a.seq = cur_seq_;
-  a.sub = sub;
-  a.shard = shard;
-  a.stmt = cur_stmt_;
-  a.what = what;
-  log_.accesses.push_back(std::move(a));
+  log_.accesses.push_back({.place = place,
+                           .points = &points,
+                           .fields = &fields,
+                           .seq = cur_seq_,
+                           .sub = sub,
+                           .stmt = cur_stmt_,
+                           .what = what,
+                           .starts = starts,
+                           .done_uid = check::AccessLog::uid32(done_uid),
+                           .shard = shard,
+                           .root = root,
+                           .type = type,
+                           .redop = redop});
 }
 
-void Engine::Impl::log_use(const Use& u, support::IntervalSet points,
-                           std::vector<uint64_t> starts, uint64_t done_uid,
+void Engine::Impl::log_use(const Use& u, const support::IntervalSet& points,
+                           check::AnchorSpan starts, uint64_t done_uid,
                            uint64_t sub, uint32_t shard, const char* what) {
   log_access(u.access(), u.redop, place_of(*u.ref),
-             forest().region(u.ref->region).root, *u.fields, std::move(points),
-             std::move(starts), done_uid, sub, shard, what);
+             forest().region(u.ref->region).root, *u.fields, points, starts,
+             done_uid, sub, shard, what);
 }
 
-void Engine::Impl::log_uses(std::span<const Use> uses,
-                            const std::vector<sim::Event>& pre,
-                            sim::Event done, uint64_t sub, uint32_t shard,
-                            const char* what) {
-  if (!check_) return;
-  const std::vector<uint64_t> starts = uids_of(pre);
+check::AnchorSpan Engine::Impl::log_uses(std::span<const Use> uses,
+                                         const std::vector<sim::Event>& pre,
+                                         sim::Event done, uint64_t sub,
+                                         uint32_t shard, const char* what) {
+  if (!check_) return {};
+  const check::AnchorSpan starts = log_starts(pre);
   for (const Use& u : uses) {
     log_use(u, forest().region(u.ref->region).ispace.points(), starts,
             done.uid(), sub, shard, what);
   }
+  return starts;
 }
 
 // =====================================================================
@@ -382,6 +384,12 @@ Engine::Engine(rt::Runtime& rt, const ir::Program& program,
 Engine::~Engine() = default;
 
 ExecutionResult Engine::run() {
+  // The unroll wires events from the simulator's current time on, and
+  // the access log and pair tables are per-run state: a second run on
+  // one engine would schedule into the past and mix two runs' logs.
+  CR_CHECK_MSG(!impl_->ran_,
+               "Engine::run() is one-shot: construct a new Engine per run");
+  impl_->ran_ = true;
   // The dependence tracker lives on the Runtime and so outlives any one
   // engine, but op ids are per-engine (restarting at 0): without a reset
   // a second run on the same runtime would match its fresh op ids
@@ -440,6 +448,16 @@ ExecutionResult Engine::run() {
 const check::AccessLog& Engine::access_log() const { return impl_->log_; }
 
 const sim::EventGraph& Engine::event_graph() const { return impl_->graph_; }
+
+std::vector<const support::IntervalSet*> Engine::pair_point_sets() const {
+  std::vector<const support::IntervalSet*> out;
+  auto add = [&](const Impl::PairTable& t) {
+    for (const Impl::PairInfo& pi : t.pairs) out.push_back(pi.points);
+  };
+  for (const auto& [id, t] : impl_->tables_) add(t);
+  for (const auto& [stmt, t] : impl_->copy_tables_) add(t);
+  return out;
+}
 
 bool Engine::write_trace(const std::string& path) const {
   if (const support::Tracer* t = impl_->tracer()) {

@@ -66,6 +66,8 @@ class Engine {
   ~Engine();
 
   // Unrolls the program into the simulator and runs it to completion.
+  // One-shot: a second call aborts; construct a new Engine per run (it
+  // may reuse the runtime).
   ExecutionResult run();
 
   // Write the timeline recorded under ExecConfig::trace as a Chrome
@@ -87,9 +89,12 @@ class Engine {
 
   // The race checker's inputs as the run under ExecConfig::check
   // recorded them: every access, and the happens-before graph with its
-  // fire order. Empty without the checker.
+  // fire order. Empty without the checker. The log's point sets are
+  // the forest's region sets, its own, and the pair tables' sets
+  // (pair_point_sets), valid while the engine lives.
   const check::AccessLog& access_log() const;
   const sim::EventGraph& event_graph() const;
+  std::vector<const support::IntervalSet*> pair_point_sets() const;
 
  private:
   struct Impl;

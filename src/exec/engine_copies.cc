@@ -10,6 +10,11 @@
 
 namespace cr::exec {
 
+namespace {
+// The points of every empty all-pairs entry.
+const support::IntervalSet kNoPoints;
+}  // namespace
+
 // --- pair tables ------------------------------------------------------------
 
 void Engine::Impl::check_sorted(const PairTable& t) {
@@ -41,21 +46,23 @@ void Engine::Impl::exec_intersect(const ir::Stmt& s, Ctx& ctx) {
   for (rt::RegionId r : pd.subregions) {
     intervals += forest().region(r).ispace.points().interval_count();
   }
+  // The access log and in-flight copies point into the table's sets.
+  auto [it, inserted] = tables_.try_emplace(s.isect_id);
+  CR_CHECK_MSG(inserted, "intersection table built twice: the access log "
+                         "and copy requests point into it");
+  PairTable& table = it->second;
+  table.src_colors = ps.subregions.size();
   auto pairs = rt::shallow_intersections(forest(), s.isect_src, s.isect_dst);
-  std::vector<PairInfo> infos;
   uint64_t complete_intervals = 0;
   for (const auto& pr : pairs) {
-    PairInfo pi;
-    pi.i = pr.src_color;
-    pi.j = pr.dst_color;
-    pi.points = rt::complete_intersection(forest(), ps.subregions[pr.src_color],
-                                          pd.subregions[pr.dst_color]);
-    complete_intervals += pi.points.interval_count();
-    if (!pi.points.empty()) infos.push_back(std::move(pi));
+    support::IntervalSet points = rt::complete_intersection(
+        forest(), ps.subregions[pr.src_color], pd.subregions[pr.dst_color]);
+    complete_intervals += points.interval_count();
+    if (points.empty()) continue;
+    table.pairs.push_back({pr.src_color, pr.dst_color,
+                           &table.sets.emplace_back(std::move(points))});
   }
-  result_.intersection_pairs += infos.size();
-  PairTable& table = tables_[s.isect_id];
-  table = {std::move(infos), ps.subregions.size()};
+  result_.intersection_pairs += table.pairs.size();
   check_sorted(table);
 
   // The shallow pass runs on the issuing node (paper: a single node);
@@ -88,7 +95,7 @@ void Engine::Impl::build_copy_table(const ir::Stmt& s, PairTable& t) {
     const rt::PartitionNode& pn = forest().partition(s.copy_dst);
     for (uint64_t j = 0; j < pn.subregions.size(); ++j) {
       pairs.push_back(
-          {0, j, forest().region(pn.subregions[j]).ispace.points()});
+          {0, j, &forest().region(pn.subregions[j]).ispace.points()});
     }
     return;
   }
@@ -97,7 +104,7 @@ void Engine::Impl::build_copy_table(const ir::Stmt& s, PairTable& t) {
   if (s.dst_root != rt::kNoId) {
     for (uint64_t i = 0; i < ps.subregions.size(); ++i) {
       pairs.push_back(
-          {i, 0, forest().region(ps.subregions[i]).ispace.points()});
+          {i, 0, &forest().region(ps.subregions[i]).ispace.points()});
     }
     return;
   }
@@ -113,14 +120,14 @@ void Engine::Impl::build_copy_table(const ir::Stmt& s, PairTable& t) {
   pairs.reserve(ps.subregions.size() * pd.subregions.size());
   for (uint64_t i = 0; i < ps.subregions.size(); ++i) {
     for (uint64_t j = 0; j < pd.subregions.size(); ++j) {
-      PairInfo pi{i, j, {}};
+      PairInfo pi{i, j, &kNoPoints};
       if (next < shallow.size() && shallow[next].src_color == i &&
           shallow[next].dst_color == j) {
-        pi.points = rt::complete_intersection(forest(), ps.subregions[i],
-                                              pd.subregions[j]);
+        pi.points = &t.sets.emplace_back(rt::complete_intersection(
+            forest(), ps.subregions[i], pd.subregions[j]));
         ++next;
       }
-      pairs.push_back(std::move(pi));
+      pairs.push_back(pi);
     }
   }
 }
@@ -150,7 +157,7 @@ void Engine::Impl::issue_one_copy(const ir::Stmt& s, const PairInfo& pi,
                                              : part_instance(s.copy_src, pi.i);
   InstanceRef& dst = s.dst_root != rt::kNoId ? root_instance(s.dst_root)
                                              : part_instance(s.copy_dst, pi.j);
-  if (pi.points.empty()) {
+  if (pi.points->empty()) {
     // Issue overhead is still paid — this is what §3.3 optimizes away.
     attribute(charge(ctx, cost_.copy_issue_ns, "issue:copy"), s);
     ++result_.copies_skipped;
@@ -209,7 +216,7 @@ void Engine::Impl::issue_one_copy(const ir::Stmt& s, const PairInfo& pi,
                             .dst_node = dst.node,
                             .src_inst = src.inst,
                             .dst_inst = dst.inst,
-                            .points = pi.points,
+                            .points = *pi.points,
                             .fields = s.copy_fields,
                             .reduction = s.copy_reduction,
                             .redop = s.copy_redop};
@@ -222,11 +229,11 @@ void Engine::Impl::issue_one_copy(const ir::Stmt& s, const PairInfo& pi,
             ctx.shard, relaxed);
   note_write(sync_of(dst), delivered, dst.node, ctx.shard, relaxed);
   if (check_) {
-    const std::vector<uint64_t> starts = uids_of(pre);
+    const check::AnchorSpan starts = log_starts(pre);
     const uint64_t sub = (pi.i << 32) | pi.j;  // unique per (src, dst) pair
-    log_use(uses[0], pi.points, starts, delivered.uid(), sub, ctx.shard,
+    log_use(uses[0], *pi.points, starts, delivered.uid(), sub, ctx.shard,
             "copy-src");
-    log_use(uses[1], pi.points, starts, delivered.uid(), sub, ctx.shard,
+    log_use(uses[1], *pi.points, starts, delivered.uid(), sub, ctx.shard,
             "copy-dst");
   }
   ctx.outstanding.push_back(localize(delivered, dst.node, ctx.node));
@@ -261,7 +268,7 @@ void Engine::Impl::exec_shards(const ir::Stmt& s, std::vector<Ctx>& main) {
           owned_colors(table.src_colors, shards[x], num_shards);
       for (const PairInfo& pi : owned_pairs(table, owned)) {
         complete_ns += cost_.isect_complete_per_interval_ns *
-                       static_cast<double>(pi.points.interval_count());
+                       static_cast<double>(pi.points->interval_count());
       }
     }
     if (complete_ns > 0) charge(shards[x], complete_ns, "isect:complete");

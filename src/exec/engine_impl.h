@@ -255,7 +255,11 @@ struct Engine::Impl {
 
   struct PairInfo {
     uint64_t i = 0, j = 0;
-    support::IntervalSet points;
+    // The elements the pair moves: a set of the table's own, or the
+    // region's when the copy goes through a root instance. The access
+    // log and in-flight copy requests point at it, so a table is never
+    // rebuilt once built.
+    const support::IntervalSet* points = nullptr;
   };
   // A copy's (src color i, dst color j) pairs, sorted by i, over a source
   // partition of src_colors colors. The sort is what lets a shard find
@@ -263,6 +267,7 @@ struct Engine::Impl {
   struct PairTable {
     std::vector<PairInfo> pairs;
     uint64_t src_colors = 1;
+    std::deque<support::IntervalSet> sets;  // computed intersections
   };
   std::map<ir::IntersectId, PairTable> tables_;
   // Region geometry is immutable once the forest is built, so each copy
@@ -317,7 +322,13 @@ struct Engine::Impl {
   // All host-side bookkeeping: when check_ is false nothing below is
   // touched on the hot path, and when true the virtual timeline is
   // unchanged (the log only copies event uids the engine wires anyway).
+  // Accesses point at the forest's region sets and the pair tables'
+  // sets, which stay put for the engine's lifetime.
   check::AccessLog log_;
+  // Partials slot ranges [lo, hi), each one log-owned set.
+  std::map<std::pair<uint64_t, uint64_t>, const support::IntervalSet*>
+      partials_sets_;
+  const support::IntervalSet& partials_range(uint64_t lo, uint64_t hi);
   sim::EventGraph graph_;
   uint64_t stmt_seq_ = 0;  // statement instances, implicit program order
   uint64_t cur_seq_ = 0;
@@ -346,25 +357,31 @@ struct Engine::Impl {
     return reinterpret_cast<uintptr_t>(p) | 1ull;
   }
 
-  static std::vector<uint64_t> uids_of(const std::vector<sim::Event>& pre);
+  // The start anchors of an op waiting on `pre`: one span every access
+  // the op logs shares.
+  check::AnchorSpan log_starts(const std::vector<sim::Event>& pre);
 
+  // `fields` and `points` must outlive the engine (see log_).
   void log_access(check::AccessType type, rt::ReduceOp redop, uint64_t place,
                   rt::RegionId root, const std::vector<rt::FieldId>& fields,
-                  support::IntervalSet points, std::vector<uint64_t> starts,
+                  const support::IntervalSet& points, check::AnchorSpan starts,
                   uint64_t done_uid, uint64_t sub, uint32_t shard,
                   const char* what);
   // Log one use over `points` of its instance.
-  void log_use(const Use& u, support::IntervalSet points,
-               std::vector<uint64_t> starts, uint64_t done_uid, uint64_t sub,
+  void log_use(const Use& u, const support::IntervalSet& points,
+               check::AnchorSpan starts, uint64_t done_uid, uint64_t sub,
                uint32_t shard, const char* what);
-  // Log every use over its whole region, started by `pre`.
-  void log_uses(std::span<const Use> uses, const std::vector<sim::Event>& pre,
-                sim::Event done, uint64_t sub, uint32_t shard,
-                const char* what);
+  // Log every use over its whole region, started by `pre`; returns the
+  // uses' start span.
+  check::AnchorSpan log_uses(std::span<const Use> uses,
+                             const std::vector<sim::Event>& pre,
+                             sim::Event done, uint64_t sub, uint32_t shard,
+                             const char* what);
 
   // --- misc -----------------------------------------------------------------
 
   ExecutionResult result_;
+  bool ran_ = false;  // run() is one-shot
   std::map<uint32_t, uint64_t> proc_rr_;  // per-node round-robin counter
   uint64_t op_id_ = 0;
 

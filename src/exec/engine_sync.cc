@@ -57,11 +57,11 @@ void Engine::Impl::exec_collective(const ir::Stmt& s, std::vector<Ctx>& ctxs,
     const sim::Event all = sim().merge(evs);
     if (check_) {
       // The fold reads every partials slot once all contributors done.
-      std::vector<uint64_t> starts;
-      if (all.uid() != 0) starts.push_back(all.uid());
+      check::AnchorSpan starts = log_.open_span();
+      log_.add_anchor(starts, all.uid());
       log_access(check::AccessType::kRead, op,
-                 place_of_partials(partials.get()), rt::kNoId, {0},
-                 support::IntervalSet::range(0, pr.colors), std::move(starts),
+                 place_of_partials(partials.get()), rt::kNoId,
+                 check::kPartialsFields, partials_range(0, pr.colors), starts,
                  all.uid(), 0, kMainEnv, "scalar-fold");
     }
     sim().trigger_when(ready, all, [value, partials, op] {
@@ -110,14 +110,14 @@ void Engine::Impl::exec_collective(const ir::Stmt& s, std::vector<Ctx>& ctxs,
     // to uid 0, and the fold reads become unanchored — a race against
     // the point tasks' partials writes.
     const uint64_t gather = dc->gather_uid(gen);
-    std::vector<uint64_t> starts;
-    if (gather != 0) starts.push_back(gather);
+    check::AnchorSpan starts = log_.open_span();
+    log_.add_anchor(starts, gather);
     for (Ctx& ctx : ctxs) {
       const rt::BlockRange block = owned_colors(pr.colors, ctx, num_shards);
       log_access(check::AccessType::kRead, op,
-                 place_of_partials(partials.get()), rt::kNoId, {0},
-                 support::IntervalSet::range(block.begin, block.end), starts,
-                 gather, ctx.shard, ctx.shard, "partials-fold");
+                 place_of_partials(partials.get()), rt::kNoId,
+                 check::kPartialsFields, partials_range(block.begin, block.end),
+                 starts, gather, ctx.shard, ctx.shard, "partials-fold");
     }
   }
 }

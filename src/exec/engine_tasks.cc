@@ -123,16 +123,15 @@ void Engine::Impl::issue_point_task(const ir::Stmt& s,
   ctx_pre.push_back(charge(ctx, issue_ns, "issue:task"));
   route_ctx_pre(ctx, node, ctx_pre, pre);
 
-  log_uses(uses, pre, done, color, ctx.shard, "task");
+  const check::AnchorSpan starts =
+      log_uses(uses, pre, done, color, ctx.shard, "task");
   if (check_ && red != nullptr) {
     // The point task also writes its slot of the scalar-reduction
     // partials buffer, read later by the collective's fold.
-    support::IntervalSet slot;
-    slot.add_point(color);
     log_access(check::AccessType::kWrite, rt::ReduceOp::kSum,
-               place_of_partials(red->partials.get()), rt::kNoId, {0},
-               std::move(slot), uids_of(pre), done.uid(), color, ctx.shard,
-               "partials");
+               place_of_partials(red->partials.get()), rt::kNoId,
+               check::kPartialsFields, partials_range(color, color + 1),
+               starts, done.uid(), color, ctx.shard, "partials");
   }
 
   double duration = task_duration(decl, uses);

@@ -23,7 +23,8 @@ sim::Event CopyEngine::issue(const CopyRequest& req,
   if (instances_ != nullptr) {
     CR_CHECK(req.src_inst != kNoId && req.dst_inst != kNoId);
     InstanceManager* insts = instances_;
-    // Capture by value: the request may be a temporary at the caller.
+    // Capture by value: the request may be a temporary at the caller
+    // (its points and fields are references that outlive delivery).
     // The payload is gathered from the source instance on the source
     // side at injection, and scattered into the destination at delivery.
     // Reading at inject instead of delivery is equivalent:

@@ -18,6 +18,11 @@
 
 namespace cr::rt {
 
+// `points` and `fields` are references, not copies: the engine passes a
+// pair table's set and the copy statement's field list. Both must
+// outlive the copy's delivery, because in real-data executions the
+// payload is gathered at injection and scattered at delivery, after
+// issue() has returned.
 struct CopyRequest {
   RegionId src_region = kNoId;
   RegionId dst_region = kNoId;
@@ -26,8 +31,8 @@ struct CopyRequest {
   // Instances are bound only in real-data executions.
   InstanceId src_inst = kNoId;
   InstanceId dst_inst = kNoId;
-  support::IntervalSet points;  // the elements to move (already intersected)
-  std::vector<FieldId> fields;
+  const support::IntervalSet& points;  // the elements to move (intersected)
+  const std::vector<FieldId>& fields;
   bool reduction = false;
   ReduceOp redop = ReduceOp::kSum;
 };

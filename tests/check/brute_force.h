@@ -28,10 +28,10 @@ inline bool brute_conflicting(const Access& a, const Access& b) {
     return false;
   }
   bool fields = false;
-  for (rt::FieldId x : a.fields) {
-    for (rt::FieldId y : b.fields) fields |= x == y;
+  for (rt::FieldId x : *a.fields) {
+    for (rt::FieldId y : *b.fields) fields |= x == y;
   }
-  return fields && a.points.overlaps(b.points);
+  return fields && a.points->overlaps(*b.points);
 }
 
 inline CheckResult brute_force_check(const AccessLog& log,
@@ -98,11 +98,11 @@ inline CheckResult brute_force_check(const AccessLog& log,
       pairs[p].ordered = true;
       return;
     }
-    if (b.start_uids.empty()) return;
+    if (log.starts(b).empty()) return;
     const size_t qid = queries.size();
     queries.push_back({p, src});
     bit_of.try_emplace(src, bit_of.size());
-    for (uint64_t s : b.start_uids) bucket[intern(s)].push_back(qid);
+    for (uint32_t s : log.starts(b)) bucket[intern(s)].push_back(qid);
   };
   for (size_t p = 0; p < pairs.size(); ++p) {
     add_direction(p, pairs[p].first, pairs[p].second);
@@ -157,10 +157,9 @@ inline CheckResult brute_force_check(const AccessLog& log,
 
   for (const Pair& pc : pairs) {
     if (pc.ordered) continue;
-    out.races.push_back({pc.first, pc.second,
-                         race_text(log.accesses[pc.first],
-                                   log.accesses[pc.second], pc.concurrent,
-                                   program)});
+    out.races.push_back(
+        {pc.first, pc.second,
+         race_text(log, pc.first, pc.second, pc.concurrent, program)});
   }
   out.stats.races = out.races.size();
   return out;

@@ -12,15 +12,20 @@
 //     the exhaustive all-pairs checker's (brute_force.h) on every run
 //     above and on seeded synthetic logs, and the precondition its
 //     frontier argument rests on holds on every application.
-//  4. Growth: the pairs checked per access stay flat as the machine
-//     grows.
+//  4. Growth: the pairs checked per access and the access log's bytes
+//     per access stay flat as the machine grows, and the log points at
+//     shared point sets instead of copying them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "apps/circuit/circuit.h"
 #include "apps/miniaero/miniaero.h"
@@ -175,13 +180,14 @@ std::string anchors_reach_done(const check::AccessLog& log,
   std::map<uint64_t, std::set<uint64_t>> starts_of;  // done -> starts
   for (size_t i = 0; i < log.accesses.size(); ++i) {
     const check::Access& a = log.accesses[i];
+    const std::span<const uint32_t> starts = log.starts(a);
     if (a.done_uid == 0) {
-      if (!a.start_uids.empty()) {
+      if (!starts.empty()) {
         return "access " + std::to_string(i) + " has done 0 and starts";
       }
       continue;
     }
-    starts_of[a.done_uid].insert(a.start_uids.begin(), a.start_uids.end());
+    starts_of[a.done_uid].insert(starts.begin(), starts.end());
   }
   for (const auto& [done, starts] : starts_of) {
     size_t floor = SIZE_MAX;
@@ -270,30 +276,45 @@ TEST(Checker, StencilMutationSweepBarrierAllDetected) {
   mutation_sweep(/*p2p=*/false);
 }
 
+// Implicit stencil with the dependence tracker and the checker on,
+// small tiles: the growth gates below compare 16 with 64 nodes.
+// Deterministic: no count depends on timing.
+struct StencilAudit {
+  std::unique_ptr<rt::Runtime> rt;
+  PreparedRun run;
+  ExecutionResult res;
+};
+
+StencilAudit implicit_stencil_audit(uint32_t nodes) {
+  CostModel cost;
+  cost.track_dependences = true;
+  StencilAudit out;
+  out.rt = std::make_unique<rt::Runtime>(
+      runtime_config(nodes, 2, cost, /*real_data=*/false));
+  apps::stencil::Config cfg;
+  cfg.nodes = nodes;
+  cfg.tasks_per_node = 2;
+  cfg.tile_x = 6;
+  cfg.tile_y = 6;
+  cfg.steps = 2;
+  ir::Program p = apps::stencil::build(*out.rt, cfg).program;
+  for (auto& t : p.tasks) t.kernel = nullptr;
+  ExecConfig ecfg;
+  ecfg.cost = cost;
+  ecfg.mode = ExecMode::kImplicit;
+  ecfg.check = true;
+  out.run = prepare(*out.rt, std::move(p), ecfg);
+  out.res = out.run.run();
+  EXPECT_TRUE(out.res.check->ok()) << out.res.check->to_text();
+  return out;
+}
+
 // Host-side growth gate: the pairs the checker orders per access must
 // stay flat as the machine grows (an all-pairs enumeration grows with
-// the accesses per place). Implicit stencil with the dependence
-// tracker on, small tiles. Deterministic: no count depends on timing.
+// the accesses per place).
 TEST(Checker, PairsPerAccessStayFlat) {
   auto pairs_per_access = [](uint32_t nodes) {
-    CostModel cost;
-    cost.track_dependences = true;
-    rt::Runtime rt(runtime_config(nodes, 2, cost, /*real_data=*/false));
-    apps::stencil::Config cfg;
-    cfg.nodes = nodes;
-    cfg.tasks_per_node = 2;
-    cfg.tile_x = 6;
-    cfg.tile_y = 6;
-    cfg.steps = 2;
-    ir::Program p = apps::stencil::build(rt, cfg).program;
-    for (auto& t : p.tasks) t.kernel = nullptr;
-    ExecConfig ecfg;
-    ecfg.cost = cost;
-    ecfg.mode = ExecMode::kImplicit;
-    ecfg.check = true;
-    PreparedRun run = prepare(rt, std::move(p), ecfg);
-    const ExecutionResult res = run.run();
-    EXPECT_TRUE(res.check->ok()) << res.check->to_text();
+    const ExecutionResult res = implicit_stencil_audit(nodes).res;
     return res.metrics.at("check.pairs_checked") /
            res.metrics.at("check.accesses");
   };
@@ -302,6 +323,53 @@ TEST(Checker, PairsPerAccessStayFlat) {
   EXPECT_GT(at16, 0.0);
   EXPECT_LE(at64, 1.25 * at16) << "16 nodes: " << at16
                                << " pairs/access, 64 nodes: " << at64;
+}
+
+// The access log holds references, not copies: every access's points
+// are its region's set (tasks, fills), its copy pair's set (copies) or
+// a log-owned partials set, and a record plus its share of the anchors
+// costs the same number of bytes at 16 and at 64 nodes.
+static_assert(std::is_trivially_copyable_v<check::Access>);
+static_assert(sizeof(check::Access) <= 80);
+
+TEST(Checker, AccessLogSharesPointSetsAndStaysFlat) {
+  auto bytes_per_access = [](uint32_t nodes) {
+    const StencilAudit audit = implicit_stencil_audit(nodes);
+    const Engine& engine = *audit.run.engine;
+    const check::AccessLog& log = engine.access_log();
+    const rt::RegionForest& forest = audit.rt->forest();
+    std::set<const support::IntervalSet*> regions, pairs, owned, used;
+    for (rt::RegionId r = 0; r < forest.num_regions(); ++r) {
+      regions.insert(&forest.region(r).ispace.points());
+    }
+    const std::vector<const support::IntervalSet*> pair_sets =
+        engine.pair_point_sets();
+    pairs.insert(pair_sets.begin(), pair_sets.end());
+    for (const support::IntervalSet& s : log.owned) owned.insert(&s);
+    size_t misplaced = 0;
+    for (const check::Access& a : log.accesses) {
+      const std::string what = a.what;
+      const std::set<const support::IntervalSet*>& home =
+          what.starts_with("copy-")      ? pairs
+          : what.starts_with("partials") ? owned
+          : what == "scalar-fold"        ? owned
+                                         : regions;
+      misplaced += home.count(a.points) == 0;
+      used.insert(a.points);
+    }
+    EXPECT_EQ(misplaced, 0u) << nodes << " nodes";
+    EXPECT_LE(used.size(),
+              forest.num_regions() + pair_sets.size() + log.owned.size())
+        << nodes << " nodes";
+    EXPECT_GT(log.accesses.size(), 0u);
+    return static_cast<double>(sizeof(check::Access)) +
+           4.0 * static_cast<double>(log.anchors.size()) /
+               static_cast<double>(log.accesses.size());
+  };
+  const double at16 = bytes_per_access(16);
+  const double at64 = bytes_per_access(64);
+  EXPECT_LE(at64, 1.25 * at16) << "16 nodes: " << at16
+                               << " log bytes/access, 64 nodes: " << at64;
 }
 
 // --- Seeded synthetic logs ---------------------------------------------
@@ -321,6 +389,11 @@ struct SyntheticRun {
   sim::EventGraph graph;
 };
 
+// The field lists of the synthetic accesses, by bit mask over {0, 1, 2}.
+const std::array<std::vector<rt::FieldId>, 8> kFieldSets = {
+    std::vector<rt::FieldId>{}, {0}, {1}, {0, 1}, {2}, {0, 2}, {1, 2},
+    {0, 1, 2}};
+
 SyntheticRun synthetic_run(uint64_t seed) {
   support::Rng rng(seed * 7919 + 3);
   SyntheticRun out;
@@ -338,7 +411,7 @@ SyntheticRun synthetic_run(uint64_t seed) {
         seq == 1 ? 3 : 1 + static_cast<uint32_t>(rng.next_below(3));
     for (uint32_t piece = 0; piece < pieces; ++piece) {
       const uint64_t sub = piece * 3 + rng.next_below(2);
-      std::vector<uint64_t> starts;
+      check::AnchorSpan starts = out.log.open_span();
       uint64_t done = 0;
       // The first statement always has an operation complete at time 0
       // and one that waits on nothing.
@@ -350,12 +423,12 @@ SyntheticRun synthetic_run(uint64_t seed) {
         done = node();
         edges.push_back({start, static_cast<uint32_t>(done)});
         if (kind != 1) {  // kind 1: waits on nothing
-          starts.push_back(start);
+          out.log.add_anchor(starts, start);
           const uint32_t extra = static_cast<uint32_t>(rng.next_below(3));
           for (uint32_t k = 0; k < extra; ++k) {
             const uint32_t anchor = node();
             edges.push_back({anchor, start});
-            starts.push_back(anchor);
+            out.log.add_anchor(starts, anchor);
           }
           for (size_t back = 1; back <= 4 && back <= dones.size(); ++back) {
             const double drop = regime == 0   ? 0.0
@@ -374,27 +447,31 @@ SyntheticRun synthetic_run(uint64_t seed) {
         check::Access a;
         a.place = rng.next_below(3);
         a.root = 0;
-        for (rt::FieldId f = 0; f < 3; ++f) {
-          if (rng.next_bool(0.45)) a.fields.push_back(f);
+        size_t fields = 0;  // bit mask
+        for (size_t f = 0; f < 3; ++f) {
+          if (rng.next_bool(0.45)) fields |= size_t{1} << f;
         }
-        if (a.fields.empty()) a.fields.push_back(rng.next_below(3));
+        if (fields == 0) fields = size_t{1} << rng.next_below(3);
+        a.fields = &kFieldSets[fields];
+        support::IntervalSet points;
         const uint32_t intervals = 1 + static_cast<uint32_t>(rng.next_below(3));
         for (uint32_t i = 0; i < intervals; ++i) {
           const uint64_t lo = rng.next_below(40);
-          a.points.add(lo, lo + 1 + rng.next_below(12));
+          points.add(lo, lo + 1 + rng.next_below(12));
         }
+        a.points = out.log.own(std::move(points));
         const uint64_t type = rng.next_below(10);
         a.type = type < 4   ? check::AccessType::kRead
                  : type < 7 ? check::AccessType::kWrite
                             : check::AccessType::kReduce;
         a.redop = static_cast<rt::ReduceOp>(rng.next_below(3));
-        a.start_uids = starts;
-        a.done_uid = done;
+        a.starts = starts;  // the operation's accesses share its anchors
+        a.done_uid = static_cast<uint32_t>(done);
         a.seq = seq;
         a.sub = sub;
         a.shard = static_cast<uint32_t>(sub);
         a.what = "synthetic";
-        out.log.accesses.push_back(std::move(a));
+        out.log.accesses.push_back(a);
       }
     }
   }

@@ -3,6 +3,7 @@
 // quiescence check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -168,6 +169,43 @@ TEST(EngineReuse, StartsAnalysisClean) {
   // which is what the absolute end time would report.
   EXPECT_GT(r2.makespan_ns, 0u);
   EXPECT_LT(r2.makespan_ns, r1.makespan_ns + r1.makespan_ns / 2);
+}
+
+// run() is one-shot: a second call on the same engine stops at entry
+// with a message that says what to do, not deep in the simulator.
+TEST(EngineReuse, SecondRunOnOneEngineDies) {
+  CostModel cost;
+  rt::Runtime rt(runtime_config(2, 2, cost, /*real_data=*/false));
+  testing::Fig2 fig(rt.forest(), 24, 4, 2);
+  ExecConfig cfg;
+  cfg.cost = cost;
+  cfg.mode = ExecMode::kImplicit;
+  cfg.check = true;
+  PreparedRun run = prepare(rt, fig.program, cfg);
+  run.run();
+  EXPECT_DEATH(run.run(), "construct a new Engine per run");
+}
+
+// The access log and in-flight copy requests point into an
+// intersection's pair table, so executing one intersection twice (here
+// a duplicated statement) must stop instead of rebuilding the table.
+TEST(PairTables, RebuiltIntersectionTableDies) {
+  CostModel cost;
+  rt::Runtime rt(runtime_config(2, 2, cost, /*real_data=*/false));
+  testing::Fig2 fig(rt.forest(), 24, 4, 2);
+  ExecConfig cfg;
+  cfg.cost = cost;
+  cfg.mode = ExecMode::kSpmd;
+  PreparedRun run = prepare(rt, fig.program, cfg);
+  std::vector<ir::Stmt>& body = run.program->body;
+  const auto isect =
+      std::find_if(body.begin(), body.end(), [](const ir::Stmt& s) {
+        return s.kind == ir::StmtKind::kIntersect;
+      });
+  ASSERT_NE(isect, body.end());
+  const ir::Stmt again = *isect;
+  body.insert(isect, again);
+  EXPECT_DEATH(run.run(), "intersection table built twice");
 }
 
 }  // namespace

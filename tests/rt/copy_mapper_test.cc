@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "rt/copy.h"
 #include "rt/mapper.h"
@@ -35,15 +36,19 @@ TEST(CopyEngine, MovesRealDataOnDelivery) {
   InstanceId dst = mgr->create(f.r, 1);
   mgr->get(src).write_f64(f.v, 7, 3.5);
 
-  CopyRequest req;
-  req.src_region = req.dst_region = f.r;
-  req.src_node = 0;
-  req.dst_node = 1;
-  req.src_inst = src;
-  req.dst_inst = dst;
-  req.points = support::IntervalSet::range(0, 10);
-  req.fields = {f.v};
-  sim::Event done = f.rt.copies().issue(req, sim::Event());
+  // The request is a temporary; its points and fields are referenced
+  // and must outlive delivery, which happens during run() below.
+  const support::IntervalSet points = support::IntervalSet::range(0, 10);
+  const std::vector<FieldId> fields{f.v};
+  sim::Event done = f.rt.copies().issue({.src_region = f.r,
+                                         .dst_region = f.r,
+                                         .src_node = 0,
+                                         .dst_node = 1,
+                                         .src_inst = src,
+                                         .dst_inst = dst,
+                                         .points = points,
+                                         .fields = fields},
+                                        sim::Event());
   EXPECT_EQ(mgr->get(dst).read_f64(f.v, 7), 0.0);  // not yet delivered
   f.rt.sim().run();
   EXPECT_TRUE(f.rt.sim().has_triggered(done));
@@ -55,10 +60,12 @@ TEST(CopyEngine, MovesRealDataOnDelivery) {
 
 TEST(CopyEngine, EmptyCopyIsSkipped) {
   Fixture f;
-  CopyRequest req;
-  req.src_region = req.dst_region = f.r;
-  req.points = support::IntervalSet();
-  req.fields = {f.v};
+  const support::IntervalSet points;
+  const std::vector<FieldId> fields{f.v};
+  const CopyRequest req{.src_region = f.r,
+                        .dst_region = f.r,
+                        .points = points,
+                        .fields = fields};
   const sim::Event pre = f.rt.sim().make_event();
   sim::Event done = f.rt.copies().issue(req, pre);
   EXPECT_EQ(done, pre);  // pass-through, no traffic
@@ -73,14 +80,16 @@ TEST(CopyEngine, ReductionCopyFolds) {
   InstanceId dst = mgr->create(f.r, 0);
   mgr->get(src).write_f64(f.v, 0, 4.0);
   mgr->get(dst).write_f64(f.v, 0, 10.0);
-  CopyRequest req;
-  req.src_region = req.dst_region = f.r;
-  req.src_inst = src;
-  req.dst_inst = dst;
-  req.points = support::IntervalSet::range(0, 1);
-  req.fields = {f.v};
-  req.reduction = true;
-  req.redop = ReduceOp::kSum;
+  const support::IntervalSet points = support::IntervalSet::range(0, 1);
+  const std::vector<FieldId> fields{f.v};
+  const CopyRequest req{.src_region = f.r,
+                        .dst_region = f.r,
+                        .src_inst = src,
+                        .dst_inst = dst,
+                        .points = points,
+                        .fields = fields,
+                        .reduction = true,
+                        .redop = ReduceOp::kSum};
   f.rt.copies().issue(req, sim::Event());
   f.rt.sim().run();
   EXPECT_EQ(mgr->get(dst).read_f64(f.v, 0), 14.0);
@@ -91,14 +100,16 @@ TEST(CopyEngine, VirtualBytesScaleCost) {
   auto wide = std::make_shared<FieldSpace>();
   FieldId fw = wide->add_field("w", FieldType::kF64, /*virtual_bytes=*/40);
   RegionId r2 = f.rt.forest().create_region(IndexSpace::dense(10), wide);
-  CopyRequest req;
-  req.src_region = req.dst_region = r2;
-  req.src_node = 0;
-  req.dst_node = 1;
-  req.src_inst = f.rt.instances()->create(r2, 0);
-  req.dst_inst = f.rt.instances()->create(r2, 1);
-  req.points = support::IntervalSet::range(0, 10);
-  req.fields = {fw};
+  const support::IntervalSet points = support::IntervalSet::range(0, 10);
+  const std::vector<FieldId> fields{fw};
+  const CopyRequest req{.src_region = r2,
+                        .dst_region = r2,
+                        .src_node = 0,
+                        .dst_node = 1,
+                        .src_inst = f.rt.instances()->create(r2, 0),
+                        .dst_inst = f.rt.instances()->create(r2, 1),
+                        .points = points,
+                        .fields = fields};
   f.rt.copies().issue(req, sim::Event());
   f.rt.sim().run();
   EXPECT_EQ(f.rt.copies().bytes_moved(), 400u);
