@@ -173,7 +173,8 @@ struct BenchOptions {
   ir::SyncId check_mutate = ir::kNoSyncId;
   // --metrics[=<path>]: write every recorded point's registry snapshot
   // (ExecutionResult::metrics) plus makespan and attribution as one
-  // BENCH_metrics JSON document — the bench_diff input. Empty = off.
+  // BENCH_metrics JSON document, the format of the committed
+  // bench/baselines. Empty = off.
   std::string metrics_path;
   // --mapper=<name>: placement policy for every engine run, one of
   // rt::mapper_names() ("default", "balanced", "adversarial", "random");
@@ -229,7 +230,7 @@ struct BenchOptions {
                      "write Chrome trace JSON + breakdown per run",
                      &trace_path, "trace." + app + ".json");
     flags.add_string("metrics", "<path>",
-                     "write per-point metrics snapshot JSON (bench_diff)",
+                     "write per-point metrics snapshot JSON",
                      &metrics_path, "BENCH_metrics." + app + ".json");
     flags.add("selftime", "[=<path>]",
               "profile host-side dynamic analysis (JSON artifact)",
@@ -348,7 +349,7 @@ class Bench {
   // Write the --metrics artifact: every engine point's registry
   // snapshot, makespan and attribution rows. Strictly virtual-time
   // quantities (no host wall-clock), so the output is bit-stable across
-  // machines and safe to commit as a bench_diff baseline. No-op unless
+  // machines and safe to commit as a byte-exact baseline. No-op unless
   // --metrics. A failure to write it makes finish() return nonzero.
   void write_metrics_json(const exec::ScalingReport& report);
 

@@ -1,6 +1,7 @@
 // The --mapper-matrix mode: run one fixed heterogeneous/faulty-node
 // scenario once per placement policy and emit one JSON artifact per
-// (app, mapper) cell for bench_diff gating.
+// (app, mapper) cell, byte-compared with bench/baselines/mapper/ by the
+// bench_mapper_exact_* CTests.
 //
 // The scenario deliberately oversubscribes the compute cores (the bench
 // configs raise tasks/node well above cores/node) so placement quality

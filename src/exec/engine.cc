@@ -483,13 +483,6 @@ double Engine::read_root_f64(rt::RegionId root, rt::FieldId f,
   return impl_->rt_.instances()->get(ref.inst).read_f64(f, pt);
 }
 
-int64_t Engine::read_root_i64(rt::RegionId root, rt::FieldId f,
-                              uint64_t pt) const {
-  auto& ref = impl_->root_instance(root);
-  CR_CHECK_MSG(ref.inst != rt::kNoId, "virtual-only run has no data");
-  return impl_->rt_.instances()->get(ref.inst).read_i64(f, pt);
-}
-
 double Engine::scalar(ir::ScalarId id) const {
   return *impl_->envs_.at(Impl::kMainEnv)[id].value;
 }

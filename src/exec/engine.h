@@ -83,7 +83,6 @@ class Engine {
 
   // Post-run access to results (real-data mode).
   double read_root_f64(rt::RegionId root, rt::FieldId f, uint64_t pt) const;
-  int64_t read_root_i64(rt::RegionId root, rt::FieldId f, uint64_t pt) const;
   // Final value of a scalar in the main (or implicit) environment.
   double scalar(ir::ScalarId id) const;
 

@@ -26,8 +26,9 @@ struct ScalingPoint {
 
   // The engine run behind this point (absent for the analytic reference
   // series): the flattened registry of ExecutionResult::metrics plus the
-  // raw makespan, so bench_diff can gate on it directly. Virtual-time
-  // quantities only, never host wall-clock.
+  // raw makespan, written by --metrics and byte-compared with the
+  // committed baselines. Virtual-time quantities only, never host
+  // wall-clock.
   bool has_metrics = false;
   double makespan_ns = 0;
   std::map<std::string, double> metrics;

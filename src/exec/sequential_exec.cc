@@ -194,12 +194,6 @@ double SequentialResult::read_f64(rt::RegionId root, rt::FieldId f,
   return s.f64.at(f)[s.domain->rank(point)];
 }
 
-int64_t SequentialResult::read_i64(rt::RegionId root, rt::FieldId f,
-                                   uint64_t point) const {
-  const Store& s = stores_.at(root);
-  return s.i64.at(f)[s.domain->rank(point)];
-}
-
 double SequentialResult::scalar(ir::ScalarId id) const {
   return scalars_.at(id);
 }

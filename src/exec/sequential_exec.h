@@ -17,7 +17,6 @@ namespace cr::exec {
 
 struct SequentialResult {
   double read_f64(rt::RegionId root, rt::FieldId f, uint64_t point) const;
-  int64_t read_i64(rt::RegionId root, rt::FieldId f, uint64_t point) const;
   double scalar(ir::ScalarId id) const;
 
   // Per root region: one column per field. Exposed for the executor

@@ -1,7 +1,6 @@
 #include "support/metrics.h"
 
 #include <bit>
-#include <sstream>
 
 #include "support/check.h"
 
@@ -76,26 +75,6 @@ std::map<std::string, double> MetricsRegistry::snapshot() const {
     out[name + ".max"] = static_cast<double>(h.max());
   }
   return out;
-}
-
-std::string MetricsRegistry::to_json() const {
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
-  for (const auto& [name, value] : snapshot()) {
-    if (!first) os << ",";
-    first = false;
-    // Counter-derived values are integral; print them without a
-    // fractional part so snapshots stay stable across libc printf quirks.
-    os << "\"" << name << "\":";
-    if (value == static_cast<double>(static_cast<int64_t>(value))) {
-      os << static_cast<int64_t>(value);
-    } else {
-      os << value;
-    }
-  }
-  os << "}";
-  return os.str();
 }
 
 }  // namespace cr::support

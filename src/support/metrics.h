@@ -90,9 +90,6 @@ class MetricsRegistry {
   // (std::map order), so identical runs snapshot identically.
   std::map<std::string, double> snapshot() const;
 
-  // The snapshot as a flat JSON object with stable key order.
-  std::string to_json() const;
-
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;

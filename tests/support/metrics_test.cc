@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "support/json.h"
-
 namespace cr::support {
 namespace {
 
@@ -118,26 +116,6 @@ TEST(MetricsRegistry, ResetZeroesEverything) {
   }
 }
 
-TEST(MetricsRegistry, ToJsonIsValidAndStable) {
-  MetricsRegistry m;
-  m.counter("b.count").add(2);
-  m.counter("a.count").add(1);
-  m.gauge("c.frac").set(0.5);
-  const std::string json = m.to_json();
-  // Integral values print without a fraction.
-  EXPECT_NE(json.find("\"a.count\":1"), std::string::npos) << json;
-  // Keys appear in sorted order (a before b before c).
-  EXPECT_LT(json.find("a.count"), json.find("b.count"));
-  EXPECT_LT(json.find("b.count"), json.find("c.frac"));
-  // Round-trips through the JSON parser.
-  JsonValue v;
-  std::string err;
-  ASSERT_TRUE(json_parse(json, v, err)) << err;
-  ASSERT_TRUE(v.is_object());
-  ASSERT_NE(v.get("c.frac"), nullptr);
-  EXPECT_EQ(v.get("c.frac")->num, 0.5);
-}
-
 TEST(MetricsRegistry, SnapshotDeterministicAcrossIdenticalSequences) {
   auto run = [] {
     MetricsRegistry m;
@@ -146,7 +124,7 @@ TEST(MetricsRegistry, SnapshotDeterministicAcrossIdenticalSequences) {
     m.histogram("lat").record(5);
     m.gauge("depth").set_max(8);
     m.gauge("depth").set_max(4);  // no-op: max keeps 8
-    return m.to_json();
+    return m.snapshot();
   };
   EXPECT_EQ(run(), run());
 }

@@ -1,6 +1,7 @@
 # Exact gate on committed bench baselines. Every virtual-time result is
-# deterministic, so any difference is a behavior change: run
-# tools/bench_diff on the two files to see which metrics moved.
+# deterministic, so any difference is a behavior change. On a mismatch the
+# failure message names a `git diff --no-index --word-diff=plain` command
+# that shows which keys moved, e.g. "exec.copies_issued": [-539,-]{+540,+}.
 #
 # Metrics mode: runs a figure bench capped at 4 nodes with --metrics and
 # byte-compares what it writes with the committed
@@ -65,7 +66,12 @@ while(pairs)
                           "${baseline}"
                   RESULT_VARIABLE differs)
   if(differs)
-    message(FATAL_ERROR "${out} differs from ${baseline}")
+    # Indented lines are not rewrapped, so the command stays copyable.
+    message(FATAL_ERROR "bench output differs from its committed baseline\n"
+                        "  ${out}\n  differs from ${baseline}\n"
+                        "To see which keys moved, run:\n"
+                        "  git diff --no-index --word-diff=plain "
+                        "${baseline} ${out}")
   endif()
   list(APPEND matched "${baseline}")
 endwhile()
