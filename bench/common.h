@@ -67,15 +67,6 @@ class FlagSet {
         });
   }
 
-  // An integer flag with a required value.
-  void add_int(std::string name, std::string value_name, std::string help,
-               int64_t* out) {
-    add(std::move(name), "=" + value_name, std::move(help),
-        [out](const std::string& value, bool) {
-          return parse_int(value, out);
-        });
-  }
-
   // Parses all of `value` as a decimal T. Out-of-range input is
   // rejected, never wrapped or saturated.
   template <typename T>
@@ -158,10 +149,10 @@ struct BenchOptions {
   // Prefix for trace artifacts; empty means tracing is disabled (the
   // default: runs record nothing and pay only a null-pointer check).
   std::string trace_path;
-  // --selftime: profile the *host-side* dynamic analysis (dependence
-  // index, aliasing memo) — wall-clock per point, counter blocks in the
-  // table, and a BENCH_analysis.json artifact.
-  // Purely observational: virtual makespans are identical either way.
+  // --selftime: profile the *host-side* dynamic analysis — host
+  // wall-clock and the rt.dep.* counters per point, written to a
+  // BENCH_analysis.json artifact. Purely observational: stdout and the
+  // virtual makespans are identical either way.
   bool selftime = false;
   std::string analysis_path = "BENCH_analysis.json";
   // --check: run the cross-shard happens-before race checker on every
@@ -177,18 +168,16 @@ struct BenchOptions {
   // bench/baselines. Empty = off.
   std::string metrics_path;
   // --mapper=<name>: placement policy for every engine run, one of
-  // rt::mapper_names() ("default", "balanced", "adversarial", "random");
-  // any other name is a bad argument. --mapper-seed seeds the "random"
-  // policy.
+  // rt::mapper_names() ("default", "balanced", "adversarial"); any other
+  // name is a bad argument.
   std::string mapper = "default";
-  int64_t mapper_seed = 0;
   // --mapper-matrix: instead of the weak-scaling sweep, run the fixed
   // heterogeneous/faulty-node scenario once per policy (default,
   // balanced, adversarial) and emit one BENCH_mapper.<app>.<policy>.json
   // artifact per cell.
   bool mapper_matrix = false;
   // Registers the run flags every bench honours (--check,
-  // --check-mutate, --mapper, --mapper-seed) plus those `kind` adds: the
+  // --check-mutate, --mapper) plus those `kind` adds: the
   // figure sweeps' artifact flags (--trace, --metrics, --selftime) and
   // --mapper-matrix. Default artifact names carry the app name so
   // several benches run from one directory (CI) never clobber each
@@ -211,8 +200,6 @@ struct BenchOptions {
                 mapper = value;
                 return true;
               });
-    flags.add_int("mapper-seed", "<n>",
-                  "seed for the random placement policy", &mapper_seed);
     flags.add("check-mutate", "=<sync-id>",
               "delete sync op <sync-id>; expect the checker to race",
               [this](const std::string& value, bool) {
@@ -310,7 +297,6 @@ class Bench {
       cfg.check_mutate = options_.check_mutate;
     }
     cfg.mapper.name = options_.mapper;
-    cfg.mapper.seed = static_cast<uint64_t>(options_.mapper_seed);
     return cfg;
   }
 
@@ -558,13 +544,13 @@ inline void write_point_json(FILE* f, const exec::ScalingPoint& p) {
 }
 
 // One measured point of the --selftime document: host wall-clock and
-// the analysis counters under their registry names.
+// the dynamic-analysis counters (rt.dep.*) under their registry names.
 inline void write_analysis_point_json(FILE* f, const exec::ScalingPoint& p) {
   std::fprintf(f, "      {\"nodes\": %u, \"virtual_seconds\": %.9g, "
                   "\"analysis\": {",
                p.nodes, p.seconds);
   for (const auto& [key, value] : p.metrics) {
-    if (!exec::is_analysis_counter(key)) continue;
+    if (key.rfind("rt.dep.", 0) != 0) continue;
     std::fprintf(f, "\"%s\": ", key.c_str());
     write_json_number(f, value);
     std::fprintf(f, ", ");

@@ -104,7 +104,6 @@ inline int run_mapper_matrix(Bench& bench, uint32_t nodes,
   for (const std::string& policy : policies) {
     MatrixCell cell = matrix_scenario(nodes);
     cell.mapper.name = policy;
-    cell.mapper.seed = static_cast<uint64_t>(bench.options().mapper_seed);
     std::fprintf(stderr, "  [matrix] %s, %u nodes...\n", policy.c_str(),
                  nodes);
     const exec::ExecutionResult res = run(cell);

@@ -50,11 +50,6 @@ struct CostModel {
   double task_slow_prob = 0.0;
   double task_slow_frac = 0.0;
 
-  // Maximum operations a control thread may have in flight before its
-  // next issue stalls (Legion's bounded pipeline / maximum window size).
-  // 0 = unlimited run-ahead.
-  uint64_t run_ahead_window = 0;
-
   // Run the real dynamic dependence analysis in implicit mode (exact
   // pairs-tested accounting). The naive user lists are quadratic in
   // machine size, so large virtual-only sweeps disable this and rely on

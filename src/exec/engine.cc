@@ -234,7 +234,6 @@ void Engine::Impl::export_metrics(support::MetricsRegistry& m) {
   m.counter("sim.net.messages").set(rt_.network().messages_sent());
   m.counter("sim.net.bytes").set(rt_.network().bytes_sent());
   support::Histogram& busy = m.histogram("sim.proc.busy_ns");
-  busy.reset();
   sim::Machine& mach = rt_.machine();
   for (uint32_t n = 0; n < mach.nodes(); ++n) {
     for (uint32_t c = 0; c < mach.cores_per_node(); ++c) {
@@ -390,23 +389,13 @@ ExecutionResult Engine::run() {
   CR_CHECK_MSG(!impl_->ran_,
                "Engine::run() is one-shot: construct a new Engine per run");
   impl_->ran_ = true;
-  // The dependence tracker lives on the Runtime and so outlives any one
-  // engine, but op ids are per-engine (restarting at 0): without a reset
-  // a second run on the same runtime would match its fresh op ids
-  // against the first run's stale users and carry over that run's
-  // counters. Each run's analysis — and its metrics — starts clean.
-  impl_->rt_.deps().reset();
-  // The simulator clock is likewise monotone across the runtime's
-  // lifetime; the makespan is this run's elapsed virtual time, not the
-  // absolute end time (they differ only when an engine reuses a
-  // runtime that already simulated something).
-  const sim::Time run_start = impl_->sim().now();
-  // Copy/network totals also live on the runtime and accumulate across
-  // engines; the result reports this run's deltas.
-  const uint64_t copies0 = impl_->rt_.copies().copies_issued();
-  const uint64_t skipped0 = impl_->rt_.copies().copies_skipped_empty();
-  const uint64_t bytes0 = impl_->rt_.copies().bytes_moved();
-  const uint64_t messages0 = impl_->rt_.network().messages_sent();
+  // The simulator, the dependence tracker and the copy and network
+  // totals live on the Runtime, so the result and the metrics read them
+  // as this run's own. A callback scheduled before run() has not fired
+  // yet, so it passes.
+  CR_CHECK_MSG(impl_->sim().events_processed() == 0,
+               "Engine::run(): this Runtime has already run; one Runtime "
+               "hosts one run: construct a new Runtime per run");
   if (impl_->check_) {
     // Record the happens-before DAG for the whole run: merge edges at
     // unroll, trigger/dispatch causality during simulation.
@@ -414,14 +403,12 @@ ExecutionResult Engine::run() {
     impl_->sim().set_event_graph(&impl_->graph_);
   }
   impl_->unroll();
-  impl_->result_.makespan_ns = impl_->sim().run() - run_start;
+  impl_->result_.makespan_ns = impl_->sim().run();
   impl_->live_ops_.check_quiesced(impl_->sim(), impl_->p_);
-  impl_->result_.copies_issued =
-      impl_->rt_.copies().copies_issued() - copies0;
-  impl_->result_.copies_skipped +=
-      impl_->rt_.copies().copies_skipped_empty() - skipped0;
-  impl_->result_.bytes_moved = impl_->rt_.copies().bytes_moved() - bytes0;
-  impl_->result_.messages = impl_->rt_.network().messages_sent() - messages0;
+  impl_->result_.copies_issued = impl_->rt_.copies().copies_issued();
+  impl_->result_.copies_skipped += impl_->rt_.copies().copies_skipped_empty();
+  impl_->result_.bytes_moved = impl_->rt_.copies().bytes_moved();
+  impl_->result_.messages = impl_->rt_.network().messages_sent();
   impl_->result_.control_busy_ns =
       impl_->rt_.machine()
           .proc(impl_->rt_.mapper().control_proc(0))

@@ -66,8 +66,9 @@ class Engine {
   ~Engine();
 
   // Unrolls the program into the simulator and runs it to completion.
-  // One-shot: a second call aborts; construct a new Engine per run (it
-  // may reuse the runtime).
+  // One-shot, and so is the runtime: a second call, or a call on a
+  // runtime that has already run, aborts. Construct a new Runtime and
+  // Engine per run.
   ExecutionResult run();
 
   // Write the timeline recorded under ExecConfig::trace as a Chrome

@@ -104,7 +104,6 @@ struct Engine::Impl {
     uint32_t shard = kMainEnv;  // also the scalar env id
     sim::Event last;            // last issued control segment
     std::vector<sim::Event> outstanding;  // ops issued since last barrier
-    std::deque<sim::Event> window;  // in-flight ops (bounded run-ahead)
   };
 
   // The colors of a `colors`-wide launch that `ctx` issues: all of them
@@ -115,20 +114,6 @@ struct Engine::Impl {
                                      uint32_t num_shards) {
     if (ctx.shard == kMainEnv) return {0, colors};
     return rt::block_range(colors, num_shards, ctx.shard);
-  }
-
-  // Bounded run-ahead (Legion's finite pipeline): before issuing another
-  // operation, a control thread whose window is full stalls until its
-  // oldest in-flight operation completes.
-  void gate_window(Ctx& ctx, sim::Event completion) {
-    if (cost_.run_ahead_window == 0) {
-      return;
-    }
-    if (ctx.window.size() >= cost_.run_ahead_window) {
-      ctx.last = sim().merge({ctx.last, ctx.window.front()});
-      ctx.window.pop_front();
-    }
-    ctx.window.push_back(completion);
   }
 
   // Charge control-plane time to the context's processor. `what` labels
@@ -312,9 +297,8 @@ struct Engine::Impl {
   // never-used cores is visible in the breakdown.
   void declare_tracks();
   // Mirror every component's counters into the runtime's registry once
-  // the timeline is final. Pure host-side observation: counters use
-  // set() so re-running on one Runtime stays idempotent, and the
-  // per-processor busy histogram is rebuilt from scratch each time.
+  // the timeline is final. Pure host-side observation; called once per
+  // run, and a Runtime hosts one run.
   void export_metrics(support::MetricsRegistry& m);
 
   // --- race-checker instrumentation (ExecConfig::check) --------------------

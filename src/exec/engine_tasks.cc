@@ -150,11 +150,10 @@ void Engine::Impl::issue_point_task(const ir::Stmt& s,
 
   // The control thread observes the completion on its own node; the
   // localized event is what later same-context merges (barrier
-  // arrivals, run-ahead gating, reduction folds) consume.
+  // arrivals, reduction folds) consume.
   const sim::Event home = localize(done, node, ctx.node);
   ctx.outstanding.push_back(home);
   track(done, LiveOps::Kind::kTask, s, color);
-  gate_window(ctx, home);
   if (red != nullptr) {
     red->events[ctx.shard == kMainEnv ? 0 : ctx.shard].push_back(home);
   }
@@ -164,7 +163,7 @@ void Engine::Impl::issue_point_task(const ir::Stmt& s,
 
 // A single task runs on node 0 with the master data and the main task.
 // Unlike a point task it takes no op id (no slow-task noise), and gets no
-// dependence analysis and no run-ahead gating.
+// dependence analysis.
 void Engine::Impl::exec_single(const ir::Stmt& s, Ctx& ctx) {
   const ir::TaskDecl& decl = p_.task(s.task);
   const sim::Event done = sim().make_event();

@@ -11,7 +11,10 @@ void LiveOps::track(sim::Simulator& sim, sim::Event done, Kind kind,
 }
 
 std::string LiveOps::label(const Op& op, const ir::Program& program) {
-  const std::string color = "[" + std::to_string(op.color) + "]";
+  // Appended, not `"[" + std::to_string(...)`: GCC 12 at -O3 reports a
+  // false -Wrestrict inside that operator+.
+  std::string color = "[";
+  color += std::to_string(op.color) + "]";
   switch (op.kind) {
     case Kind::kTask:
       return "task " + program.task(op.stmt->task).name + color;

@@ -7,10 +7,6 @@
 
 namespace cr::exec {
 
-bool is_analysis_counter(const std::string& key) {
-  return key.rfind("rt.dep.", 0) == 0;
-}
-
 double ScalingSeries::efficiency_at(uint32_t nodes) const {
   const ScalingPoint* base = nullptr;
   const ScalingPoint* at = nullptr;
@@ -89,21 +85,6 @@ std::string ScalingReport::to_table() const {
         os << std::setw(30) << cell.str();
       }
       os << "\n";
-    }
-  }
-  // Analysis appendix: host time and dynamic-analysis counters per
-  // measured engine point (--selftime).
-  for (const ScalingSeries& s : series) {
-    for (const ScalingPoint& p : s.points) {
-      if (p.host_seconds < 0) continue;
-      os << "\nanalysis [" << s.name << ", " << p.nodes << " nodes]\n";
-      for (const auto& [key, value] : p.metrics) {
-        if (!is_analysis_counter(key)) continue;
-        os << "  " << std::left << std::setw(24) << key << " "
-           << static_cast<uint64_t>(value) << "\n";
-      }
-      os << "  host wall-clock: " << std::fixed << std::setprecision(3)
-         << p.host_seconds << " s\n";
     }
   }
   return os.str();

@@ -35,9 +35,9 @@ struct ScalingPoint {
   // Copy/sync provenance attribution of the traced run, if any.
   std::vector<support::TraceAttributionRow> attribution;
 
-  // Host wall-clock of the point in seconds, measured under --selftime;
-  // < 0 when not measured. A measured engine point gets an analysis
-  // appendix in to_table(): host time plus its analysis counters.
+  // Host wall-clock of the point in seconds, measured under --selftime
+  // for the BENCH_analysis artifact; < 0 when not measured. Never part
+  // of to_table(), so stdout is the same with and without --selftime.
   double host_seconds = -1.0;
 
   // elements processed per second per node
@@ -64,10 +64,6 @@ struct ScalingReport {
   // Render the figure as an aligned text table, one row per node count.
   std::string to_table() const;
 };
-
-// Whether a registry key is one of the dynamic-analysis counters the
-// --selftime appendix reports (rt.dep.*).
-bool is_analysis_counter(const std::string& key);
 
 // Duration helper: virtual ns -> seconds.
 inline double to_seconds(sim::Time ns) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "rt/intersect.h"
+#include "support/check.h"
 
 namespace cr::rt {
 
@@ -12,12 +13,12 @@ DependenceTracker::~DependenceTracker() = default;
 
 const std::vector<DependenceTracker::Overlap>& DependenceTracker::overlaps_of(
     RegionId r) {
-  // The passes create partitions, so the forest can grow between runs:
-  // a list built before then would miss the new regions.
-  if (lists_.size() != forest_->num_regions()) {
-    lists_.assign(forest_->num_regions(), OverlapList{});
-    child_index_.clear();
-  }
+  // The passes create partitions, and they finish before the engine
+  // records its first operation: the forest is fixed from then on, so a
+  // list never misses a region.
+  if (lists_.empty()) lists_.resize(forest_->num_regions());
+  CR_CHECK_MSG(lists_.size() == forest_->num_regions(),
+               "region forest grew after the first dependence record");
   OverlapList& list = lists_[r];
   if (list.built) return list.entries;
   list.built = true;
@@ -121,13 +122,6 @@ std::vector<sim::Event> DependenceTracker::record(uint64_t op_id,
     }
   }
   return preconditions;
-}
-
-void DependenceTracker::reset() {
-  users_.clear();
-  pairs_tested_ = 0;
-  pairs_scanned_ = 0;
-  dependences_found_ = 0;
 }
 
 }  // namespace cr::rt

@@ -23,7 +23,8 @@
 //    far below pairs_scanned() on mostly-disjoint access patterns.
 //
 // Which regions overlap R is a fixed fact of the region forest (geometry
-// never changes after creation), so each region's overlap list is
+// never changes after creation, and the passes that add partitions
+// finish before the first record()), so each region's overlap list is
 // computed once, the first time a requirement names it, by descending
 // R's tree from the root through one interval index per partition. The
 // buckets on the list hold exactly the users an exhaustive scan would
@@ -58,9 +59,6 @@ class DependenceTracker {
   // engine's sequential issue loop guarantees.
   std::vector<sim::Event> record(uint64_t op_id, const Requirement& req,
                                  sim::Event completion);
-
-  // Clear all user lists (between independent executions).
-  void reset();
 
   // Privilege tests performed by this implementation.
   uint64_t pairs_tested() const { return pairs_tested_; }
@@ -105,8 +103,8 @@ class DependenceTracker {
   const RegionForest* forest_;
   // Keyed by (tree root, field).
   std::map<std::pair<RegionId, FieldId>, FieldState> users_;
-  // Geometry caches, indexed by region / keyed by partition. Valid while
-  // lists_.size() == forest_->num_regions(); dropped when the forest grows.
+  // Geometry caches, indexed by region / keyed by partition. Sized at
+  // the first record(); the forest must not grow after it.
   std::vector<OverlapList> lists_;
   std::unordered_map<PartitionId, std::unique_ptr<IntervalTree>> child_index_;
   std::vector<std::pair<User*, bool>> gathered_;  // scratch: (user, covered)

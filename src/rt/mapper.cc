@@ -6,7 +6,6 @@
 #include <map>
 
 #include "support/check.h"
-#include "support/hash.h"
 
 namespace cr::rt {
 
@@ -175,31 +174,11 @@ class AdversarialMapper : public Mapper {
   uint32_t hot_ = 0;
 };
 
-// --- random: seeded hash placement ------------------------------------
-class RandomMapper : public Mapper {
- public:
-  RandomMapper(const sim::Machine& machine, const MapperOptions& options)
-      : Mapper(machine, options), seed_(options.seed) {}
-
-  uint32_t node_of_color(uint64_t c, const LaunchShape& shape) const override {
-    CR_CHECK(c < shape.num_colors);
-    // Depends on (seed, color, num_colors) only, so a launch and its
-    // identically-shaped partition instances agree on placement.
-    const uint64_t h = support::hash_mix(
-        support::hash_mix(seed_ ^ 0x6d61707065727321ull) ^
-        (c * 0x9e3779b97f4a7c15ull) ^ shape.num_colors);
-    return static_cast<uint32_t>(h % nodes_);
-  }
-
- private:
-  uint64_t seed_;
-};
-
 }  // namespace
 
 const std::vector<std::string>& mapper_names() {
   static const std::vector<std::string> names = {"default", "balanced",
-                                                 "adversarial", "random"};
+                                                 "adversarial"};
   return names;
 }
 
@@ -213,9 +192,6 @@ std::unique_ptr<Mapper> make_mapper(const sim::Machine& machine,
   }
   if (options.name == "adversarial") {
     return std::make_unique<AdversarialMapper>(machine, options);
-  }
-  if (options.name == "random") {
-    return std::make_unique<RandomMapper>(machine, options);
   }
   std::string msg = "unknown mapper \"" + options.name + "\"; known:";
   for (const std::string& n : mapper_names()) msg += " " + n;

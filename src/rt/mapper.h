@@ -3,7 +3,7 @@
 // All placement decisions — shard→node, launch color→node, point
 // task→core, control thread→core — pass through a Mapper. Policies are
 // pluggable: make_mapper builds one of the named built-ins ("default",
-// "balanced", "adversarial", "random") and ExecConfig::mapper selects
+// "balanced", "adversarial") and ExecConfig::mapper selects
 // one per run; the Engine installs it on the Runtime at construction.
 //
 // Contract (see DESIGN.md "Mapping"):
@@ -29,13 +29,11 @@
 
 namespace cr::rt {
 
-// Placement-policy selection plus its knobs. Threaded through
+// Placement-policy selection plus its knob. Threaded through
 // ExecConfig::mapper (the only way to configure placement) and bench
-// --mapper=<name> / --mapper-seed=<n>.
+// --mapper=<name>.
 struct MapperOptions {
   std::string name = "default";
-  // Consumed by seeded policies ("random"); ignored elsewhere.
-  uint64_t seed = 0;
   // Cores per node unavailable to application tasks (runtime analysis).
   // Legion dedicates one core per node to its dynamic analysis;
   // PENNANT's single-node gap in §5.3 comes from exactly this.
@@ -109,8 +107,8 @@ class Mapper {
 
 // The named placement policies: "default" (blocked; the committed
 // baselines pin its placements bit for bit), "balanced" (speed- and
-// weight-aware contiguous blocks), "adversarial" (every color on the
-// slowest node), "random" (seeded hash placement).
+// weight-aware contiguous blocks) and "adversarial" (every color on the
+// slowest node).
 const std::vector<std::string>& mapper_names();
 
 // Builds the policy named options.name. CHECK-fails on an unknown name

@@ -8,6 +8,18 @@
 
 namespace cr::rt {
 
+namespace {
+
+// "R3", "P7": built by appending, which GCC 12 at -O3 compiles without
+// the false -Wrestrict it reports inside `"R" + std::to_string(id)`.
+std::string default_name(char prefix, uint32_t id) {
+  std::string out(1, prefix);
+  out += std::to_string(id);
+  return out;
+}
+
+}  // namespace
+
 RegionId RegionForest::create_region(IndexSpace ispace,
                                      std::shared_ptr<FieldSpace> fs,
                                      std::string name) {
@@ -17,7 +29,7 @@ RegionId RegionForest::create_region(IndexSpace ispace,
   node.ispace = std::move(ispace);
   node.fields = std::move(fs);
   node.root = id;
-  node.name = name.empty() ? "R" + std::to_string(id) : std::move(name);
+  node.name = name.empty() ? default_name('R', id) : std::move(name);
   regions_.push_back(std::move(node));
   return id;
 }
@@ -33,7 +45,7 @@ PartitionId RegionForest::create_partition(RegionId parent,
   pnode.parent = parent;
   pnode.disjoint = disjoint;
   pnode.complete = complete;
-  pnode.name = name.empty() ? "P" + std::to_string(pid) : std::move(name);
+  pnode.name = name.empty() ? default_name('P', pid) : std::move(name);
 
 #ifndef NDEBUG
   // Verify the static disjointness claim and containment in the parent.

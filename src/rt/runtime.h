@@ -1,7 +1,10 @@
 // The runtime context: one simulated machine plus the Legion-analog
 // services layered on it. Executors (implicit, SPMD, and the hand-written
 // baselines) share this bundle; constructing one Runtime corresponds to
-// one job allocation on the cluster.
+// one job allocation on the cluster. One Runtime hosts one run: its
+// clock, dependence tracker, copy and network totals and metrics are
+// that run's, and Engine::run() aborts on a runtime that has already
+// run.
 #pragma once
 
 #include <memory>

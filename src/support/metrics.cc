@@ -30,14 +30,6 @@ void Histogram::record(uint64_t v) {
   if (v > max_) max_ = v;
 }
 
-void Histogram::reset() {
-  for (uint64_t& b : buckets_) b = 0;
-  count_ = 0;
-  sum_ = 0;
-  min_ = UINT64_MAX;
-  max_ = 0;
-}
-
 Counter& MetricsRegistry::counter(const std::string& name) {
   CR_CHECK_MSG(!gauges_.count(name) && !histograms_.count(name),
                "metric name registered as a different kind");
@@ -54,12 +46,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
   CR_CHECK_MSG(!counters_.count(name) && !gauges_.count(name),
                "metric name registered as a different kind");
   return histograms_[name];
-}
-
-void MetricsRegistry::reset() {
-  for (auto& [name, c] : counters_) c.reset();
-  for (auto& [name, g] : gauges_) g.reset();
-  for (auto& [name, h] : histograms_) h.reset();
 }
 
 std::map<std::string, double> MetricsRegistry::snapshot() const {

@@ -25,7 +25,6 @@ class Counter {
   void add(uint64_t d = 1) { value_ += d; }
   void set(uint64_t v) { value_ = v; }
   uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
 
  private:
   uint64_t value_ = 0;
@@ -38,7 +37,6 @@ class Gauge {
     if (v > value_) value_ = v;
   }
   double value() const { return value_; }
-  void reset() { value_ = 0; }
 
  private:
   double value_ = 0;
@@ -62,7 +60,6 @@ class Histogram {
   uint64_t min() const { return count_ > 0 ? min_ : 0; }
   uint64_t max() const { return max_; }
   const uint64_t* buckets() const { return buckets_; }
-  void reset();
 
  private:
   uint64_t buckets_[kBuckets] = {};
@@ -80,10 +77,6 @@ class MetricsRegistry {
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
-
-  // Zero every registered instrument (the single reset path: benches
-  // reset once per repetition, nothing else keeps private tallies).
-  void reset();
 
   // Deterministic flat view: counters and gauges by value; histograms
   // flattened to <name>.count/.sum/.min/.max. Keys sort lexicographically

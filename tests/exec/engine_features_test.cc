@@ -1,6 +1,6 @@
 // Tests for the execution-engine features beyond plain interpretation:
-// bounded run-ahead windows, timeline tracing, noise injection, and the
-// quiescence check.
+// timeline tracing, noise injection, one run per runtime and engine, and
+// pair tables built once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "exec/implicit_exec.h"
-#include "exec/sequential_exec.h"
 #include "testing/fig2.h"
 
 namespace cr::exec {
@@ -28,41 +27,6 @@ sim::Time run_fig2(CostModel cost, bool spmd, uint32_t nodes = 4) {
   ecfg.mode = spmd ? ExecMode::kSpmd : ExecMode::kImplicit;
   PreparedRun run = prepare(rt, fig.program, ecfg);
   return run.run().makespan_ns;
-}
-
-TEST(RunAheadWindow, BoundedPipelineIsSlowerThanUnbounded) {
-  CostModel unlimited;
-  CostModel tight;
-  tight.run_ahead_window = 2;
-  // In implicit mode at several nodes the master normally hides its
-  // issue latency by running ahead; a 2-op window forces it to wait.
-  const sim::Time t_free = run_fig2(unlimited, /*spmd=*/false, 8);
-  const sim::Time t_tight = run_fig2(tight, /*spmd=*/false, 8);
-  EXPECT_GT(t_tight, t_free);
-}
-
-TEST(RunAheadWindow, LargeWindowMatchesUnlimited) {
-  CostModel unlimited;
-  CostModel wide;
-  wide.run_ahead_window = 1u << 20;
-  EXPECT_EQ(run_fig2(unlimited, false), run_fig2(wide, false));
-}
-
-TEST(RunAheadWindow, CorrectnessPreservedUnderTinyWindow) {
-  CostModel tight;
-  tight.run_ahead_window = 1;
-  rt::Runtime rt(runtime_config(4, 4, tight, /*real_data=*/true));
-  testing::Fig2 fig(rt.forest(), 48, 8, 3);
-  SequentialResult oracle = run_sequential(fig.program);
-  ExecConfig ecfg;
-  ecfg.cost = tight;
-  ecfg.mode = ExecMode::kSpmd;
-  PreparedRun run = prepare(rt, fig.program, ecfg);
-  run.run();
-  for (uint64_t p = 0; p < 48; ++p) {
-    ASSERT_EQ(run.engine->read_root_f64(fig.a, fig.fa, p),
-              oracle.read_f64(fig.a, fig.fa, p));
-  }
 }
 
 TEST(Noise, HeavyTailSlowsExecutionDeterministically) {
@@ -138,37 +102,20 @@ TEST(Trace, UnwritablePathReportsFailure) {
   }
 }
 
-// Engine reuse on one runtime: the dependence tracker is a Runtime
-// member, so without the per-run reset a second engine's op ids would
-// collide with the first run's users and the counters would accumulate.
-TEST(EngineReuse, StartsAnalysisClean) {
+// A Runtime hosts one run: its clock, dependence tracker and copy and
+// network totals are that run's. A second engine's run() on a used
+// runtime stops at entry with a message that says what to do.
+TEST(EngineReuse, SecondRunOnOneRuntimeDies) {
   CostModel cost;
-  cost.track_dependences = true;
-  rt::Runtime rt(runtime_config(4, 4, cost, /*real_data=*/false));
-  testing::Fig2 fig(rt.forest(), 48, 8, 4);
+  rt::Runtime rt(runtime_config(2, 2, cost, /*real_data=*/false));
+  testing::Fig2 fig(rt.forest(), 24, 4, 2);
   ExecConfig cfg;
   cfg.cost = cost;
   cfg.mode = ExecMode::kImplicit;
   PreparedRun first = prepare(rt, fig.program, cfg);
-  const ExecutionResult r1 = first.run();
+  first.run();
   PreparedRun second = prepare(rt, fig.program, cfg);
-  const ExecutionResult r2 = second.run();
-  // The analysis and the copy/network tallies are per-run: nothing from
-  // run 1 may leak into run 2's counters.
-  for (const char* key :
-       {"rt.dep.pairs_scanned", "rt.dep.pairs_tested", "rt.dep.dependences"}) {
-    EXPECT_EQ(r1.metrics.at(key), r2.metrics.at(key)) << key;
-  }
-  EXPECT_EQ(r1.copies_issued, r2.copies_issued);
-  EXPECT_EQ(r1.bytes_moved, r2.bytes_moved);
-  EXPECT_EQ(r1.messages, r2.messages);
-  // The makespan is this run's elapsed virtual time, not the absolute
-  // simulator end time. Run 2 starts mid-world (its launch-time events
-  // clamp to "now" instead of staggering from t=0), so it may differ by
-  // a launch offset — but never by anything near a whole first run,
-  // which is what the absolute end time would report.
-  EXPECT_GT(r2.makespan_ns, 0u);
-  EXPECT_LT(r2.makespan_ns, r1.makespan_ns + r1.makespan_ns / 2);
+  EXPECT_DEATH(second.run(), "construct a new Runtime per run");
 }
 
 // run() is one-shot: a second call on the same engine stops at entry

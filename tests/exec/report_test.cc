@@ -38,10 +38,7 @@ TEST(Report, EfficiencyRelativeToSmallestNodeCount) {
 }
 
 TEST(Report, TableContainsAllSeriesAndNodeCounts) {
-  ScalingReport r;
-  r.title = "Fig";
-  r.unit = "u";
-  r.unit_scale = 1.0;
+  ScalingReport r{.title = "Fig", .unit = "u", .unit_scale = 1.0, .series = {}};
   r.series.push_back(series("A", {{1, 1.0}, {2, 1.0}}));
   r.series.push_back(series("B", {{2, 2.0}}));
   const std::string t = r.to_table();

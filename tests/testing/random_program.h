@@ -29,6 +29,13 @@ struct RandomProgram {
   std::vector<ir::ScalarId> scalars;
 };
 
+// `prefix` followed by `n` ("R3"). Appended, not `"R" + std::to_string(n)`:
+// GCC 12 at -O3 reports a false -Wrestrict inside that operator+.
+inline std::string numbered(std::string prefix, uint64_t n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
+
 inline RandomProgram make_random_program(rt::RegionForest& forest,
                                   support::Rng& rng, uint64_t colors) {
   RandomProgram out;
@@ -42,9 +49,9 @@ inline RandomProgram make_random_program(rt::RegionForest& forest,
     RandomProgram::RegionInfo info;
     info.field = f;
     info.region = forest.create_region(rt::IndexSpace::dense(n), fs,
-                                       "R" + std::to_string(r));
+                                       numbered("R", r));
     info.primary = rt::partition_equal(forest, info.region, colors,
-                                       "P" + std::to_string(r));
+                                       numbered("P", r));
     const size_t num_images = rng.next_below(3);
     for (size_t k = 0; k < num_images; ++k) {
       const uint64_t stride = 1 + rng.next_below(n);
@@ -58,7 +65,7 @@ inline RandomProgram make_random_program(rt::RegionForest& forest,
               outp.push_back((x * stride + offset + 7 * d) % n);
             }
           },
-          "Q" + std::to_string(r) + "_" + std::to_string(k)));
+          numbered(numbered("Q", r) + "_", k)));
     }
     out.regions.push_back(info);
   }
@@ -154,7 +161,7 @@ inline RandomProgram make_random_program(rt::RegionForest& forest,
     const bool reads_dt = plan.reads_dt;
     const bool has_reduce = plan.reduce_image >= 0;
     plan.id = b.task(
-        "T" + std::to_string(t), params, 300, 0.7,
+        numbered("T", t), params, 300, 0.7,
         [num_reads_copy, scalar_red, reads_dt, has_reduce](
             ir::TaskContext& ctx) {
           double local = 0;
