@@ -19,6 +19,11 @@ namespace {
 
 using namespace cr;
 
+// A counter of the run's registry snapshot (0 when never created).
+unsigned long long count(const exec::ExecutionResult& r, const char* key) {
+  return support::count_of(r.metrics, key);
+}
+
 exec::CostModel bench_cost() {
   exec::CostModel cost = exec::CostModel::piz_daint();
   cost.track_dependences = false;
@@ -27,8 +32,7 @@ exec::CostModel bench_cost() {
 
 double run_circuit_spmd(bench::Bench& bench, uint32_t nodes,
                         passes::PipelineOptions opt,
-                        exec::ExecutionResult* out = nullptr,
-                        passes::PipelineReport* report = nullptr) {
+                        exec::ExecutionResult* out = nullptr) {
   exec::CostModel cost = bench_cost();
   rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
   apps::circuit::Config cfg;
@@ -40,13 +44,11 @@ double run_circuit_spmd(bench::Bench& bench, uint32_t nodes,
   cfg.ns_per_wire = 50000;
   cfg.ns_per_node = 10000;
   auto app = apps::circuit::build(rt, cfg);
-  for (auto& t : app.program.tasks) t.kernel = nullptr;
   exec::PreparedRun run = exec::prepare(
       rt, app.program, bench.config(exec::ExecMode::kSpmd, cost, opt));
   exec::ExecutionResult res = run.run();
   bench.tally(res);
   if (out != nullptr) *out = res;
-  if (report != nullptr) *report = run.report;
   return exec::to_seconds(res.makespan_ns);
 }
 
@@ -61,11 +63,11 @@ void ablation_intersections(bench::Bench& bench) {
     exec::ExecutionResult r_on, r_off;
     const double t_on = run_circuit_spmd(bench, nodes, on, &r_on);
     const double t_off = run_circuit_spmd(bench, nodes, off, &r_off);
+    auto copies = [](const exec::ExecutionResult& r) {
+      return count(r, "exec.copies_issued") + count(r, "exec.copies_skipped");
+    };
     std::printf("%-8u %-16.4f %-16.4f %-18llu %-18llu\n", nodes, t_on,
-                t_off,
-                (unsigned long long)(r_on.copies_issued + r_on.copies_skipped),
-                (unsigned long long)(r_off.copies_issued +
-                                     r_off.copies_skipped));
+                t_off, copies(r_on), copies(r_off));
   }
 }
 
@@ -82,7 +84,6 @@ double run_pennant_spmd(bench::Bench& bench, uint32_t nodes,
   cfg.ns_per_zone = 100000;
   cfg.ns_per_point = 30000;
   auto app = apps::pennant::build(rt, cfg);
-  for (auto& t : app.program.tasks) t.kernel = nullptr;
   exec::PreparedRun run = exec::prepare(
       rt, app.program, bench.config(exec::ExecMode::kSpmd, cost, opt));
   const exec::ExecutionResult res = run.run();
@@ -110,22 +111,21 @@ void ablation_hierarchy(bench::Bench& bench) {
     passes::PipelineOptions opt;
     opt.hierarchical = hier;
     exec::ExecutionResult res;
-    passes::PipelineReport report;
-    const double t = run_circuit_spmd(bench, 32, opt, &res, &report);
+    const double t = run_circuit_spmd(bench, 32, opt, &res);
     std::printf(
-        "  %-12s makespan %.4f s; compiler emitted %zu inner copies and "
-        "%zu intersection tables (flat cannot prove the private "
+        "  %-12s makespan %.4f s; compiler emitted %llu inner copies and "
+        "%llu intersection tables (flat cannot prove the private "
         "partitions disjoint)\n",
-        hier ? "hierarchical" : "flat", t, report.inner_copies,
-        report.intersection_tables);
+        hier ? "hierarchical" : "flat", t,
+        count(res, "passes.data-replication.inner_copies"),
+        count(res, "passes.intersection-opt.tables"));
   }
 }
 
 // A4 uses a synthetic two-writer loop where naive data replication emits
 // a provably dead copy per iteration.
 double run_placement_program(bench::Bench& bench, bool placement,
-                             exec::ExecutionResult* out = nullptr,
-                             passes::PipelineReport* report = nullptr) {
+                             exec::ExecutionResult* out = nullptr) {
   exec::CostModel cost = bench_cost();
   rt::Runtime rt(exec::runtime_config(16, 12, cost, false));
   auto& forest = rt.forest();
@@ -172,7 +172,6 @@ double run_placement_program(bench::Bench& bench, bool placement,
   exec::ExecutionResult res = run.run();
   bench.tally(res);
   if (out != nullptr) *out = res;
-  if (report != nullptr) *report = run.report;
   return exec::to_seconds(res.makespan_ns);
 }
 
@@ -184,12 +183,12 @@ void ablation_placement(bench::Bench& bench) {
               "removed by PRE");
   for (bool placement : {true, false}) {
     exec::ExecutionResult res;
-    passes::PipelineReport report;
-    const double t = run_placement_program(bench, placement, &res, &report);
-    std::printf("%-20s %-14.4f %-16llu %-14zu\n",
+    const double t = run_placement_program(bench, placement, &res);
+    // No copy-placement counters exist when the pass is off: 0 removed.
+    std::printf("%-20s %-14.4f %-16llu %-14llu\n",
                 placement ? "with placement" : "without placement", t,
-                (unsigned long long)res.copies_issued,
-                report.copies_removed);
+                count(res, "exec.copies_issued"),
+                count(res, "passes.copy-placement.removed"));
   }
 }
 
@@ -210,7 +209,6 @@ void ablation_mapping(bench::Bench& bench) {
       cfg.steps = steps;
       cfg.ns_per_point = 1.07e9 / (16 * 16) / 1.3 / tpn;
       auto app = apps::stencil::build(rt, cfg);
-      for (auto& t : app.program.tasks) t.kernel = nullptr;
       exec::PreparedRun run = exec::prepare(
           rt, app.program, bench.config(exec::ExecMode::kSpmd, cost));
       const exec::ExecutionResult res = run.run();

@@ -53,7 +53,6 @@ bench::PointRecord run_engine(bench::Bench& bench, uint32_t nodes,
     Config cfg = make_config(nodes, steps);
     rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
     apps::miniaero::App app = apps::miniaero::build(rt, cfg);
-    for (auto& t : app.program.tasks) t.kernel = nullptr;
     exec::PreparedRun run = exec::prepare(
         rt, app.program,
         bench.config(spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit,

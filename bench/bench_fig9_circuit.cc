@@ -45,7 +45,6 @@ bench::PointRecord run_engine(bench::Bench& bench, uint32_t nodes,
     Config cfg = make_config(nodes, steps);
     rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
     apps::circuit::App app = apps::circuit::build(rt, cfg);
-    for (auto& t : app.program.tasks) t.kernel = nullptr;
     exec::PreparedRun run = exec::prepare(
         rt, app.program,
         bench.config(spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit,
@@ -69,7 +68,6 @@ int run_matrix(bench::Bench& bench) {
         cell.apply(rc);
         rt::Runtime rt(rc);
         apps::circuit::App app = apps::circuit::build(rt, cfg);
-        for (auto& t : app.program.tasks) t.kernel = nullptr;
         exec::ExecConfig ecfg = bench.config(exec::ExecMode::kSpmd, cost);
         ecfg.mapper = cell.mapper;
         ecfg.check = true;

@@ -43,6 +43,9 @@ int main() {
   ecfg.mode = exec::ExecMode::kSpmd;
   exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
   exec::ExecutionResult res = run.run();
+  auto count = [&](const char* key) {
+    return (unsigned long long)support::count_of(res.metrics, key);
+  };
 
   double vc0 = 0, vc1 = 0;
   bool match = true;
@@ -63,9 +66,7 @@ int main() {
       "(%llu empty pairs skipped by the intersection optimization), "
       "%llu intersection pairs\n",
       static_cast<double>(res.makespan_ns) * 1e-6,
-      (unsigned long long)res.point_tasks,
-      (unsigned long long)res.copies_issued,
-      (unsigned long long)res.copies_skipped,
-      (unsigned long long)res.intersection_pairs);
+      count("exec.point_tasks"), count("exec.copies_issued"),
+      count("exec.copies_skipped"), count("exec.intersection_pairs"));
   return match ? 0 : 1;
 }

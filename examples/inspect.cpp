@@ -9,6 +9,7 @@
 //   usage: inspect {stencil|circuit|pennant|miniaero} [nodes] [trace.json]
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 
 #include "apps/circuit/circuit.h"
@@ -37,23 +38,36 @@ bool inspect(rt::Runtime& rt, ir::Program program, const char* trace_path) {
   exec::PreparedRun run = exec::prepare(rt, std::move(program), ecfg);
   std::printf("==== after control replication ====\n%s\n",
               ir::to_string(*run.program).c_str());
-  const passes::PipelineReport& r = run.report;
+  // Pass counters live in the runtime's registry; a pass that did not
+  // run recorded none, so a missing key reads as 0.
+  const std::map<std::string, double> snap = rt.metrics().snapshot();
+  auto pass = [&](const char* key) {
+    return (unsigned long long)support::count_of(snap,
+                                                 std::string("passes.") + key);
+  };
   std::printf(
       "==== pipeline report ====\n"
-      "fragment statements     %zu\n"
-      "projections normalized  %zu\n"
-      "init / inner / final    %zu / %zu / %zu copies\n"
-      "reductions rewritten    %zu\n"
-      "copies removed/hoisted  %zu / %zu\n"
-      "intersection tables     %zu\n"
-      "collectives             %zu\n"
-      "p2p copies / barriers   %zu / %zu\n\n",
-      r.fragment_statements, r.projections_normalized, r.init_copies,
-      r.inner_copies, r.finalize_copies, r.reductions_rewritten,
-      r.copies_removed, r.copies_hoisted, r.intersection_tables,
-      r.collectives, r.p2p_copies, r.barriers);
+      "fragment statements     %llu\n"
+      "projections normalized  %llu\n"
+      "init / inner / final    %llu / %llu / %llu copies\n"
+      "reductions rewritten    %llu\n"
+      "copies removed/hoisted  %llu / %llu\n"
+      "intersection tables     %llu\n"
+      "collectives             %llu\n"
+      "p2p copies / barriers   %llu / %llu\n\n",
+      pass("fragment.statements"), pass("projection-normalize.normalized"),
+      pass("data-replication.init_copies"),
+      pass("data-replication.inner_copies"),
+      pass("data-replication.finalize_copies"),
+      pass("region-reduction.rewritten"), pass("copy-placement.removed"),
+      pass("copy-placement.hoisted"), pass("intersection-opt.tables"),
+      pass("scalar-reduction.collectives"), pass("sync-insertion.p2p_copies"),
+      pass("sync-insertion.barriers"));
 
   exec::ExecutionResult res = run.run();
+  auto count = [&](const char* key) {
+    return (unsigned long long)support::count_of(res.metrics, key);
+  };
   std::printf(
       "==== execution ====\n"
       "virtual makespan  %.3f ms\n"
@@ -63,12 +77,9 @@ bool inspect(rt::Runtime& rt, ir::Program program, const char* trace_path) {
       "messages          %llu\n"
       "intersections     %llu nonempty pairs\n",
       static_cast<double>(res.makespan_ns) * 1e-6,
-      (unsigned long long)res.point_tasks,
-      (unsigned long long)res.copies_issued,
-      (unsigned long long)res.copies_skipped,
-      (unsigned long long)res.bytes_moved,
-      (unsigned long long)res.messages,
-      (unsigned long long)res.intersection_pairs);
+      count("exec.point_tasks"), count("exec.copies_issued"),
+      count("exec.copies_skipped"), count("exec.bytes_moved"),
+      count("exec.messages"), count("exec.intersection_pairs"));
   if (trace_path == nullptr) return true;
   if (!run.engine->write_trace(trace_path)) {
     std::fprintf(stderr, "cannot write %s\n", trace_path);

@@ -110,6 +110,9 @@ int main() {
   std::printf("==== after control replication (compare Figure 4d) ====\n%s\n",
               ir::to_string(*spmd.program).c_str());
   exec::ExecutionResult spmd_res = spmd.run();
+  auto count = [&](const char* key) {
+    return support::count_of(spmd_res.metrics, key);
+  };
 
   // --- 3. the same program on a second machine, without CR --------------
   rt::Runtime runtime2(exec::runtime_config(kNodes, 4, cost, true));
@@ -128,10 +131,10 @@ int main() {
       "virtual makespan %.3f ms, %llu point tasks, %llu copies, "
       "%llu bytes moved, %llu messages\n",
       static_cast<double>(spmd_res.makespan_ns) * 1e-6,
-      (unsigned long long)spmd_res.point_tasks,
-      (unsigned long long)spmd_res.copies_issued,
-      (unsigned long long)spmd_res.bytes_moved,
-      (unsigned long long)spmd_res.messages);
+      (unsigned long long)count("exec.point_tasks"),
+      (unsigned long long)count("exec.copies_issued"),
+      (unsigned long long)count("exec.bytes_moved"),
+      (unsigned long long)count("exec.messages"));
   std::printf("A[17] = %.1f (expected %.1f)\n",
               spmd.engine->read_root_f64(A, va, 17),
               oracle.read_f64(A, va, 17));

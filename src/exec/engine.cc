@@ -16,6 +16,10 @@ Engine::Impl::Impl(rt::Runtime& rt, const ir::Program& program,
       mode_(config.mode),
       check_(config.check),
       mutant_(config.check_mutate),
+      m_point_tasks_(rt.metrics().counter("exec.point_tasks")),
+      m_intersection_pairs_(rt.metrics().counter("exec.intersection_pairs")),
+      m_copy_pairs_visited_(rt.metrics().counter("exec.copy_pairs_visited")),
+      m_copies_skipped_(rt.metrics().counter("exec.copies_skipped")),
       m_barrier_gens_(rt.metrics().counter("rt.barrier.generations")),
       m_barrier_arrivals_(rt.metrics().counter("rt.barrier.arrivals")),
       m_collective_rounds_(rt.metrics().counter("rt.collective.rounds")) {
@@ -220,26 +224,35 @@ void Engine::Impl::declare_tracks() {
 
 void Engine::Impl::export_metrics(support::MetricsRegistry& m) {
   m.counter("exec.makespan_ns").set(result_.makespan_ns);
-  m.counter("exec.point_tasks").set(result_.point_tasks);
-  m.counter("exec.copies_issued").set(result_.copies_issued);
-  m.counter("exec.copies_skipped").set(result_.copies_skipped);
-  m.counter("exec.copy_pairs_visited").set(copy_pairs_visited_);
-  m.counter("exec.bytes_moved").set(result_.bytes_moved);
-  m.counter("exec.messages").set(result_.messages);
-  m.counter("exec.intersection_pairs").set(result_.intersection_pairs);
-  m.counter("exec.control_busy_ns").set(result_.control_busy_ns);
+  m.counter("exec.copies_issued").set(rt_.copies().copies_issued());
+  m.counter("exec.bytes_moved").set(rt_.copies().bytes_moved());
+  m.counter("exec.messages").set(rt_.network().messages_sent());
+  m.counter("exec.control_busy_ns")
+      .set(rt_.machine().proc(rt_.mapper().control_proc(0)).busy_time());
 
   m.counter("sim.events_processed").set(sim().events_processed());
-  m.gauge("sim.queue.max_depth").set(sim().max_queue_depth());
+  m.counter("sim.queue.max_depth").set(sim().max_queue_depth());
   m.counter("sim.net.messages").set(rt_.network().messages_sent());
   m.counter("sim.net.bytes").set(rt_.network().bytes_sent());
-  support::Histogram& busy = m.histogram("sim.proc.busy_ns");
+  // Busy time over every core: count, sum, min and max.
   sim::Machine& mach = rt_.machine();
+  uint64_t cores = 0;
+  sim::Time sum = 0;
+  sim::Time lo = 0;
+  sim::Time hi = 0;
   for (uint32_t n = 0; n < mach.nodes(); ++n) {
     for (uint32_t c = 0; c < mach.cores_per_node(); ++c) {
-      busy.record(mach.proc(n, c).busy_time());
+      const sim::Time busy = mach.proc(n, c).busy_time();
+      lo = cores == 0 ? busy : std::min(lo, busy);
+      hi = std::max(hi, busy);
+      sum += busy;
+      ++cores;
     }
   }
+  m.counter("sim.proc.busy_ns.count").set(cores);
+  m.counter("sim.proc.busy_ns.sum").set(sum);
+  m.counter("sim.proc.busy_ns.min").set(lo);
+  m.counter("sim.proc.busy_ns.max").set(hi);
 
   const rt::DependenceTracker& deps = rt_.deps();
   m.counter("rt.dep.pairs_scanned").set(deps.pairs_scanned());
@@ -389,10 +402,10 @@ ExecutionResult Engine::run() {
   CR_CHECK_MSG(!impl_->ran_,
                "Engine::run() is one-shot: construct a new Engine per run");
   impl_->ran_ = true;
-  // The simulator, the dependence tracker and the copy and network
-  // totals live on the Runtime, so the result and the metrics read them
-  // as this run's own. A callback scheduled before run() has not fired
-  // yet, so it passes.
+  // The simulator, the dependence tracker, the copy and network totals
+  // and the metrics registry live on the Runtime, so the metrics read
+  // them as this run's own. A callback scheduled before run() has not
+  // fired yet, so it passes.
   CR_CHECK_MSG(impl_->sim().events_processed() == 0,
                "Engine::run(): this Runtime has already run; one Runtime "
                "hosts one run: construct a new Runtime per run");
@@ -405,16 +418,8 @@ ExecutionResult Engine::run() {
   impl_->unroll();
   impl_->result_.makespan_ns = impl_->sim().run();
   impl_->live_ops_.check_quiesced(impl_->sim(), impl_->p_);
-  impl_->result_.copies_issued = impl_->rt_.copies().copies_issued();
-  impl_->result_.copies_skipped += impl_->rt_.copies().copies_skipped_empty();
-  impl_->result_.bytes_moved = impl_->rt_.copies().bytes_moved();
-  impl_->result_.messages = impl_->rt_.network().messages_sent();
-  impl_->result_.control_busy_ns =
-      impl_->rt_.machine()
-          .proc(impl_->rt_.mapper().control_proc(0))
-          .busy_time();
-  // Single source of truth for every counter: mirror each component
-  // into the registry and snapshot it into the result.
+  // The registry is the one record of every count: mirror each
+  // component's totals into it and snapshot it into the result.
   support::MetricsRegistry& m = impl_->rt_.metrics();
   impl_->export_metrics(m);
   if (impl_->check_) {

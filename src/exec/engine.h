@@ -36,22 +36,14 @@ namespace cr::exec {
 
 struct ExecutionResult {
   sim::Time makespan_ns = 0;
-  uint64_t point_tasks = 0;
-  uint64_t copies_issued = 0;
-  uint64_t copies_skipped = 0;
-  uint64_t bytes_moved = 0;
-  uint64_t messages = 0;
-  uint64_t intersection_pairs = 0;
-  sim::Time control_busy_ns = 0;  // busy time of the node-0 control core
   // Race-checker verdict; set only when ExecConfig::check was enabled.
   std::shared_ptr<check::CheckResult> check;
-  // Flattened snapshot of the runtime's MetricsRegistry at end of run:
-  // every "sim." / "rt." / "passes." / "exec." / "check." counter, taken
-  // after all of the above are mirrored in. Virtual-time and count
-  // quantities only (safe to diff across hosts). This is the one record
-  // of the host-side analysis work too: the dependence counters
-  // ("rt.dep."). Virtual time depends only on rt.dep.pairs_scanned, never
-  // on how many pairs the overlap lists let the tracker skip.
+  // Flattened snapshot of the runtime's MetricsRegistry at end of run,
+  // the one record of every count ("exec.point_tasks", "rt.dep.*", ...;
+  // read a key with support::count_of). Virtual-time and count
+  // quantities only (safe to diff across hosts). Virtual time depends
+  // only on rt.dep.pairs_scanned, never on how many pairs the overlap
+  // lists let the tracker skip.
   std::map<std::string, double> metrics;
 };
 

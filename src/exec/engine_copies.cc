@@ -62,7 +62,7 @@ void Engine::Impl::exec_intersect(const ir::Stmt& s, Ctx& ctx) {
     table.pairs.push_back({pr.src_color, pr.dst_color,
                            &table.sets.emplace_back(std::move(points))});
   }
-  result_.intersection_pairs += table.pairs.size();
+  m_intersection_pairs_.add(table.pairs.size());
   check_sorted(table);
 
   // The shallow pass runs on the issuing node (paper: a single node);
@@ -146,7 +146,7 @@ void Engine::Impl::exec_copy(const ir::Stmt& s, std::vector<Ctx>& ctxs,
             ? std::span<const PairInfo>(table.pairs)
             : owned_pairs(table,
                           owned_colors(table.src_colors, ctx, num_shards));
-    copy_pairs_visited_ += pairs.size();
+    m_copy_pairs_visited_.add(pairs.size());
     for (const PairInfo& pi : pairs) issue_one_copy(s, pi, ctx);
   }
 }
@@ -160,7 +160,7 @@ void Engine::Impl::issue_one_copy(const ir::Stmt& s, const PairInfo& pi,
   if (pi.points->empty()) {
     // Issue overhead is still paid — this is what §3.3 optimizes away.
     attribute(charge(ctx, cost_.copy_issue_ns, "issue:copy"), s);
-    ++result_.copies_skipped;
+    m_copies_skipped_.add();
     return;
   }
 

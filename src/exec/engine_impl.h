@@ -260,9 +260,6 @@ struct Engine::Impl {
   // iterations / shards. Host-side only: the pair list (and its issue
   // charges) is identical with or without the memo.
   std::map<const ir::Stmt*, PairTable> copy_tables_;
-  // Pairs exec_copy walked, over all control contexts. Every one is
-  // issued or skipped as empty: a shard visits only its owned slice.
-  uint64_t copy_pairs_visited_ = 0;
 
   static void check_sorted(const PairTable& t);
   // The pairs whose source color lies in `owned`: one slice, since the
@@ -460,7 +457,13 @@ struct Engine::Impl {
   const bool check_;            // record accesses + HB graph, run checker
   const ir::SyncId mutant_;     // sync op deleted by fault injection
   // Cached registry counters bumped during unroll (avoids the by-name
-  // lookup on every barrier/collective generation).
+  // lookup on every task, copy pair and barrier/collective generation).
+  support::Counter& m_point_tasks_;
+  support::Counter& m_intersection_pairs_;
+  // Pairs exec_copy walked, over all control contexts. Every one is
+  // issued or skipped as empty: a shard visits only its owned slice.
+  support::Counter& m_copy_pairs_visited_;
+  support::Counter& m_copies_skipped_;  // empty pairs, never issued
   support::Counter& m_barrier_gens_;
   support::Counter& m_barrier_arrivals_;
   support::Counter& m_collective_rounds_;

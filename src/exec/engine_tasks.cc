@@ -88,7 +88,7 @@ rt::LaunchShape Engine::Impl::launch_shape(const ir::Stmt& s,
 void Engine::Impl::issue_point_task(const ir::Stmt& s,
                                     const ir::TaskDecl& decl, uint64_t color,
                                     Ctx& ctx, PendingReduction* red) {
-  ++result_.point_tasks;
+  m_point_tasks_.add();
   ++op_id_;
 
   const sim::Event done = sim().make_event();

@@ -17,11 +17,8 @@ rt::RuntimeConfig runtime_config(uint32_t nodes, uint32_t cores_per_node,
 PreparedRun prepare(rt::Runtime& rt, ir::Program source,
                     const ExecConfig& config) {
   ExecConfig cfg = config;
-  // Per-pass counters land in the runtime's registry (callers may still
-  // point the pipeline at their own registry beforehand).
-  if (cfg.pipeline.metrics == nullptr) {
-    cfg.pipeline.metrics = &rt.metrics();
-  }
+  // Per-pass counters land in the runtime's registry.
+  cfg.pipeline.metrics = &rt.metrics();
   PreparedRun out;
   out.program = std::make_unique<ir::Program>(std::move(source));
   if (cfg.mode == ExecMode::kSpmd) {

@@ -35,7 +35,7 @@ rt::RuntimeConfig runtime_config(uint32_t nodes, uint32_t cores_per_node,
 // control-replication pipeline for kSpmd, distributed-memory preparation
 // for kImplicit) and binds an engine with the configured cost model and
 // instrumentation. config.pipeline.num_shards == 0 defaults to one shard
-// per node.
+// per node. The pass counters always land in rt.metrics().
 PreparedRun prepare(rt::Runtime& rt, ir::Program source,
                     const ExecConfig& config);
 

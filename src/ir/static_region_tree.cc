@@ -1,43 +1,6 @@
 #include "ir/static_region_tree.h"
 
-#include "support/check.h"
-
 namespace cr::ir {
-
-bool StaticRegionTree::indices_equal(const SymIndex& a,
-                                     const SymIndex& b) const {
-  if (a.kind == SymIndex::Kind::kVar && b.kind == SymIndex::Kind::kVar) {
-    return a.var == b.var;
-  }
-  if (a.kind == SymIndex::Kind::kConst && b.kind == SymIndex::Kind::kConst) {
-    return a.value == b.value;
-  }
-  return false;  // var vs const: unknown
-}
-
-bool StaticRegionTree::indices_provably_distinct(const SymIndex& a,
-                                                 const SymIndex& b) const {
-  // Only two distinct constants are provably different at compile time;
-  // two distinct loop variables may coincide at runtime.
-  return a.kind == SymIndex::Kind::kConst &&
-         b.kind == SymIndex::Kind::kConst && a.value != b.value;
-}
-
-bool StaticRegionTree::may_alias(const SymRegion& a, const SymRegion& b) const {
-  if (a.partition == b.partition) {
-    if (indices_equal(a.index, b.index)) return true;  // same region
-    // Distinct subregions of one partition: disjoint iff the partition
-    // is disjoint *and* the indices are provably different. Two distinct
-    // loop variables might evaluate to the same color, but then the
-    // regions are identical, which only matters for conflicting
-    // privileges — callers treat "same region" separately; for the
-    // disjointness question, same color means same region, so a disjoint
-    // partition still guarantees no *partial* overlap. We stay
-    // conservative: alias unless the partition is disjoint.
-    return !forest_->partition(a.partition).disjoint;
-  }
-  return partitions_may_alias(a.partition, b.partition);
-}
 
 bool StaticRegionTree::partitions_may_alias(rt::PartitionId p,
                                             rt::PartitionId q) const {

@@ -40,17 +40,15 @@ size_t count_stmts(const std::vector<ir::Stmt>& body, size_t begin,
 // Passes update `fragment.end` as they insert or remove statements.
 void replicate_fragment(ir::Program& program, Fragment fragment,
                         const PipelineOptions& options, bool to_spmd,
-                        const PassObserver& observer,
-                        PipelineReport& report) {
+                        const PassObserver& observer) {
   support::MetricsRegistry* metrics = options.metrics;
   const char* pass = "fragment";  // whose counters count() records
-  // Records `value` as "passes.<pass>.<counter>" and returns it.
+  // Records `value` as "passes.<pass>.<counter>".
   auto count = [&](const char* counter, size_t value) {
     if (metrics != nullptr) {
       metrics->counter(std::string("passes.") + pass + "." + counter)
           .add(value);
     }
-    return value;
   };
   // Runs `body` as pass `name`, then fires the observer. The IR size
   // walks are pure observation but not free, so they happen only when a
@@ -65,8 +63,7 @@ void replicate_fragment(ir::Program& program, Fragment fragment,
     if (metrics != nullptr) count("stmts_out", stmts());
     if (observer) observer(name, program);
   };
-  report.fragment_statements +=
-      count("statements", fragment.end - fragment.begin);
+  count("statements", fragment.end - fragment.begin);
 
   // Ablation A3: flat aliasing when !hierarchical.
   const ir::StaticRegionTree oracle(*program.forest, options.hierarchical);
@@ -76,29 +73,27 @@ void replicate_fragment(ir::Program& program, Fragment fragment,
 
   // §2.2: normalize p[f(i)] arguments to identity projections.
   run_pass("projection-normalize", [&] {
-    report.projections_normalized +=
-        count("normalized", projection_normalize(program, fragment));
+    count("normalized", projection_normalize(program, fragment));
   });
   // §3.1: per-partition storage + coherence copies.
   run_pass("data-replication", [&] {
     DataReplicationResult repl = data_replication(program, fragment, oracle);
-    report.init_copies += count("init_copies", repl.init.size());
-    report.inner_copies += count("inner_copies", repl.inner_copies);
-    report.finalize_copies += count("finalize_copies", repl.finalize.size());
+    count("init_copies", repl.init.size());
+    count("inner_copies", repl.inner_copies);
+    count("finalize_copies", repl.finalize.size());
     init = std::move(repl.init);
     finalize = std::move(repl.finalize);
   });
   // §4.3: reduction instances and reduction copies.
   run_pass("region-reduction", [&] {
-    report.reductions_rewritten +=
-        count("rewritten", region_reduction(program, fragment, oracle));
+    count("rewritten", region_reduction(program, fragment, oracle));
   });
   // §3.2: PRE + LICM on the partition-granularity copies (ablation A4).
   if (options.copy_placement) {
     run_pass("copy-placement", [&] {
       CopyPlacementResult placed = copy_placement(program, fragment);
-      report.copies_removed += count("removed", placed.removed);
-      report.copies_hoisted += count("hoisted", placed.hoisted);
+      count("removed", placed.removed);
+      count("hoisted", placed.hoisted);
     });
   }
   // §3.3: intersection tables, hoisted in front of the fragment
@@ -106,7 +101,7 @@ void replicate_fragment(ir::Program& program, Fragment fragment,
   if (options.intersection_opt) {
     run_pass("intersection-opt", [&] {
       IntersectionOptResult isect = intersection_opt(program, fragment);
-      report.intersection_tables += count("tables", isect.tables.size());
+      count("tables", isect.tables.size());
       count("copies_tagged", isect.copies_tagged);
       pre = std::move(isect.tables);
     });
@@ -114,7 +109,7 @@ void replicate_fragment(ir::Program& program, Fragment fragment,
   // §4.4: scalar reductions via dynamic collectives.
   run_pass("scalar-reduction", [&] {
     ScalarReductionResult scalars = scalar_reduction(program, fragment);
-    report.collectives += count("collectives", scalars.collectives);
+    count("collectives", scalars.collectives);
     CR_CHECK_MSG(scalars.violations.empty(),
                  "scalar replication-safety violation");
   });
@@ -124,8 +119,8 @@ void replicate_fragment(ir::Program& program, Fragment fragment,
     run_pass("sync-insertion", [&] {
       SyncInsertionResult sync =
           sync_insertion(program, fragment, options.p2p_sync);
-      report.p2p_copies += count("p2p_copies", sync.p2p_copies);
-      report.barriers += count("barriers", sync.barriers);
+      count("p2p_copies", sync.p2p_copies);
+      count("barriers", sync.barriers);
     });
     // §3.5: extract the shard task.
     run_pass("shard-creation", [&] {
@@ -162,7 +157,7 @@ PipelineReport run_pipeline(ir::Program& program,
   // Transform back to front so earlier fragments' indices stay valid
   // while later ones grow the statement list.
   for (auto it = fragments.rbegin(); it != fragments.rend(); ++it) {
-    replicate_fragment(program, *it, options, to_spmd, observer, report);
+    replicate_fragment(program, *it, options, to_spmd, observer);
   }
 
   if (to_spmd) ir::verify_or_die(program);

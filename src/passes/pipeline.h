@@ -38,21 +38,12 @@ struct PipelineOptions {
   support::MetricsRegistry* metrics = nullptr;
 };
 
+// Whether control replication applied. The pass counters (copies
+// inserted, removed and hoisted, tables, collectives, p2p copies,
+// barriers) go to PipelineOptions::metrics.
 struct PipelineReport {
   bool applied = false;
-  std::string failure;             // why CR was not applied
-  size_t fragment_statements = 0;  // statements selected
-  size_t projections_normalized = 0;
-  size_t init_copies = 0;
-  size_t inner_copies = 0;
-  size_t finalize_copies = 0;
-  size_t reductions_rewritten = 0;
-  size_t copies_removed = 0;
-  size_t copies_hoisted = 0;
-  size_t intersection_tables = 0;
-  size_t collectives = 0;
-  size_t p2p_copies = 0;
-  size_t barriers = 0;
+  std::string failure;  // why CR was not applied
 };
 
 // Called after every pass that runs, with the pass name and the program

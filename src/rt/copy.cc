@@ -9,10 +9,7 @@ namespace cr::rt {
 
 sim::Event CopyEngine::issue(const CopyRequest& req,
                              sim::Event precondition) {
-  if (req.points.empty()) {
-    ++skipped_;
-    return precondition;
-  }
+  if (req.points.empty()) return precondition;
   ++copies_;
   const FieldSpace& fs = *forest_->region(req.src_region).fields;
   const uint64_t bytes = req.points.size() * fs.virtual_bytes_of(req.fields);

@@ -44,12 +44,11 @@ class CopyEngine {
       : net_(&net), forest_(&forest), instances_(instances) {}
 
   // Issue the copy after `precondition`; returns the completion event.
-  // Empty element sets complete immediately without network traffic
-  // (the intersection optimization's skip, paper §3.3).
+  // Empty element sets complete immediately without network traffic;
+  // the engine skips (and counts) empty pairs before calling this.
   sim::Event issue(const CopyRequest& req, sim::Event precondition);
 
   uint64_t copies_issued() const { return copies_; }
-  uint64_t copies_skipped_empty() const { return skipped_; }
   uint64_t bytes_moved() const { return bytes_; }
 
  private:
@@ -57,7 +56,6 @@ class CopyEngine {
   const RegionForest* forest_;
   InstanceManager* instances_;  // null in virtual-only executions
   uint64_t copies_ = 0;
-  uint64_t skipped_ = 0;
   uint64_t bytes_ = 0;
 };
 

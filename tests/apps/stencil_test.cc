@@ -115,7 +115,7 @@ TEST(Stencil, SteadyStateTrafficIsPerimeterOnly) {
     exec::ExecConfig ecfg;
     ecfg.mode = exec::ExecMode::kSpmd;
     PreparedRun run = exec::prepare(rt, app.program, ecfg);
-    return run.run().bytes_moved;
+    return support::count_of(run.run().metrics, "exec.bytes_moved");
   };
   const uint64_t delta = run_steps(4) - run_steps(2);
   // Per step and tile: its own ring replica (|ring| = 16^2 - 12^2 = 112
@@ -163,15 +163,18 @@ TEST(Stencil, ImplicitDependenceTestsPerOpStayFlat) {
     cfg.tile_y = 32;
     cfg.steps = 4;
     App app = build(rt, cfg);
-    for (auto& t : app.program.tasks) t.kernel = nullptr;
     exec::ExecConfig ecfg;
     ecfg.cost = cost;
     ecfg.mode = exec::ExecMode::kImplicit;
     PreparedRun run = exec::prepare(rt, app.program, ecfg);
     const exec::ExecutionResult res = run.run();
-    const double ops = static_cast<double>(
-        res.point_tasks + res.copies_issued + res.copies_skipped);
-    return res.metrics.at("rt.dep.pairs_tested") / ops;
+    auto count = [&](const char* key) {
+      return static_cast<double>(support::count_of(res.metrics, key));
+    };
+    const double ops = count("exec.point_tasks") +
+                       count("exec.copies_issued") +
+                       count("exec.copies_skipped");
+    return count("rt.dep.pairs_tested") / ops;
   };
   const double at16 = tested_per_op(16);
   const double at64 = tested_per_op(64);

@@ -96,9 +96,6 @@ ir::Program build_app(rt::Runtime& rt, AppKind kind) {
       break;
     }
   }
-  // Virtual execution only: the checker needs accesses and the HB
-  // graph, not data.
-  for (auto& t : p.tasks) t.kernel = nullptr;
   return p;
 }
 
@@ -298,7 +295,6 @@ StencilAudit implicit_stencil_audit(uint32_t nodes) {
   cfg.tile_y = 6;
   cfg.steps = 2;
   ir::Program p = apps::stencil::build(*out.rt, cfg).program;
-  for (auto& t : p.tasks) t.kernel = nullptr;
   ExecConfig ecfg;
   ecfg.cost = cost;
   ecfg.mode = ExecMode::kImplicit;

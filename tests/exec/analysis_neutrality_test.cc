@@ -39,10 +39,9 @@ Observed run_fig2(bool spmd, bool traced, bool check = false) {
   }
   Observed out;
   out.makespan = res.makespan_ns;
-  out.bytes = res.bytes_moved;
-  out.messages = res.messages;
-  out.dependences =
-      static_cast<uint64_t>(res.metrics.at("rt.dep.dependences"));
+  out.bytes = support::count_of(res.metrics, "exec.bytes_moved");
+  out.messages = support::count_of(res.metrics, "exec.messages");
+  out.dependences = support::count_of(res.metrics, "rt.dep.dependences");
   for (uint64_t p = 0; p < 48; ++p) {
     out.data.push_back(run.engine->read_root_f64(fig.a, fig.fa, p));
     out.data.push_back(run.engine->read_root_f64(fig.b, fig.fb, p));

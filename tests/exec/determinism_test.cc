@@ -28,8 +28,8 @@ ReplayResult run_once(bool spmd) {
   ExecutionResult res = run.run();
   ReplayResult out;
   out.makespan = res.makespan_ns;
-  out.bytes = res.bytes_moved;
-  out.messages = res.messages;
+  out.bytes = support::count_of(res.metrics, "exec.bytes_moved");
+  out.messages = support::count_of(res.metrics, "exec.messages");
   for (uint64_t p = 0; p < 48; ++p) {
     out.data.push_back(run.engine->read_root_f64(fig.a, fig.fa, p));
     out.data.push_back(run.engine->read_root_f64(fig.b, fig.fb, p));

@@ -18,10 +18,8 @@ sim::Time run_fig2(CostModel cost, bool spmd, uint32_t nodes = 4) {
   cost.track_dependences = false;
   rt::Runtime rt(runtime_config(nodes, 4, cost, /*real_data=*/false));
   testing::Fig2 fig(rt.forest(), 64 * nodes, 4 * nodes, 6);
-  for (auto& t : fig.program.tasks) {
-    t.kernel = nullptr;
-    t.cost_base_ns = 2e6;  // 2 ms grain: durations dominate the timeline
-  }
+  // 2 ms grain: durations dominate the timeline.
+  for (auto& t : fig.program.tasks) t.cost_base_ns = 2e6;
   ExecConfig ecfg;
   ecfg.cost = cost;
   ecfg.mode = spmd ? ExecMode::kSpmd : ExecMode::kImplicit;

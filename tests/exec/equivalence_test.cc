@@ -31,7 +31,7 @@ void expect_matches_oracle(const Shape& shape,
   PreparedRun run = prepare(rt, fig.program, ecfg);
   ExecutionResult res = run.run();
   EXPECT_GT(res.makespan_ns, 0u);
-  EXPECT_GT(res.point_tasks, 0u);
+  EXPECT_GT(support::count_of(res.metrics, "exec.point_tasks"), 0u);
 
   for (uint64_t p = 0; p < shape.elements; ++p) {
     ASSERT_EQ(run.engine->read_root_f64(fig.a, fig.fa, p),
@@ -99,8 +99,6 @@ TEST(Scaling, SpmdBeatsImplicitAtScale) {
     cost.track_dependences = false;
     rt::Runtime rt(runtime_config(nodes, 4, cost, /*real_data=*/false));
     testing::Fig2 fig(rt.forest(), 64 * 64, nodes, 10);
-    // Kill kernels: virtual-only.
-    for (auto& t : fig.program.tasks) t.kernel = nullptr;
     ExecConfig ecfg;
     ecfg.cost = cost;
     ecfg.mode = spmd ? ExecMode::kSpmd : ExecMode::kImplicit;
@@ -122,8 +120,10 @@ TEST(Stats, SpmdSkipsEmptyPairsWithIntersections) {
   ExecutionResult res = run.run();
   // The halo image only touches neighbor blocks: far fewer than 8x8
   // pairs per iteration move data.
-  EXPECT_GT(res.intersection_pairs, 0u);
-  EXPECT_LE(res.intersection_pairs, 3 * 8u);
+  const uint64_t pairs =
+      support::count_of(res.metrics, "exec.intersection_pairs");
+  EXPECT_GT(pairs, 0u);
+  EXPECT_LE(pairs, 3 * 8u);
 }
 
 

@@ -159,7 +159,6 @@ ExecutionResult run_random(uint64_t seed, const std::string& mapper) {
   rt::Runtime rt(rc);
   support::Rng rng_prog = rng.split(1);
   RandomProgram rp = make_random_program(rt.forest(), rng_prog, colors);
-  for (auto& t : rp.program.tasks) t.kernel = nullptr;
 
   ExecConfig cfg;
   cfg.cost = cost;
@@ -186,8 +185,6 @@ TEST_P(MapperScenario, WorkerCountsAgreeUnderEveryPolicy) {
     EXPECT_TRUE(ref.check->ok()) << where;
     const ExecutionResult res = run_random(seed, mapper);
     EXPECT_EQ(res.makespan_ns, ref.makespan_ns) << where;
-    EXPECT_EQ(res.point_tasks, ref.point_tasks) << where;
-    EXPECT_EQ(res.bytes_moved, ref.bytes_moved) << where;
     EXPECT_EQ(res.metrics, ref.metrics) << where;
     ASSERT_NE(res.check, nullptr) << where;
     EXPECT_EQ(res.check->stats.races, ref.check->stats.races) << where;

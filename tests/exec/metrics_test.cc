@@ -42,17 +42,11 @@ TEST(Metrics, SnapshotDeterministicAcrossIdenticalRuns) {
 TEST(Metrics, SnapshotCoversEverySubsystem) {
   std::map<std::string, double> snap;
   const ExecutionResult res = run_fig2(/*spmd=*/true, &snap);
-  // exec rollups mirror the result struct.
+  // Executor rollups.
   EXPECT_EQ(snap.at("exec.makespan_ns"),
             static_cast<double>(res.makespan_ns));
-  EXPECT_EQ(snap.at("exec.point_tasks"),
-            static_cast<double>(res.point_tasks));
-  EXPECT_EQ(snap.at("exec.copies_issued"),
-            static_cast<double>(res.copies_issued));
-  EXPECT_EQ(snap.at("exec.bytes_moved"),
-            static_cast<double>(res.bytes_moved));
-  EXPECT_EQ(snap.at("exec.intersection_pairs"),
-            static_cast<double>(res.intersection_pairs));
+  EXPECT_GT(snap.at("exec.point_tasks"), 0.0);
+  EXPECT_GT(snap.at("exec.copies_issued"), 0.0);
   // Simulator occupancy.
   EXPECT_GT(snap.at("sim.events_processed"), 0.0);
   EXPECT_GT(snap.at("sim.queue.max_depth"), 0.0);
@@ -100,8 +94,6 @@ TEST(Metrics, TracingAndAttributionAreMakespanNeutral) {
   const ExecutionResult got =
       run_fig2(/*spmd=*/true, &traced, /*traced=*/true);
   EXPECT_EQ(got.makespan_ns, ref.makespan_ns);
-  EXPECT_EQ(got.bytes_moved, ref.bytes_moved);
-  EXPECT_EQ(got.messages, ref.messages);
   // The registry itself is identical too: attribution lives in the
   // tracer, not in the metrics.
   EXPECT_EQ(plain, traced);
@@ -124,7 +116,7 @@ TEST(Metrics, StencilAttributionNamesTheGhostExchange) {
   ecfg.trace = true;
   PreparedRun run = prepare(rt, app.program, ecfg);
   const ExecutionResult res = run.run();
-  EXPECT_GT(res.copies_issued, 0u);
+  EXPECT_GT(support::count_of(res.metrics, "exec.copies_issued"), 0u);
 
   const support::TraceSummary summary = run.engine->trace_summary();
   const std::vector<support::TraceAttributionRow>& rows = summary.attribution;

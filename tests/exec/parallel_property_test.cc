@@ -47,7 +47,6 @@ WitnessedRun run_witnessed(uint64_t seed, bool witness = true) {
   rt::Runtime rt(runtime_config(nodes, 3, cost, /*real_data=*/false));
   support::Rng rng_prog = rng.split(1);
   RandomProgram rp = make_random_program(rt.forest(), rng_prog, colors);
-  for (auto& t : rp.program.tasks) t.kernel = nullptr;
 
   ExecConfig cfg;
   cfg.cost = cost;

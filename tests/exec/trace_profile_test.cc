@@ -23,10 +23,7 @@ sim::Time run_fig2(bool spmd, bool traced, uint32_t nodes,
   cost.track_dependences = false;
   rt::Runtime rt(runtime_config(nodes, 4, cost, /*real_data=*/false));
   testing::Fig2 fig(rt.forest(), 64 * nodes, 4 * nodes, 4);
-  for (auto& t : fig.program.tasks) {
-    t.kernel = nullptr;
-    t.cost_base_ns = 2e6;
-  }
+  for (auto& t : fig.program.tasks) t.cost_base_ns = 2e6;
   ExecConfig ecfg;
   ecfg.cost = cost;
   ecfg.mode = spmd ? ExecMode::kSpmd : ExecMode::kImplicit;
@@ -79,7 +76,6 @@ TEST(TraceProfile, ChromeJsonNamesNodesAndTracks) {
   cost.track_dependences = false;
   rt::Runtime rt(runtime_config(2, 4, cost, /*real_data=*/false));
   testing::Fig2 fig(rt.forest(), 32, 8, 2);
-  for (auto& t : fig.program.tasks) t.kernel = nullptr;
   ExecConfig ecfg;
   ecfg.cost = cost;
   ecfg.mode = ExecMode::kSpmd;

@@ -98,30 +98,18 @@ TEST(Printer, DeclsIncludeTasksAndScalars) {
   EXPECT_NE(text.find("task TG"), std::string::npos);
 }
 
-TEST(StaticTree, SymbolicAliasQueries) {
+TEST(StaticTree, HierarchicalPrecisionUsesTheTree) {
   rt::RegionForest forest;
   testing::Fig2 fig(forest, 24, 4, 3);
   StaticRegionTree tree(forest);
-  using SI = SymIndex;
-  // PB[i] vs PB[j] for distinct loop vars: disjoint partition => no alias
-  // (same color would be the same region, not a partial overlap).
-  EXPECT_FALSE(tree.may_alias({fig.pb, SI::variable(0)},
-                              {fig.pb, SI::variable(1)}));
-  // QB[i] vs QB[j]: aliased partition.
-  EXPECT_TRUE(tree.may_alias({fig.qb, SI::variable(0)},
-                             {fig.qb, SI::variable(1)}));
-  // PB[i] vs QB[j]: different partitions of B.
-  EXPECT_TRUE(tree.may_alias({fig.pb, SI::variable(0)},
-                             {fig.qb, SI::variable(1)}));
-  // PA vs PB: different trees.
-  EXPECT_FALSE(tree.may_alias({fig.pa, SI::variable(0)},
-                              {fig.pb, SI::variable(0)}));
-  // Same partition, same constant: the same region aliases itself.
-  EXPECT_TRUE(tree.may_alias({fig.pb, SI::constant(2)},
-                             {fig.pb, SI::constant(2)}));
-  // Distinct constants of a disjoint partition.
-  EXPECT_FALSE(tree.may_alias({fig.pb, SI::constant(1)},
-                              {fig.pb, SI::constant(2)}));
+  // Distinct subregions of a disjoint partition never overlap...
+  EXPECT_FALSE(tree.partitions_may_alias(fig.pb, fig.pb));
+  // ...those of an aliased partition may.
+  EXPECT_TRUE(tree.partitions_may_alias(fig.qb, fig.qb));
+  // Two partitions of one region may overlap.
+  EXPECT_TRUE(tree.partitions_may_alias(fig.pb, fig.qb));
+  // Partitions of different trees never do.
+  EXPECT_FALSE(tree.partitions_may_alias(fig.pa, fig.pb));
 }
 
 TEST(StaticTree, FlatPrecisionAssumesAliasing) {

@@ -112,16 +112,19 @@ TEST(GoldenSnapshot, DisabledPassSkipsObserver) {
   cfg.steps = 2;
   ir::Program program = apps::stencil::build(rt, cfg).program;
 
+  support::MetricsRegistry m;
   PipelineOptions options;
   options.num_shards = 4;
   options.intersection_opt = false;  // ablation A1
+  options.metrics = &m;
 
   std::vector<std::string> fired;
   const PipelineReport report = control_replicate(
       program, options,
       [&](const char* pass, const ir::Program&) { fired.push_back(pass); });
   ASSERT_TRUE(report.applied);
-  EXPECT_EQ(report.intersection_tables, 0u);
+  // The disabled pass records no counter either.
+  EXPECT_EQ(m.snapshot().count("passes.intersection-opt.tables"), 0u);
 
   for (const std::string& name : fired) {
     EXPECT_NE(name, "intersection-opt");

@@ -5,10 +5,16 @@
 #include "ir/printer.h"
 #include "passes/applicability.h"
 #include "passes/pipeline.h"
+#include "support/metrics.h"
 #include "testing/fig2.h"
 
 namespace cr::passes {
 namespace {
+
+// The pass counter "passes.<key>" recorded in `m`, 0 when never created.
+uint64_t count(const support::MetricsRegistry& m, const std::string& key) {
+  return support::count_of(m.snapshot(), "passes." + key);
+}
 
 TEST(Applicability, SelectsTheTimeLoopFragment) {
   rt::RegionForest forest;
@@ -55,8 +61,10 @@ TEST(Pipeline, Fig4FullTransformGolden) {
   rt::RegionForest forest;
   testing::Fig2 fig(forest, 24, 4, 3);
   ir::Program p = fig.program;
+  support::MetricsRegistry m;
   PipelineOptions opt;
   opt.num_shards = 2;
+  opt.metrics = &m;
   PipelineReport report = control_replicate(p, opt);
   ASSERT_TRUE(report.applied) << report.failure;
 
@@ -81,24 +89,26 @@ TEST(Pipeline, Fig4FullTransformGolden) {
             "copy PA -> A {f0}\n"
             "copy PB -> B {f0}\n");
 
-  EXPECT_EQ(report.init_copies, 3u);
-  EXPECT_EQ(report.finalize_copies, 2u);
-  EXPECT_EQ(report.inner_copies, 1u);
-  EXPECT_EQ(report.intersection_tables, 1u);
-  EXPECT_EQ(report.p2p_copies, 1u);
-  EXPECT_EQ(report.barriers, 0u);
+  EXPECT_EQ(count(m, "data-replication.init_copies"), 3u);
+  EXPECT_EQ(count(m, "data-replication.finalize_copies"), 2u);
+  EXPECT_EQ(count(m, "data-replication.inner_copies"), 1u);
+  EXPECT_EQ(count(m, "intersection-opt.tables"), 1u);
+  EXPECT_EQ(count(m, "sync-insertion.p2p_copies"), 1u);
+  EXPECT_EQ(count(m, "sync-insertion.barriers"), 0u);
 }
 
 TEST(Pipeline, BarrierModeInsertsBarrierPairs) {
   rt::RegionForest forest;
   testing::Fig2 fig(forest, 24, 4, 3);
   ir::Program p = fig.program;
+  support::MetricsRegistry m;
   PipelineOptions opt;
   opt.num_shards = 2;
   opt.p2p_sync = false;
+  opt.metrics = &m;
   PipelineReport report = control_replicate(p, opt);
   ASSERT_TRUE(report.applied);
-  EXPECT_EQ(report.barriers, 2u);
+  EXPECT_EQ(count(m, "sync-insertion.barriers"), 2u);
   const std::string text = ir::to_string(p);
   // Figure 4c: barrier / copy / barrier inside the time loop.
   EXPECT_NE(text.find("    barrier\n"
@@ -111,12 +121,14 @@ TEST(Pipeline, NoIntersectionOptLeavesAllPairsCopies) {
   rt::RegionForest forest;
   testing::Fig2 fig(forest, 24, 4, 3);
   ir::Program p = fig.program;
+  support::MetricsRegistry m;
   PipelineOptions opt;
   opt.num_shards = 2;
   opt.intersection_opt = false;
+  opt.metrics = &m;
   PipelineReport report = control_replicate(p, opt);
   ASSERT_TRUE(report.applied);
-  EXPECT_EQ(report.intersection_tables, 0u);
+  EXPECT_EQ(count(m, "intersection-opt.tables"), 0u);
   EXPECT_EQ(ir::to_string(p).find("intersect#"), std::string::npos);
 }
 
@@ -181,20 +193,25 @@ TEST(Pipeline, HierarchicalDisjointnessSuppressesPrivateCopies) {
   };
 
   ir::Program deep = make_program();
+  support::MetricsRegistry deep_m;
   PipelineOptions opt;
   opt.num_shards = 2;
+  opt.metrics = &deep_m;
   PipelineReport deep_report = control_replicate(deep, opt);
   ASSERT_TRUE(deep_report.applied);
   // Only SB -> QB needed: PBpriv is provably disjoint from QB.
-  EXPECT_EQ(deep_report.inner_copies, 1u);
+  EXPECT_EQ(count(deep_m, "data-replication.inner_copies"), 1u);
   EXPECT_EQ(ir::to_string(deep).find("copy PBpriv -> QB"),
             std::string::npos);
 
   ir::Program flat = make_program();
+  support::MetricsRegistry flat_m;
   opt.hierarchical = false;
+  opt.metrics = &flat_m;
   PipelineReport flat_report = control_replicate(flat, opt);
   ASSERT_TRUE(flat_report.applied);
-  EXPECT_EQ(flat_report.inner_copies, 4u);  // extra (mostly empty) copies
+  // Extra (mostly empty) copies.
+  EXPECT_EQ(count(flat_m, "data-replication.inner_copies"), 4u);
   EXPECT_NE(ir::to_string(flat).find("copy PBpriv -> QB"),
             std::string::npos);
 }

@@ -160,13 +160,16 @@ TEST(Provenance, StencilPostPipelineOpsRootAtUserStatements) {
 TEST(Provenance, ElidedLeadingBarrierGolden) {
   rt::RegionForest forest;
   ir::Program p = build_elided_barrier_case(forest);
+  support::MetricsRegistry m;
   PipelineOptions opt;
   opt.num_shards = 2;
   opt.p2p_sync = false;
+  opt.metrics = &m;
   PipelineReport report = control_replicate(p, opt);
   ASSERT_TRUE(report.applied) << report.failure;
   // Only the trailing barrier survives; the leading one is elided.
-  EXPECT_EQ(report.barriers, 1u);
+  EXPECT_EQ(support::count_of(m.snapshot(), "passes.sync-insertion.barriers"),
+            1u);
   const std::string text = ir::to_string(p);
   EXPECT_NE(text.find("  copy PB -> QB {f0} isect#0\n"
                       "  barrier\n"),
@@ -198,7 +201,9 @@ TEST(Provenance, ElidedBarrierRunLeavesNoDanglingAttributionRoots) {
   ecfg.pipeline = opt;
   ecfg.trace = true;
   exec::PreparedRun run = exec::prepare(rt, p, ecfg);
-  ASSERT_EQ(run.report.barriers, 1u);
+  ASSERT_EQ(support::count_of(rt.metrics().snapshot(),
+                              "passes.sync-insertion.barriers"),
+            1u);
   run.run();
 
   std::set<uint32_t> roots;

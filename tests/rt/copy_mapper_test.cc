@@ -69,7 +69,7 @@ TEST(CopyEngine, EmptyCopyIsSkipped) {
   const sim::Event pre = f.rt.sim().make_event();
   sim::Event done = f.rt.copies().issue(req, pre);
   EXPECT_EQ(done, pre);  // pass-through, no traffic
-  EXPECT_EQ(f.rt.copies().copies_skipped_empty(), 1u);
+  EXPECT_EQ(f.rt.copies().copies_issued(), 0u);
   EXPECT_EQ(f.rt.network().messages_sent(), 0u);
 }
 
