@@ -1,5 +1,6 @@
 // Quickstart: write an implicitly parallel program against the public
-// API, control-replicate it, and run it three ways.
+// API, control-replicate it, and run it two ways: the sequential oracle
+// and SPMD.
 //
 // The program is the paper's Figure 2: two forall launches per timestep
 // over a block partition and an aliased image partition ("halo"). We
@@ -113,11 +114,6 @@ int main() {
   auto count = [&](const char* key) {
     return support::count_of(spmd_res.metrics, key);
   };
-
-  // --- 3. the same program on a second machine, without CR --------------
-  rt::Runtime runtime2(exec::runtime_config(kNodes, 4, cost, true));
-  // Rebuild against the second runtime's forest (ids are per-forest).
-  // For brevity this example just reports the SPMD run's statistics.
 
   bool ok = true;
   for (uint64_t i = 0; i < kElements; ++i) {

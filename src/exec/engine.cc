@@ -369,7 +369,7 @@ void Engine::Impl::exec_stmt(const ir::Stmt& s, std::vector<Ctx>& ctxs,
       exec_fill(s, ctxs, num_shards);
       return;
     case ir::StmtKind::kBarrier:
-      exec_barrier(s, ctxs, num_shards);
+      exec_barrier(s, ctxs);
       return;
     case ir::StmtKind::kIntersect:
       CR_CHECK(ctxs.size() == 1);

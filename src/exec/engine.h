@@ -27,8 +27,6 @@
 #include "exec/cost_model.h"
 #include "exec/exec_config.h"
 #include "ir/program.h"
-#include "rt/barrier.h"
-#include "rt/collective.h"
 #include "rt/runtime.h"
 #include "support/trace.h"
 

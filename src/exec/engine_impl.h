@@ -279,11 +279,6 @@ struct Engine::Impl {
   };
   std::map<ir::ScalarId, PendingReduction> pending_red_;
 
-  std::map<const ir::Stmt*, std::unique_ptr<rt::DynamicCollective>>
-      collectives_;
-  std::map<const ir::Stmt*, std::unique_ptr<rt::PhaseBarrier>> barriers_;
-  std::map<const ir::Stmt*, uint64_t> stmt_gen_;
-
   // --- timeline trace and metrics -------------------------------------------
 
   // Tracer owned by the engine under ExecConfig::trace, unless one was
@@ -382,7 +377,7 @@ struct Engine::Impl {
   LiveOps live_ops_;
   void track(sim::Event done, LiveOps::Kind kind, const ir::Stmt& s,
              uint64_t color = 0) {
-    live_ops_.track(sim(), done, kind, s, color);
+    live_ops_.track(done, kind, s, color);
   }
 
   // A compute span's trace tag; `label()` runs only when tracing.
@@ -442,8 +437,7 @@ struct Engine::Impl {
   void exec_shards(const ir::Stmt& s, std::vector<Ctx>& main);
 
   // engine_sync.cc
-  void exec_barrier(const ir::Stmt& s, std::vector<Ctx>& ctxs,
-                    uint32_t num_shards);
+  void exec_barrier(const ir::Stmt& s, std::vector<Ctx>& ctxs);
   void exec_collective(const ir::Stmt& s, std::vector<Ctx>& ctxs,
                        uint32_t num_shards);
   void exec_scalar_op(const ir::Stmt& s, Ctx& ctx);

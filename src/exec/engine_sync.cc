@@ -1,37 +1,39 @@
 // Synchronization handlers: phase barriers, scalar-reduction collectives
 // and deferred scalar arithmetic.
 #include "exec/engine_impl.h"
+#include "rt/barrier.h"
 #include "support/check.h"
 
 namespace cr::exec {
 
-void Engine::Impl::exec_barrier(const ir::Stmt& s, std::vector<Ctx>& ctxs,
-                                uint32_t num_shards) {
+void Engine::Impl::exec_barrier(const ir::Stmt& s, std::vector<Ctx>& ctxs) {
   if (mutated(s)) {
     // Fault injection: the barrier is deleted outright — no arrivals,
     // no waits. The outstanding sets keep accumulating, so a later
     // (unmutated) barrier still collects them and the run quiesces.
     return;
   }
-  auto [it, inserted] = barriers_.try_emplace(&s);
-  if (inserted) {
-    it->second =
-        std::make_unique<rt::PhaseBarrier>(sim(), rt_.network(), num_shards);
-  }
-  const uint64_t gen = stmt_gen_[&s]++;
   m_barrier_gens_.add(1);
   m_barrier_arrivals_.add(ctxs.size());
-  // The generation's release span (runtime track) is sync time induced
-  // by the statement sync_insertion anchored this barrier to.
-  attribute(it->second->wait(gen), s);
+  const sim::Event done = sim().make_event();
+  // The release span (runtime track) is sync time induced by the
+  // statement sync_insertion anchored this barrier to.
+  attribute(done, s);
+  std::vector<sim::Event> arrivals;
+  arrivals.reserve(ctxs.size());
   for (Ctx& ctx : ctxs) {
     // Arrive once everything this shard issued so far has completed;
     // the control chain resumes after the barrier releases.
     std::vector<sim::Event> outstanding = std::move(ctx.outstanding);
     ctx.outstanding.clear();
     outstanding.push_back(ctx.last);
-    it->second->arrive(gen, sim().merge(outstanding));
-    ctx.last = sim().merge({ctx.last, it->second->wait(gen)});
+    arrivals.push_back(sim().merge(outstanding));
+    // The last arrival completes the rendezvous: wire it before that
+    // shard waits on the release, which keeps event creation in order.
+    if (arrivals.size() == ctxs.size()) {
+      rt::rendezvous(sim(), rt_.network(), arrivals, done, "barrier", 0);
+    }
+    ctx.last = sim().merge({ctx.last, done});
   }
 }
 
@@ -73,33 +75,42 @@ void Engine::Impl::exec_collective(const ir::Stmt& s, std::vector<Ctx>& ctxs,
   }
 
   // SPMD: dynamic collective over the shards (paper §4.4).
-  auto [cit, inserted] = collectives_.try_emplace(&s);
-  if (inserted) {
-    cit->second = std::make_unique<rt::DynamicCollective>(
-        sim(), rt_.network(), num_shards, op);
-  }
-  rt::DynamicCollective* dc = cit->second.get();
-  const uint64_t gen = stmt_gen_[&s]++;
   m_collective_rounds_.add(1);
-  attribute(dc->result_event(gen), s);
+  const sim::Event done = sim().make_event();
+  attribute(done, s);
+  // At the gather, each shard's block of partials is folded, and the
+  // blocks are folded in rank order (deterministic regardless of arrival
+  // order) into one cell that every shard's new version copies on
+  // release.
+  auto result = std::make_shared<double>(0.0);
+  auto fold = [partials, op, colors = pr.colors, num_shards, result] {
+    double acc = rt::reduce_identity(op);
+    for (uint32_t x = 0; x < num_shards; ++x) {
+      const rt::BlockRange block = rt::block_range(colors, num_shards, x);
+      double part = rt::reduce_identity(op);
+      for (uint64_t c = block.begin; c < block.end; ++c) {
+        part = rt::reduce_fold(op, part, (*partials)[c]);
+      }
+      acc = rt::reduce_fold(op, acc, part);
+    }
+    *result = acc;
+  };
+  std::vector<sim::Event> arrivals;
+  arrivals.reserve(ctxs.size());
+  sim::Event gather;
   for (Ctx& ctx : ctxs) {
     charge(ctx, cost_.collective_issue_ns, "issue:collective");
-    const rt::BlockRange block = owned_colors(pr.colors, ctx, num_shards);
     // Fault injection: contribute without waiting for the shard's point
     // tasks — the gather no longer anchors the fold after the writers.
-    const sim::Event local =
-        mutated(s) ? sim::Event() : sim().merge(pr.events[ctx.shard]);
-    dc->contribute(gen, ctx.shard, local, [partials, op, block] {
-      double acc = rt::reduce_identity(op);
-      for (uint64_t c = block.begin; c < block.end; ++c) {
-        acc = rt::reduce_fold(op, acc, (*partials)[c]);
-      }
-      return acc;
-    });
+    arrivals.push_back(mutated(s) ? sim::Event()
+                                  : sim().merge(pr.events[ctx.shard]));
+    if (arrivals.size() == ctxs.size()) {
+      gather = rt::rendezvous(sim(), rt_.network(), arrivals, done,
+                              "allreduce", 1, std::move(fold));
+    }
     const sim::Event ready = sim().make_event();
     auto value = new_version(ctx.shard, s.coll_scalar, ready);
-    sim().trigger_when(ready, dc->result_event(gen),
-                       [value, dc, gen] { *value = dc->result(gen); });
+    sim().trigger_when(ready, done, [value, result] { *value = *result; });
   }
   if (check_) {
     // Each contribution folds its shard's partials block. The gather
@@ -109,15 +120,14 @@ void Engine::Impl::exec_collective(const ir::Stmt& s, std::vector<Ctx>& ctxs,
     // fault injection every arrival pre-triggers, the merge collapses
     // to uid 0, and the fold reads become unanchored — a race against
     // the point tasks' partials writes.
-    const uint64_t gather = dc->gather_uid(gen);
     check::AnchorSpan starts = log_.open_span();
-    log_.add_anchor(starts, gather);
+    log_.add_anchor(starts, gather.uid());
     for (Ctx& ctx : ctxs) {
       const rt::BlockRange block = owned_colors(pr.colors, ctx, num_shards);
       log_access(check::AccessType::kRead, op,
                  place_of_partials(partials.get()), rt::kNoId,
                  check::kPartialsFields, partials_range(block.begin, block.end),
-                 starts, gather, ctx.shard, ctx.shard, "partials-fold");
+                 starts, gather.uid(), ctx.shard, ctx.shard, "partials-fold");
     }
   }
 }

@@ -2,9 +2,10 @@
 // the end of the run. One still pending when the drain ends means an
 // event cycle (a transformation or executor bug), which must fail loudly.
 //
-// The simulator keeps the live-op count (Simulator::track); this keeps
-// one compact (kind, statement, color) record per op, so the labels of
-// stuck ops are built only when a run fails to quiesce.
+// One compact (kind, statement, color, completion) record per op is the
+// whole liveness record: the end-of-run check scans it for completions
+// that never triggered, and builds labels only when a run fails to
+// quiesce.
 #pragma once
 
 #include <cstdint>
@@ -20,10 +21,8 @@ class LiveOps {
  public:
   enum class Kind : uint8_t { kTask, kSingle, kFill };
 
-  // Count `done`, the completion of op (kind, s, color), as live until it
-  // triggers.
-  void track(sim::Simulator& sim, sim::Event done, Kind kind,
-             const ir::Stmt& s, uint64_t color);
+  // Record `done`, the completion of op (kind, s, color).
+  void track(sim::Event done, Kind kind, const ir::Stmt& s, uint64_t color);
 
   // Aborts with "execution did not quiesce; stuck ops:" and the labels of
   // the first 20 tracked ops (in issue order) that never completed.

@@ -9,7 +9,9 @@ namespace cr::rt {
 
 sim::Event CopyEngine::issue(const CopyRequest& req,
                              sim::Event precondition) {
-  if (req.points.empty()) return precondition;
+  CR_CHECK_MSG(!req.points.empty(),
+               "empty copy issued: Engine::Impl::issue_one_copy skips and "
+               "counts empty pairs before issuing");
   ++copies_;
   const FieldSpace& fs = *forest_->region(req.src_region).fields;
   const uint64_t bytes = req.points.size() * fs.virtual_bytes_of(req.fields);

@@ -44,8 +44,8 @@ class CopyEngine {
       : net_(&net), forest_(&forest), instances_(instances) {}
 
   // Issue the copy after `precondition`; returns the completion event.
-  // Empty element sets complete immediately without network traffic;
-  // the engine skips (and counts) empty pairs before calling this.
+  // `req.points` must not be empty: the engine skips (and counts) empty
+  // pairs before calling this.
   sim::Event issue(const CopyRequest& req, sim::Event precondition);
 
   uint64_t copies_issued() const { return copies_; }

@@ -11,11 +11,13 @@
 //    shape, per-node speed factors, MapperOptions) and the per-call
 //    arguments. It must not read wall clock or global mutable state;
 //    placements are queried only during the unroll.
-//  - node_of_color decides both where a launch's point task executes
-//    and where the backing subregion instance lives; per-launch
-//    LaunchShape weights let a policy respond to skewed partitions.
-//  - shard_node/control_proc place control threads; compute_proc picks
-//    the core for the `seq`-th task issued on a node.
+//  - node_of_color, the one virtual placement, decides both where a
+//    launch's point task executes and where the backing subregion
+//    instance lives; per-launch LaunchShape weights let a policy respond
+//    to skewed partitions.
+//  - shard_node/control_proc place control threads and compute_proc
+//    picks the core for the `seq`-th task issued on a node. They are the
+//    same for every policy, so none overrides them.
 //  - Speed factors (sim::MachineConfig::node_speed) are surfaced via
 //    node_speed() so cost-aware policies can weight placement by them.
 #pragma once
@@ -86,15 +88,15 @@ class Mapper {
   }
 
   // Node running shard `s` of `num_shards`.
-  virtual uint32_t shard_node(uint32_t s, uint32_t num_shards) const;
+  uint32_t shard_node(uint32_t s, uint32_t num_shards) const;
 
   // The `seq`-th compute task issued on `node`: round-robin over the
   // node's compute cores (those not reserved for the runtime).
-  virtual sim::ProcId compute_proc(uint32_t node, uint64_t seq) const;
+  sim::ProcId compute_proc(uint32_t node, uint64_t seq) const;
 
   // Where a control thread (main task or shard) runs: the reserved
   // runtime core when one exists, else core 0.
-  virtual sim::ProcId control_proc(uint32_t node) const;
+  sim::ProcId control_proc(uint32_t node) const;
 
  protected:
   std::string name_;

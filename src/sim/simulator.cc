@@ -121,9 +121,6 @@ void Simulator::dispatch(Kind kind, uint32_t arg, uint32_t source, Time t) {
       push(now_ + r.delay, kTrigger, r.target);
       return;
     }
-    case kUntrack:
-      --live_ops_;
-      return;
     case kDeliver:
     case kRemoteDone:
       break;
@@ -188,12 +185,6 @@ void Simulator::trigger_after(Event target, Event cause, Time delay,
   const auto record = static_cast<uint32_t>(delays_.size());
   delays_.push_back({delay, target.id_, store(std::move(before))});
   attach(cause, kDelay, record);
-}
-
-void Simulator::track(Event e) {
-  if (has_triggered(e)) return;
-  ++live_ops_;
-  attach(e, kUntrack, 0);
 }
 
 void Simulator::subscribe(Event e, Work fn) {

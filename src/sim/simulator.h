@@ -14,8 +14,8 @@
 // timeline (bit-for-bit deterministic results).
 //
 // The wiring API — merge, merge_remote, trigger_when, trigger_after,
-// track, Processor::spawn and Network::send — is the builder every layer
-// above uses. std::function appears only as the Work fallback, for real
+// Processor::spawn and Network::send — is the builder every layer above
+// uses. std::function appears only as the Work fallback, for real
 // side effects no typed continuation expresses.
 #pragma once
 
@@ -136,11 +136,6 @@ class Simulator {
   void trigger_after(Event target, Event cause, Time delay,
                      Work before = nullptr);
 
-  // Quiescence tracking: `e` counts as a live operation until it
-  // triggers.
-  void track(Event e);
-  uint64_t live_ops() const { return live_ops_; }
-
   // The generic fallback: run `fn` when `e` triggers (immediately if it
   // already has). For tests: code outside sim/ wires typed
   // continuations instead (tools/check_sim_seam.cmake).
@@ -187,7 +182,6 @@ class Simulator {
     kPickup,       // arg: spawn record (Processor)
     kInject,       // arg: send record (Network)
     kDelay,        // arg: delayed-trigger record
-    kUntrack,      // arg: unused
     // Queue entries only.
     kDeliver,     // arg: send record whose on_delivery runs first
     kRemoteDone,  // arg: remote-merge record
@@ -261,7 +255,6 @@ class Simulator {
   EventGraph* graph_ = nullptr;
   uint64_t events_processed_ = 0;
   uint64_t max_queue_depth_ = 0;
-  uint64_t live_ops_ = 0;
   bool running_ = false;
 
   detail::ChunkedArena<Slot> slots_;

@@ -222,19 +222,6 @@ TEST(Event, TriggerAfterDelaysFromTheCause) {
   EXPECT_EQ(sim.trigger_time(target), 105u);
 }
 
-TEST(Event, TrackCountsLiveOps) {
-  Simulator sim;
-  const Event a = sim.make_event();
-  const Event b = sim.make_event();
-  sim.track(a);
-  sim.track(b);
-  sim.track(Event());  // already complete: not live
-  EXPECT_EQ(sim.live_ops(), 2u);
-  sim.schedule_at(1, [&] { sim.trigger(a); });
-  sim.run();
-  EXPECT_EQ(sim.live_ops(), 1u);  // b never triggers
-}
-
 TEST(EventDeath, TriggerTwiceAborts) {
   Simulator sim;
   const Event a = sim.make_event();

@@ -1,6 +1,6 @@
 # The event-core seam lint. Everything above src/sim/ wires events
 # through the typed builder (Simulator::merge / merge_remote /
-# trigger_when / trigger_after / track, Processor::spawn, Network::send);
+# trigger_when / trigger_after, Processor::spawn, Network::send);
 # only src/sim/ may name the event core's internals or subscribe a
 # callable. Fails when a file under SRC outside SRC/sim/ names
 # EventState or UserEvent, or calls .subscribe(.
