@@ -29,12 +29,12 @@ int main() {
   apps::circuit::App app = apps::circuit::build(rt, cfg);
 
   uint64_t shared = 0;
-  for (bool s : app.graph.shared) shared += s ? 1 : 0;
+  for (bool s : app.graph->shared) shared += s ? 1 : 0;
   std::printf(
       "circuit: %llu nodes (%llu shared), %llu wires, %llu pieces on %u "
       "machine nodes\n",
-      (unsigned long long)app.graph.num_nodes(), (unsigned long long)shared,
-      (unsigned long long)app.graph.num_wires(),
+      (unsigned long long)app.graph->num_nodes(), (unsigned long long)shared,
+      (unsigned long long)app.graph->num_wires(),
       (unsigned long long)app.pieces, cfg.nodes);
 
   exec::SequentialResult oracle = exec::run_sequential(app.program);
@@ -49,7 +49,7 @@ int main() {
 
   double vc0 = 0, vc1 = 0;
   bool match = true;
-  for (uint64_t n = 0; n < app.graph.num_nodes(); ++n) {
+  for (uint64_t n = 0; n < app.graph->num_nodes(); ++n) {
     const double v = run.engine->read_root_f64(app.rn, app.f_voltage, n);
     const double c = run.engine->read_root_f64(app.rn, app.f_cap, n);
     vc1 += v * c;

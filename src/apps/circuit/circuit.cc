@@ -34,8 +34,8 @@ App build(rt::Runtime& rt, const Config& config) {
   gc.pct_cross = config.pct_cross;
   gc.window = config.window;
   gc.seed = config.seed;
-  app.graph = generate_graph(gc);
-  auto graph = std::make_shared<Graph>(app.graph);
+  const auto graph = std::make_shared<const Graph>(generate_graph(gc));
+  app.graph = graph;
 
   rt::RegionForest& forest = rt.forest();
 
@@ -46,7 +46,7 @@ App build(rt::Runtime& rt, const Config& config) {
   app.f_charge = nfs->add_field("charge");
   app.f_cap = nfs->add_field("cap");
   app.rn = forest.create_region(
-      rt::IndexSpace::dense(app.graph.num_nodes()), nfs, "N");
+      rt::IndexSpace::dense(graph->num_nodes()), nfs, "N");
 
   auto wfs = std::make_shared<rt::FieldSpace>();
   app.f_current = wfs->add_field("current");
@@ -54,10 +54,10 @@ App build(rt::Runtime& rt, const Config& config) {
   app.f_in = wfs->add_field("in_ptr", rt::FieldType::kI64);
   app.f_out = wfs->add_field("out_ptr", rt::FieldType::kI64);
   app.rw = forest.create_region(
-      rt::IndexSpace::dense(app.graph.num_wires()), wfs, "W");
+      rt::IndexSpace::dense(graph->num_wires()), wfs, "W");
 
   // --- partitions ------------------------------------------------------
-  const Graph& g = app.graph;
+  const Graph& g = *graph;
   app.top = rt::partition_by_color(
       forest, app.rn, 2,
       [&g](uint64_t n) { return g.shared[n] ? 1u : 0u; }, "pvg");

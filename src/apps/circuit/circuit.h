@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "apps/circuit/graph.h"
 #include "exec/cost_model.h"
@@ -42,7 +43,8 @@ struct Config {
 
 struct App {
   Config config;
-  Graph graph;
+  // Generated once and shared with the kernels.
+  std::shared_ptr<const Graph> graph;
   // Regions.
   rt::RegionId rn = rt::kNoId;  // circuit nodes
   rt::RegionId rw = rt::kNoId;  // wires

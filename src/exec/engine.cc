@@ -23,6 +23,7 @@ Engine::Impl::Impl(rt::Runtime& rt, const ir::Program& program,
       m_barrier_gens_(rt.metrics().counter("rt.barrier.generations")),
       m_barrier_arrivals_(rt.metrics().counter("rt.barrier.arrivals")),
       m_collective_rounds_(rt.metrics().counter("rt.collective.rounds")) {
+  proc_rr_.assign(rt_.machine().nodes(), 0);
   // Install the configured placement policy before anything queries
   // placement (ExecConfig::mapper is the one way to configure it).
   rt_.select_mapper(config.mapper);
@@ -30,9 +31,8 @@ Engine::Impl::Impl(rt::Runtime& rt, const ir::Program& program,
     owned_tracer_ = std::make_unique<support::Tracer>();
     rt_.sim().set_tracer(owned_tracer_.get());
   }
-  ScalarEnv& main = envs_[kMainEnv];
   for (const ir::ScalarDecl& s : p_.scalars) {
-    main.push_back({std::make_shared<double>(s.init), sim::Event()});
+    main_env_.push_back({std::make_shared<double>(s.init), sim::Event()});
   }
 }
 
@@ -52,9 +52,11 @@ Engine::Impl::~Impl() {
 std::shared_ptr<Engine::Impl::Captures> Engine::Impl::capture(
     const std::vector<ir::ScalarId>& ids, uint32_t env,
     std::vector<sim::Event>& pre) {
+  if (ids.empty()) return nullptr;
   auto captures = std::make_shared<Captures>();
+  const ScalarEnv& versions = this->env(env);
   for (ir::ScalarId id : ids) {
-    const ScalarVersion& v = envs_.at(env)[id];
+    const ScalarVersion& v = versions[id];
     pre.push_back(v.ready);
     captures->push_back({id, v.value});
   }
@@ -63,44 +65,42 @@ std::shared_ptr<Engine::Impl::Captures> Engine::Impl::capture(
 
 std::shared_ptr<double> Engine::Impl::new_version(uint32_t env, ir::ScalarId s,
                                                   sim::Event ready) {
-  ScalarVersion& v = envs_.at(env)[s];
+  ScalarVersion& v = this->env(env)[s];
   v = {std::make_shared<double>(0.0), ready};
   return v.value;
 }
 
 // --- physical instances and per-instance synchronization ---------------
 
-const std::vector<uint64_t>* Engine::Impl::weights_of(rt::PartitionId p) {
-  auto [it, inserted] = part_weights_.try_emplace(p);
-  if (inserted) {
-    const rt::PartitionNode& pn = forest().partition(p);
-    it->second.reserve(pn.subregions.size());
-    for (rt::RegionId r : pn.subregions) {
-      it->second.push_back(forest().region(r).ispace.size());
-    }
-  }
-  return &it->second;
-}
-
 Engine::Impl::InstanceRef& Engine::Impl::part_instance(rt::PartitionId p,
                                                        uint64_t color) {
-  auto [it, inserted] = part_inst_.try_emplace({p, color});
-  if (inserted) {
-    const rt::PartitionNode& pn = forest().partition(p);
-    CR_CHECK(color < pn.subregions.size());
-    make_instance(it->second, pn.subregions[color],
+  if (p >= part_inst_.size()) part_inst_.resize(p + 1);
+  PartitionRow& row = part_inst_[p];
+  const rt::PartitionNode& pn = forest().partition(p);
+  if (row.insts.empty()) {
+    row.insts.resize(pn.subregions.size());
+    row.weights.reserve(pn.subregions.size());
+    for (rt::RegionId r : pn.subregions) {
+      row.weights.push_back(forest().region(r).ispace.size());
+    }
+  }
+  CR_CHECK(color < pn.subregions.size());
+  InstanceRef& ref = row.insts[color];
+  if (ref.region == rt::kNoId) {
+    make_instance(ref, pn.subregions[color],
                   rt_.mapper().node_of_color(
                       color, rt::LaunchShape{pn.subregions.size(),
-                                             weights_of(p)}));
+                                             &row.weights}));
   }
-  return it->second;
+  return ref;
 }
 
 Engine::Impl::InstanceRef& Engine::Impl::root_instance(rt::RegionId root) {
-  auto [it, inserted] = root_inst_.try_emplace(root);
+  if (root >= root_inst_.size()) root_inst_.resize(root + 1);
+  InstanceRef& ref = root_inst_[root];
   // Master data lives with the main task.
-  if (inserted) make_instance(it->second, root, 0);
-  return it->second;
+  if (ref.region == rt::kNoId) make_instance(ref, root, 0);
+  return ref;
 }
 
 void Engine::Impl::make_instance(InstanceRef& ref, rt::RegionId region,
@@ -476,7 +476,7 @@ double Engine::read_root_f64(rt::RegionId root, rt::FieldId f,
 }
 
 double Engine::scalar(ir::ScalarId id) const {
-  return *impl_->envs_.at(Impl::kMainEnv)[id].value;
+  return *impl_->main_env_[id].value;
 }
 
 }  // namespace cr::exec

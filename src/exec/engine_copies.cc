@@ -246,6 +246,7 @@ void Engine::Impl::exec_shards(const ir::Stmt& s, std::vector<Ctx>& main) {
   CR_CHECK(main.size() == 1);
   const uint32_t num_shards = s.num_shards;
   std::vector<Ctx> shards(num_shards);
+  if (shard_envs_.size() < num_shards) shard_envs_.resize(num_shards);
   for (uint32_t x = 0; x < num_shards; ++x) {
     shards[x].shard = x;
     shards[x].node = rt_.mapper().shard_node(x, num_shards);
@@ -255,7 +256,7 @@ void Engine::Impl::exec_shards(const ir::Stmt& s, std::vector<Ctx>& main) {
       t->declare_track(ctl.node, ctl.core,
                        "shard " + std::to_string(x) + " (control)");
     }
-    envs_[x] = envs_.at(kMainEnv);
+    shard_envs_[x] = main_env_;
     // Shards start once the main task has issued them. The launch of a
     // remote shard is a real network dispatch: localize the handoff so
     // the shard's control chain starts on its own node.
@@ -274,7 +275,7 @@ void Engine::Impl::exec_shards(const ir::Stmt& s, std::vector<Ctx>& main) {
     if (complete_ns > 0) charge(shards[x], complete_ns, "isect:complete");
   }
   exec_body(s.body, shards, num_shards);
-  envs_[kMainEnv] = envs_.at(0);
+  main_env_ = shard_envs_.at(0);
   // The main task resumes after the shard launch itself (deferred); the
   // finalization copies it issues synchronize through instance events.
   charge(main[0], cost_.single_task_issue_ns, "resume");

@@ -78,13 +78,18 @@ struct Engine::Impl {
     sim::Event ready;  // value valid once triggered
   };
   using ScalarEnv = std::vector<ScalarVersion>;  // latest, per scalar id
-  std::map<uint32_t, ScalarEnv> envs_;
+  ScalarEnv main_env_;
+  std::vector<ScalarEnv> shard_envs_;  // indexed by shard
+  ScalarEnv& env(uint32_t id) {
+    return id == kMainEnv ? main_env_ : shard_envs_[id];
+  }
 
   using Captures =
       std::vector<std::pair<ir::ScalarId, std::shared_ptr<double>>>;
 
   // Bind the latest versions of `ids` in `env`: their readys join `pre`,
-  // their cells are what the op reads once they fire.
+  // their cells are what the op reads once they fire. An op that reads
+  // no scalar gets nullptr.
   std::shared_ptr<Captures> capture(const std::vector<ir::ScalarId>& ids,
                                     uint32_t env, std::vector<sim::Event>& pre);
   // Start a new version of `s` in `env`, valid once `ready` triggers;
@@ -149,15 +154,22 @@ struct Engine::Impl {
     std::vector<SyncEdge> writers;  // the current write epoch
   };
 
-  std::map<std::pair<rt::PartitionId, uint64_t>, InstanceRef> part_inst_;
-  std::map<rt::RegionId, InstanceRef> root_inst_;
+  // Instances are made at first touch, so sync keys (and the checker's
+  // place keys) follow the unroll's first-touch order. The tables are
+  // flat, indexed by dense ids: a partition's row of instances (one per
+  // color) and its per-color work weights (subregion sizes, what
+  // weight-aware mappers see) are allocated at its first touch and never
+  // resized, so an InstanceRef& stays valid for the engine's lifetime.
+  // Both tables are deques, so growing them moves no row: the balanced
+  // mapper memoizes its cuts by the address of a row's `weights`.
+  // An entry whose `region` is kNoId has no instance yet.
+  struct PartitionRow {
+    std::vector<InstanceRef> insts;  // by color
+    std::vector<uint64_t> weights;   // by color
+  };
+  std::deque<PartitionRow> part_inst_;  // by PartitionId
+  std::deque<InstanceRef> root_inst_;   // by root RegionId
   std::vector<std::unique_ptr<InstanceSync>> sync_;
-
-  // Per-color work weights (subregion sizes) of a partition, cached so
-  // weight-aware mappers see a stable vector per partition. Placement
-  // queries happen only during the single-threaded unroll.
-  std::map<rt::PartitionId, std::vector<uint64_t>> part_weights_;
-  const std::vector<uint64_t>* weights_of(rt::PartitionId p);
 
   InstanceRef& part_instance(rt::PartitionId p, uint64_t color);
   InstanceRef& root_instance(rt::RegionId root);
@@ -275,7 +287,8 @@ struct Engine::Impl {
     std::shared_ptr<std::vector<double>> partials;  // per launch color
     rt::ReduceOp op = rt::ReduceOp::kSum;
     uint64_t colors = 0;
-    std::map<uint32_t, std::vector<sim::Event>> events;  // per shard
+    // Per control context: by shard, or [0] on the main task.
+    std::vector<std::vector<sim::Event>> events;
   };
   std::map<ir::ScalarId, PendingReduction> pending_red_;
 
@@ -358,7 +371,7 @@ struct Engine::Impl {
 
   ExecutionResult result_;
   bool ran_ = false;  // run() is one-shot
-  std::map<uint32_t, uint64_t> proc_rr_;  // per-node round-robin counter
+  std::vector<uint64_t> proc_rr_;  // per-node round-robin counter
   uint64_t op_id_ = 0;
 
   // Implicit mode: the master performs dynamic dependence analysis over
@@ -419,12 +432,14 @@ struct Engine::Impl {
                    uint32_t num_shards);
   // The launch's per-color work weights for weight-aware mappers: the
   // domain argument's subregion size at each color (through its
-  // projection). Cached per statement; the default mapper ignores
-  // weights, so this changes nothing under the legacy policy.
+  // projection). Cached per statement and looked up once per launch;
+  // the default mapper ignores weights, so this changes nothing under
+  // the legacy policy.
   std::map<const ir::Stmt*, std::vector<uint64_t>> launch_weights_;
   rt::LaunchShape launch_shape(const ir::Stmt& s, const ir::TaskDecl& decl);
   void issue_point_task(const ir::Stmt& s, const ir::TaskDecl& decl,
-                        uint64_t color, Ctx& ctx, PendingReduction* red);
+                        const rt::LaunchShape& shape, uint64_t color, Ctx& ctx,
+                        PendingReduction* red);
   void exec_single(const ir::Stmt& s, Ctx& ctx);
   void exec_fill(const ir::Stmt& s, std::vector<Ctx>& ctxs,
                  uint32_t num_shards);

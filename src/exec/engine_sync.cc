@@ -51,7 +51,7 @@ void Engine::Impl::exec_collective(const ir::Stmt& s, std::vector<Ctx>& ctxs,
     // have contributed; folded in color order (deterministic).
     charge(ctxs[0], cost_.collective_issue_ns, "issue:collective");
     std::vector<sim::Event> evs;
-    for (auto& [sh, list] : pr.events) {
+    for (const std::vector<sim::Event>& list : pr.events) {
       evs.insert(evs.end(), list.begin(), list.end());
     }
     const sim::Event ready = sim().make_event();
@@ -103,7 +103,7 @@ void Engine::Impl::exec_collective(const ir::Stmt& s, std::vector<Ctx>& ctxs,
     // Fault injection: contribute without waiting for the shard's point
     // tasks — the gather no longer anchors the fold after the writers.
     arrivals.push_back(mutated(s) ? sim::Event()
-                                  : sim().merge(pr.events[ctx.shard]));
+                                  : sim().merge(pr.events.at(ctx.shard)));
     if (arrivals.size() == ctxs.size()) {
       gather = rt::rendezvous(sim(), rt_.network(), arrivals, done,
                               "allreduce", 1, std::move(fold));
@@ -150,7 +150,9 @@ void Engine::Impl::exec_scalar_op(const ir::Stmt& s, Ctx& ctx) {
   sim().trigger_when(
       computed, sim().merge(ready), [fn, inputs, outs, writes, nscalars] {
         std::vector<double> env_in(nscalars, 0.0);
-        for (auto& [id, val] : *inputs) env_in[id] = *val;
+        if (inputs) {
+          for (auto& [id, val] : *inputs) env_in[id] = *val;
+        }
         std::vector<double> env_out = env_in;
         fn(env_in, env_out);
         for (size_t k = 0; k < writes.size(); ++k) {

@@ -14,7 +14,7 @@ sim::Event Engine::Impl::spawn_on(uint32_t node,
                                   double duration_ns,
                                   std::function<void()> work,
                                   support::TraceTag tag) {
-  const sim::ProcId proc = rt_.mapper().compute_proc(node, proc_rr_[node]++);
+  const sim::ProcId proc = rt_.mapper().compute_proc(node, proc_rr_.at(node)++);
   return rt_.machine().proc(proc).spawn(sim().merge(pre), ns(duration_ns),
                                         std::move(work), std::move(tag));
 }
@@ -54,14 +54,15 @@ void Engine::Impl::exec_launch(const ir::Stmt& s, std::vector<Ctx>& ctxs,
         s.launch_colors, rt::reduce_identity(s.scalar_red->op));
     pr.op = s.scalar_red->op;
     pr.colors = s.launch_colors;
-    pr.events.clear();
+    pr.events.assign(ctxs.size(), {});
     red = &pr;
   }
 
+  const rt::LaunchShape shape = launch_shape(s, decl);
   for (Ctx& ctx : ctxs) {
     const rt::BlockRange owned = owned_colors(s.launch_colors, ctx, num_shards);
     for (uint64_t c = owned.begin; c < owned.end; ++c) {
-      issue_point_task(s, decl, c, ctx, red);
+      issue_point_task(s, decl, shape, c, ctx, red);
     }
   }
 }
@@ -86,14 +87,15 @@ rt::LaunchShape Engine::Impl::launch_shape(const ir::Stmt& s,
 }
 
 void Engine::Impl::issue_point_task(const ir::Stmt& s,
-                                    const ir::TaskDecl& decl, uint64_t color,
-                                    Ctx& ctx, PendingReduction* red) {
+                                    const ir::TaskDecl& decl,
+                                    const rt::LaunchShape& shape,
+                                    uint64_t color, Ctx& ctx,
+                                    PendingReduction* red) {
   m_point_tasks_.add();
   ++op_id_;
 
   const sim::Event done = sim().make_event();
-  const uint32_t node =
-      rt_.mapper().node_of_color(color, launch_shape(s, decl));
+  const uint32_t node = rt_.mapper().node_of_color(color, shape);
   std::vector<Use> uses;
   uses.reserve(s.args.size());
   for (const ir::RegionArg& a : s.args) {

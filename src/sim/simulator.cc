@@ -12,7 +12,7 @@ namespace cr::sim {
 Simulator::Simulator() {
   // Slot 0 is the no-event, triggered at time 0; waiter 0 and callable 0
   // are the "none" sentinels.
-  slots_.push(Slot{0, kFired, 0});
+  slots_.push(Slot{0, 0, 0, 0, kTrigger, kFired});
   waiters_.push(Waiter{0, 0, kTrigger});
   calls_.emplace_back();
 }
@@ -30,14 +30,15 @@ void Simulator::check_id_space(uint64_t id) {
 
 Event Simulator::make_event() {
   check_id_space(slots_.size());
-  return Event(slots_.push(Slot{0, 0, 0}));
+  return Event(slots_.push(Slot{0, 0, 0, 0, kTrigger, kPending}));
 }
 
 void Simulator::fire(uint32_t id) {
   Slot& s = slot(id);
-  CR_CHECK_MSG(s.head != kFired, "event triggered twice");
+  CR_CHECK_MSG(s.state != kFired, "event triggered twice");
+  const bool waited = s.state == kWaited;
   uint32_t w = s.head;
-  s.head = kFired;
+  s.state = kFired;
   s.word = now_;
   const uint32_t prev = current_cause_;
   if (graph_ != nullptr) {
@@ -48,6 +49,8 @@ void Simulator::fire(uint32_t id) {
     graph_->fired(id);
     current_cause_ = id;
   }
+  // A fired slot's waiter fields never change again.
+  if (waited) dispatch(s.kind0, s.arg0, id, now_);
   while (w != 0) {
     const Waiter waiter = waiters_[w];
     w = waiter.next;
@@ -58,7 +61,7 @@ void Simulator::fire(uint32_t id) {
 
 void Simulator::attach(Event e, Kind kind, uint32_t arg) {
   Slot& s = slot(e.id_);
-  if (s.head == kFired) {
+  if (s.state == kFired) {
     // A subscription on an already-triggered event still establishes a
     // causal link: anything it does is caused by this event.
     if (graph_ != nullptr && e.id_ != 0) {
@@ -71,7 +74,13 @@ void Simulator::attach(Event e, Kind kind, uint32_t arg) {
     }
     return;
   }
-  CR_CHECK_MSG(waiters_.size() < kFired, "event waiter arena exhausted");
+  if (s.state == kPending) {
+    s.kind0 = kind;
+    s.arg0 = arg;
+    s.state = kWaited;
+    return;
+  }
+  CR_CHECK_MSG(waiters_.size() < UINT32_MAX, "event waiter arena exhausted");
   const uint32_t w = waiters_.push(Waiter{0, arg, kind});
   if (s.head == 0) {
     s.head = w;
@@ -283,6 +292,11 @@ Time Simulator::run() {
   running_ = true;
   while (!heap_.empty()) {
     const Entry e = pop();
+    // The next entry's event slot is most likely cold: start loading it
+    // while this entry runs.
+    if (!heap_.empty() && (heap_.front().order & 0xff) == kTrigger) {
+      __builtin_prefetch(&slot(heap_.front().arg));
+    }
     CR_CHECK(e.time >= now_);
     now_ = e.time;
     current_cause_ = e.cause;

@@ -5,13 +5,17 @@
 // task execution, copies, synchronization, network messages — is wired
 // as typed continuations on events and entries on the queue.
 //
-// Events are 32-bit ids into an arena of 16-byte slots that grows in
-// fixed-size chunks. A pending event keeps an intrusive FIFO list of POD
-// waiters (a continuation kind plus a 32-bit payload); triggering it runs
-// them in subscription order, depth first through nested cascades. The
-// queue is a 4-ary heap of POD entries ordered by (time, insertion
-// sequence), so a given program unrolling always produces the same
-// timeline (bit-for-bit deterministic results).
+// Events are 32-bit ids into an arena of 24-byte slots that grows in
+// fixed-size chunks. A waiter is POD: a continuation kind plus a 32-bit
+// payload. The first waiter of a pending event lives inline in its slot,
+// so triggering an event with one waiter reads nothing but its slot; the
+// second and later waiters form an intrusive FIFO list in a waiter
+// arena. Triggering runs them in subscription order (inline waiter
+// first), depth first through nested cascades. The queue is a 4-ary heap
+// of POD entries ordered by (time, insertion sequence), so a given
+// program unrolling always produces the same timeline (bit-for-bit
+// deterministic results). The drain prefetches the slot of the next
+// entry's event while it runs the current one.
 //
 // The wiring API — merge, merge_remote, trigger_when, trigger_after,
 // Processor::spawn and Network::send — is the builder every layer above
@@ -103,11 +107,11 @@ class Simulator {
   // (still at now()) in FIFO order.
   void trigger(Event e) { fire(e.id_); }
 
-  bool has_triggered(Event e) const { return slot(e.id_).head == kFired; }
+  bool has_triggered(Event e) const { return slot(e.id_).state == kFired; }
   // Only meaningful once triggered.
   Time trigger_time(Event e) const {
     const Slot& s = slot(e.id_);
-    return s.head == kFired ? s.word : 0;
+    return s.state == kFired ? s.word : 0;
   }
 
   // --- the builder: typed continuations ----------------------------------
@@ -162,16 +166,6 @@ class Simulator {
   friend class Network;
   friend class Processor;
 
-  // A slot is 16 bytes. `word` holds the merge countdown while the event
-  // is pending and its trigger time once it fired; `head == kFired`
-  // marks a triggered event (its waiter list is gone by then).
-  static constexpr uint32_t kFired = UINT32_MAX;
-  struct Slot {
-    uint64_t word;
-    uint32_t head;  // first waiter (0 = none) or kFired
-    uint32_t tail;  // last waiter
-  };
-
   enum Kind : uint8_t {
     // Waiters and queue entries.
     kTrigger,  // arg: event to trigger
@@ -186,11 +180,29 @@ class Simulator {
     kDeliver,     // arg: send record whose on_delivery runs first
     kRemoteDone,  // arg: remote-merge record
   };
+  enum State : uint8_t {
+    kPending,  // no waiter yet
+    kWaited,   // pending, first waiter inline in (kind0, arg0)
+    kFired,    // triggered; `word` is the trigger time
+  };
+  // A slot is 24 bytes. `word` holds the merge countdown while the event
+  // is pending and its trigger time once it fired. The first waiter is
+  // (kind0, arg0); later ones are the list [head .. tail] in waiters_.
+  struct Slot {
+    uint64_t word;
+    uint32_t head;  // second waiter (0 = none)
+    uint32_t tail;  // last listed waiter
+    uint32_t arg0;
+    Kind kind0;
+    State state;
+  };
+  static_assert(sizeof(Slot) == 24);
   struct Waiter {
     uint32_t next;  // 0 = end of list
     uint32_t arg;
     Kind kind;
   };
+  static_assert(sizeof(Waiter) == 12);
   // Queue entry: `order` packs the insertion sequence (high 56 bits,
   // the same-time tie-break) and the kind (low 8 bits).
   struct Entry {

@@ -89,8 +89,8 @@ TEST(Circuit, OracleConservesChargeWithoutLeakage) {
   exec::SequentialResult r6 = exec::run_sequential(six.program);
 
   // Sum of V*C is invariant across steps (charge only moves).
-  EXPECT_NEAR(total_vc(r1, one, one.graph.num_nodes()),
-              total_vc(r6, six, six.graph.num_nodes()), 1e-6);
+  EXPECT_NEAR(total_vc(r1, one, one.graph->num_nodes()),
+              total_vc(r6, six, six.graph->num_nodes()), 1e-6);
 }
 
 class CircuitEquivalence
@@ -114,14 +114,14 @@ TEST_P(CircuitEquivalence, MatchesOracle) {
   ecfg.mode = spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit;
   exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
   run.run();
-  for (uint64_t n = 0; n < app.graph.num_nodes(); ++n) {
+  for (uint64_t n = 0; n < app.graph->num_nodes(); ++n) {
     ASSERT_NEAR(run.engine->read_root_f64(app.rn, app.f_voltage, n),
                 oracle.read_f64(app.rn, app.f_voltage, n), 1e-12)
         << "voltage[" << n << "]";
     ASSERT_NEAR(run.engine->read_root_f64(app.rn, app.f_charge, n),
                 oracle.read_f64(app.rn, app.f_charge, n), 1e-12);
   }
-  for (uint64_t w = 0; w < app.graph.num_wires(); ++w) {
+  for (uint64_t w = 0; w < app.graph->num_wires(); ++w) {
     ASSERT_NEAR(run.engine->read_root_f64(app.rw, app.f_current, w),
                 oracle.read_f64(app.rw, app.f_current, w), 1e-12);
   }
@@ -150,7 +150,7 @@ TEST(Circuit, SpmdWithBarriersAndNoIntersectionsStillCorrect) {
   ecfg.pipeline = opt;
   exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
   run.run();
-  for (uint64_t n = 0; n < app.graph.num_nodes(); ++n) {
+  for (uint64_t n = 0; n < app.graph->num_nodes(); ++n) {
     ASSERT_NEAR(run.engine->read_root_f64(app.rn, app.f_voltage, n),
                 oracle.read_f64(app.rn, app.f_voltage, n), 1e-12);
   }
@@ -184,7 +184,7 @@ TEST_P(CircuitOptions, AllPipelineVariantsMatchOracle) {
   ecfg.pipeline = opt;
   exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
   run.run();
-  for (uint64_t n = 0; n < app.graph.num_nodes(); ++n) {
+  for (uint64_t n = 0; n < app.graph->num_nodes(); ++n) {
     ASSERT_NEAR(run.engine->read_root_f64(app.rn, app.f_voltage, n),
                 oracle.read_f64(app.rn, app.f_voltage, n), 1e-12);
   }

@@ -70,7 +70,7 @@ TEST(Determinism, CircuitGraphAndExecutionReplay) {
     PreparedRun run = prepare(rt, app.program, ecfg);
     ExecutionResult res = run.run();
     std::vector<double> v;
-    for (uint64_t n = 0; n < app.graph.num_nodes(); ++n) {
+    for (uint64_t n = 0; n < app.graph->num_nodes(); ++n) {
       v.push_back(run.engine->read_root_f64(app.rn, app.f_voltage, n));
     }
     return std::make_pair(res.makespan_ns, v);

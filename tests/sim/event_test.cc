@@ -222,11 +222,104 @@ TEST(Event, TriggerAfterDelaysFromTheCause) {
   EXPECT_EQ(sim.trigger_time(target), 105u);
 }
 
+// An event's first waiter lives in its slot and later ones in the
+// waiter list. Attaches interleaved across two events still run in
+// subscription order per event, for one waiter (inline only), two (one
+// listed) and five.
+TEST(Event, InterleavedAttachesKeepFifoOverInlineAndListedWaiters) {
+  for (int n : {1, 2, 5}) {
+    Simulator sim;
+    const Event a = sim.make_event();
+    const Event b = sim.make_event();
+    std::vector<int> order;
+    for (int k = 0; k < n; ++k) {
+      sim.subscribe(a, [&order, k] { order.push_back(k); });
+      sim.subscribe(b, [&order, k] { order.push_back(100 + k); });
+    }
+    sim.schedule_at(1, [&] {
+      sim.trigger(b);
+      sim.trigger(a);
+    });
+    sim.run();
+    std::vector<int> want;
+    for (int k = 0; k < n; ++k) want.push_back(100 + k);
+    for (int k = 0; k < n; ++k) want.push_back(k);
+    EXPECT_EQ(order, want) << n << " waiters per event";
+  }
+}
+
+// A waiter that attaches to the event whose cascade is running sees it
+// triggered: the new waiter runs at once, inside the attaching waiter,
+// whether that one was the inline waiter or a listed one.
+TEST(Event, AttachDuringOwnCascadeRunsAtOnce) {
+  Simulator sim;
+  const Event a = sim.make_event();
+  std::vector<std::string> order;
+  sim.subscribe(a, [&] {
+    order.push_back("inline");
+    sim.subscribe(a, [&] { order.push_back("from inline"); });
+    order.push_back("inline done");
+  });
+  sim.subscribe(a, [&] {
+    order.push_back("listed");
+    sim.subscribe(a, [&] { order.push_back("from listed"); });
+  });
+  sim.subscribe(a, [&] { order.push_back("last"); });
+  sim.schedule_at(3, [&] { sim.trigger(a); });
+  sim.run();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"inline", "from inline", "inline done",
+                                      "listed", "from listed", "last"}));
+}
+
+// A merge input whose waiters span the inline slot and the list counts
+// the merge down once per attach: `a` holds the merge inline and twice
+// in its list, so only `b` completes it.
+TEST(Event, MergeCountsDownOncePerAttachOverInlineAndListedWaiters) {
+  Simulator sim;
+  const Event a = sim.make_event();
+  const Event b = sim.make_event();
+  const Event m = sim.merge({a, b, a, a});
+  int fired = 0;
+  sim.subscribe(m, [&] { ++fired; });
+  sim.schedule_at(10, [&] {
+    sim.trigger(a);
+    EXPECT_FALSE(sim.has_triggered(m));
+  });
+  sim.schedule_at(20, [&] { sim.trigger(b); });
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.trigger_time(m), 20u);
+
+  // The same with a foreign inline waiter: all three attaches are listed.
+  Simulator sim2;
+  const Event c = sim2.make_event();
+  int before = 0;
+  sim2.subscribe(c, [&] { ++before; });
+  const Event m2 = sim2.merge({c, c, c});
+  int fired2 = 0;
+  sim2.subscribe(m2, [&] { ++fired2; });
+  sim2.schedule_at(4, [&] { sim2.trigger(c); });
+  sim2.run();
+  EXPECT_EQ(before, 1);
+  EXPECT_EQ(fired2, 1);
+  EXPECT_EQ(sim2.trigger_time(m2), 4u);
+}
+
 TEST(EventDeath, TriggerTwiceAborts) {
   Simulator sim;
   const Event a = sim.make_event();
   sim.trigger(a);
   EXPECT_DEATH(sim.trigger(a), "event triggered twice");
+  // With an inline and a listed waiter, and from inside its own cascade.
+  const Event b = sim.make_event();
+  sim.subscribe(b, [] {});
+  sim.subscribe(b, [] {});
+  sim.trigger(b);
+  EXPECT_DEATH(sim.trigger(b), "event triggered twice");
+  const Event c = sim.make_event();
+  sim.subscribe(c, [&] { sim.trigger(c); });
+  EXPECT_DEATH(sim.trigger(c), "event triggered twice");
 }
 
 TEST(EventDeath, IdSpaceOverflowAborts) {
