@@ -57,19 +57,30 @@ App build(rt::Runtime& rt, const Config& config) {
       rt::IndexSpace::dense(graph->num_wires()), wfs, "W");
 
   // --- partitions ------------------------------------------------------
+  // Pieces own consecutive node and wire ids, so each piece is one run.
+  // The private/shared flag is random per node: its runs end at the next
+  // flip of g.shared.
   const Graph& g = *graph;
   app.top = rt::partition_by_color(
       forest, app.rn, 2,
-      [&g](uint64_t n) { return g.shared[n] ? 1u : 0u; }, "pvg");
+      [&g](uint64_t n) {
+        const bool shared = g.shared[n];
+        uint64_t end = n + 1;
+        while (end < g.num_nodes() && g.shared[end] == shared) ++end;
+        return rt::ColorRun{shared ? 1u : 0u, end};
+      },
+      "pvg");
   app.all_private = forest.subregion(app.top, 0);
   app.all_shared = forest.subregion(app.top, 1);
 
-  app.p_pvt = rt::partition_by_color(
-      forest, app.all_private, app.pieces,
-      [&g](uint64_t n) { return g.piece_of_node(n); }, "pvt");
-  app.p_shr = rt::partition_by_color(
-      forest, app.all_shared, app.pieces,
-      [&g](uint64_t n) { return g.piece_of_node(n); }, "shr");
+  auto node_piece = [&g](uint64_t n) {
+    const uint64_t piece = g.piece_of_node(n);
+    return rt::ColorRun{piece, (piece + 1) * g.config.nodes_per_piece};
+  };
+  app.p_pvt = rt::partition_by_color(forest, app.all_private, app.pieces,
+                                     node_piece, "pvt");
+  app.p_shr = rt::partition_by_color(forest, app.all_shared, app.pieces,
+                                     node_piece, "shr");
 
   // Ghosts: shared nodes of *other* pieces touched by my wires.
   {
@@ -97,7 +108,11 @@ App build(rt::Runtime& rt, const Config& config) {
 
   app.p_wires = rt::partition_by_color(
       forest, app.rw, app.pieces,
-      [&g](uint64_t w) { return g.piece_of_wire(w); }, "wires");
+      [&g](uint64_t w) {
+        const uint64_t piece = g.piece_of_wire(w);
+        return rt::ColorRun{piece, (piece + 1) * g.config.wires_per_piece};
+      },
+      "wires");
 
   // --- program ---------------------------------------------------------
   ir::ProgramBuilder b(forest, "circuit");

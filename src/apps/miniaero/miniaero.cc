@@ -95,40 +95,26 @@ App build(rt::Runtime& rt, const Config& config) {
   app.rc = forest.create_region(rt::IndexSpace::grid(ext), fs, "cells");
 
   // Hierarchical split: boundary = cells within one layer of a slab
-  // edge in x.
-  auto piece_of = [cx](int64_t x) {
-    return static_cast<uint64_t>(x) / cx;
-  };
-  auto is_interior = [cx](int64_t x) {
-    const int64_t lx = x % static_cast<int64_t>(cx);
-    return lx >= 1 && lx < static_cast<int64_t>(cx) - 1;
-  };
+  // edge in x. Ids are x-major, so each x-layer of ny * nz cells is one
+  // run of the split and each piece's slab is one run of its color.
+  const uint64_t layer = ny * nz;
   app.top = rt::partition_by_color(
       forest, app.rc, 2,
-      [ext, is_interior](uint64_t id) {
-        int64_t x, y, z;
-        ext.delinearize(id, x, y, z);
-        return is_interior(x) ? 0u : 1u;
+      [cx, layer](uint64_t id) {
+        const uint64_t x = id / layer, lx = x % cx;
+        return rt::ColorRun{lx >= 1 && lx < cx - 1 ? 0u : 1u, (x + 1) * layer};
       },
       "int_v_bnd");
   app.interior = forest.subregion(app.top, 0);
   app.boundary = forest.subregion(app.top, 1);
-  app.p_int = rt::partition_by_color(
-      forest, app.interior, app.pieces,
-      [ext, piece_of](uint64_t id) {
-        int64_t x, y, z;
-        ext.delinearize(id, x, y, z);
-        return piece_of(x);
-      },
-      "aint");
-  app.p_bnd = rt::partition_by_color(
-      forest, app.boundary, app.pieces,
-      [ext, piece_of](uint64_t id) {
-        int64_t x, y, z;
-        ext.delinearize(id, x, y, z);
-        return piece_of(x);
-      },
-      "abnd");
+  auto piece_of = [slab = cx * layer](uint64_t id) {
+    const uint64_t piece = id / slab;
+    return rt::ColorRun{piece, (piece + 1) * slab};
+  };
+  app.p_int = rt::partition_by_color(forest, app.interior, app.pieces,
+                                     piece_of, "aint");
+  app.p_bnd = rt::partition_by_color(forest, app.boundary, app.pieces,
+                                     piece_of, "abnd");
   // Halo: the face layer of each neighboring slab.
   {
     const rt::IndexSpace& bnd_is = forest.region(app.boundary).ispace;

@@ -61,24 +61,35 @@ App build(rt::Runtime& rt, const Config& config) {
                                 pfs, "P");
 
   // --- partitions ------------------------------------------------------
+  // Ids are column-major, so a piece's zones are one run and every point
+  // column is a run of one color.
+  const uint64_t zones_per_piece = mc.zones_x * mc.zones_y;
   app.p_zones = rt::partition_by_color(
       forest, app.rz, app.pieces,
-      [mesh](uint64_t z) { return mesh.zone_piece(z); }, "zones");
+      [mesh, zones_per_piece](uint64_t z) {
+        const uint64_t piece = mesh.zone_piece(z);
+        return rt::ColorRun{piece, (piece + 1) * zones_per_piece};
+      },
+      "zones");
 
+  const uint64_t col = mesh.points_y_total();
   app.top = rt::partition_by_color(
       forest, app.rp, 2,
-      [mesh](uint64_t p) {
-        return mesh.point_col_shared(mesh.point_px(p)) ? 1u : 0u;
+      [mesh, col](uint64_t p) {
+        const uint64_t px = mesh.point_px(p);
+        return rt::ColorRun{mesh.point_col_shared(px) ? 1u : 0u,
+                            (px + 1) * col};
       },
       "pvs");
   app.all_private = forest.subregion(app.top, 0);
   app.all_shared = forest.subregion(app.top, 1);
-  app.p_pvt = rt::partition_by_color(
-      forest, app.all_private, app.pieces,
-      [mesh](uint64_t p) { return mesh.point_piece(p); }, "ppvt");
-  app.p_shr = rt::partition_by_color(
-      forest, app.all_shared, app.pieces,
-      [mesh](uint64_t p) { return mesh.point_piece(p); }, "pshr");
+  auto column_piece = [mesh, col](uint64_t p) {
+    return rt::ColorRun{mesh.point_piece(p), (mesh.point_px(p) + 1) * col};
+  };
+  app.p_pvt = rt::partition_by_color(forest, app.all_private, app.pieces,
+                                     column_piece, "ppvt");
+  app.p_shr = rt::partition_by_color(forest, app.all_shared, app.pieces,
+                                     column_piece, "pshr");
 
   // Ghosts: piece i > 0 reads the shared column at its left edge, owned
   // by piece i-1.

@@ -69,26 +69,30 @@ App build(rt::Runtime& rt, const Config& config) {
 
   // Hierarchical split (paper §4.5): interior points are farther than
   // `radius` from their tile's edge; the rest form the boundary rings.
+  // Ids run along y, so both colorings are y-runs. A column within
+  // `radius` of a tile's x-edge is one boundary run; any other column
+  // splits, in every tile, into a boundary, an interior and a boundary
+  // band. The tile color changes at each tile's y-edge.
   const uint64_t tx = config.tile_x, ty = config.tile_y;
-  auto is_interior = [tx, ty, radius, &extents](uint64_t id) {
-    int64_t x, y, z;
-    extents.delinearize(id, x, y, z);
-    const int64_t lx = x % static_cast<int64_t>(tx);
-    const int64_t ly = y % static_cast<int64_t>(ty);
-    return lx >= radius && lx < static_cast<int64_t>(tx) - radius &&
-           ly >= radius && ly < static_cast<int64_t>(ty) - radius;
-  };
+  const uint64_t r = static_cast<uint64_t>(radius);
   app.top = rt::partition_by_color(
       forest, app.r_in, 2,
-      [&](uint64_t id) { return is_interior(id) ? 0u : 1u; }, "int_v_bnd");
+      [tx, ty, r, gy](uint64_t id) {
+        const uint64_t x = id / gy, y = id % gy;
+        const uint64_t lx = x % tx, ly = y % ty;
+        const uint64_t tile_lo = id - ly;
+        if (lx < r || lx >= tx - r) return rt::ColorRun{1, id - y + gy};
+        if (ly < r) return rt::ColorRun{1, tile_lo + r};
+        if (ly < ty - r) return rt::ColorRun{0, tile_lo + ty - r};
+        return rt::ColorRun{1, tile_lo + ty};
+      },
+      "int_v_bnd");
   app.interior = forest.subregion(app.top, 0);
   app.boundary = forest.subregion(app.top, 1);
 
-  auto tile_of = [&](uint64_t id) {
-    int64_t x, y, z;
-    extents.delinearize(id, x, y, z);
-    return static_cast<uint64_t>(x) / tx * app.tiles_y +
-           static_cast<uint64_t>(y) / ty;
+  auto tile_of = [tx, ty, gy, tiles_y = app.tiles_y](uint64_t id) {
+    const uint64_t x = id / gy, y = id % gy;
+    return rt::ColorRun{x / tx * tiles_y + y / ty, id - y % ty + ty};
   };
   app.p_int = rt::partition_by_color(forest, app.interior, app.total_tiles,
                                      tile_of, "int");

@@ -1,10 +1,32 @@
 #include "rt/partition.h"
 
 #include <algorithm>
+#include <string>
 
 #include "support/check.h"
 
 namespace cr::rt {
+
+namespace {
+
+// A color callback broke the run contract: abort naming the partition
+// and the run [p, end).
+[[noreturn]] void bad_run(const std::string& name, uint64_t p, uint64_t end,
+                          const char* what) {
+  std::string msg = "partition_by_color '";
+  msg += name;
+  msg += "': color_run(";
+  msg += std::to_string(p);
+  msg += ") returned the run [";
+  msg += std::to_string(p);
+  msg += ", ";
+  msg += std::to_string(end);
+  msg += "), which ";
+  msg += what;
+  support::check_failed("a valid color run", __FILE__, __LINE__, msg.c_str());
+}
+
+}  // namespace
 
 PartitionId partition_equal(RegionForest& forest, RegionId region,
                             uint64_t colors, std::string name) {
@@ -70,20 +92,34 @@ PartitionId partition_grid(RegionForest& forest, RegionId region,
 
 PartitionId partition_by_color(
     RegionForest& forest, RegionId region, uint64_t colors,
-    const std::function<uint64_t(uint64_t)>& color_of, std::string name) {
+    const std::function<ColorRun(uint64_t)>& color_run, std::string name) {
   CR_CHECK(colors > 0);
   const IndexSpace& is = forest.region(region).ispace;
   std::vector<support::IntervalSet> sets(colors);
   bool complete = true;
-  is.points().for_each_point([&](uint64_t p) {
-    const uint64_t c = color_of(p);
-    if (c == kNoColor) {
-      complete = false;
-      return;
+  for (const support::Interval& iv : is.points().intervals()) {
+    for (uint64_t p = iv.lo; p < iv.hi;) {
+      const ColorRun run = color_run(p);
+      if (run.end <= p) {
+        bad_run(name, p, run.end, "is empty: a run must end after p");
+      }
+      const uint64_t end = std::min(run.end, iv.hi);
+#ifndef NDEBUG
+      for (uint64_t q = p + 1; q < end; ++q) {
+        if (color_run(q).color != run.color) {
+          bad_run(name, p, run.end, "holds an id of another color");
+        }
+      }
+#endif
+      if (run.color == kNoColor) {
+        complete = false;
+      } else {
+        CR_CHECK_MSG(run.color < colors, "color out of range");
+        sets[run.color].append(p, end);
+      }
+      p = end;
     }
-    CR_CHECK_MSG(c < colors, "color out of range");
-    sets[c].append_point(p);
-  });
+  }
   std::vector<IndexSpace> subs;
   subs.reserve(colors);
   for (auto& s : sets) subs.push_back(is.subspace(std::move(s)));

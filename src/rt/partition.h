@@ -6,6 +6,8 @@
 // forest with the statically known disjointness/completeness of that
 // operator: equal/block/grid/coloring are disjoint; images through
 // unconstrained functions are aliased (the compiler must assume overlap).
+// Every operator but the image works on whole intervals of ids, so the
+// cost of building a partition follows the number of runs, not points.
 #pragma once
 
 #include <functional>
@@ -26,12 +28,24 @@ PartitionId partition_grid(RegionForest& forest, RegionId region,
                            std::array<uint64_t, 3> tiles,
                            std::string name = {});
 
-// Disjoint coloring: every element gets color_of(id) in [0, colors), or
-// kNoColor to be left out (making the partition incomplete).
+// Disjoint coloring by runs of consecutive ids (the pieces, slabs, tiles
+// and columns the apps color are such runs). color_run(p) returns
+// {color, end} with end > p, meaning every id in [p, end) has `color` in
+// [0, colors), or kNoColor to be left out (making the partition
+// incomplete). The operator walks the region's intervals, clipping each
+// run to the interval it starts in, so it costs O(runs + intervals)
+// callbacks and appends, not O(points). A per-point coloring is the run
+// {c, p + 1}. An empty run aborts with a message that names the
+// partition, and a color out of range aborts too. Debug builds also check
+// every id of every run against the callback.
 inline constexpr uint64_t kNoColor = ~0ull;
+struct ColorRun {
+  uint64_t color;
+  uint64_t end;  // exclusive
+};
 PartitionId partition_by_color(
     RegionForest& forest, RegionId region, uint64_t colors,
-    const std::function<uint64_t(uint64_t)>& color_of, std::string name = {});
+    const std::function<ColorRun(uint64_t)>& color_run, std::string name = {});
 
 // Image partition: subregion i = { y in `region` : y in targets(x), x in
 // source[i] } — the paper's image(B, PB, h). Aliased (h unconstrained),

@@ -154,7 +154,9 @@ TEST(Pipeline, HierarchicalDisjointnessSuppressesPrivateCopies) {
   rt::FieldId f = fs->add_field("v");
   rt::RegionId b = forest.create_region(rt::IndexSpace::dense(40), fs, "B");
   rt::PartitionId pvg = rt::partition_by_color(
-      forest, b, 2, [](uint64_t id) { return id < 24 ? 0u : 1u; }, "pvg");
+      forest, b, 2,
+      [](uint64_t id) { return rt::ColorRun{id < 24 ? 0u : 1u, id + 1}; },
+      "pvg");
   rt::RegionId all_private = forest.subregion(pvg, 0);
   rt::RegionId all_ghost = forest.subregion(pvg, 1);
   rt::PartitionId pb =

@@ -292,7 +292,7 @@ void grow_random(RegionForest& forest, support::Rng& rng, RegionId root,
         // Colors 0..3 of 6: colors 4 and 5 are empty subregions.
         const uint64_t lo = forest.region(target).ispace.points().bounds().lo;
         p = partition_by_color(forest, target, 6, [lo](uint64_t x) {
-          return (x - lo) / 3 % 4;
+          return ColorRun{(x - lo) / 3 % 4, x + 1};
         });
         break;
       }

@@ -89,7 +89,8 @@ TEST(RegionTree, HierarchicalPrivateGhostProvesDisjointness) {
   RegionForest forest;
   RegionId b = forest.create_region(IndexSpace::dense(20), fs(), "B");
   PartitionId pvg = partition_by_color(
-      forest, b, 2, [](uint64_t id) { return id < 12 ? 0u : 1u; },
+      forest, b, 2,
+      [](uint64_t id) { return ColorRun{id < 12 ? 0u : 1u, id + 1}; },
       "private_v_ghost");
   RegionId all_private = forest.subregion(pvg, 0);
   RegionId all_ghost = forest.subregion(pvg, 1);
