@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) for the runtime substrates: interval
-// set algebra, shallow-intersection structures, the DES event loop, and
+// set algebra, the shallow-intersection index, the DES event loop, and
 // the dynamic dependence analysis. These are the real in-process costs
 // behind the virtual-time constants documented in EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
@@ -55,26 +55,26 @@ void BM_IntervalSetUnion(benchmark::State& state) {
 }
 BENCHMARK(BM_IntervalSetUnion)->Arg(16)->Arg(256)->Arg(4096);
 
-void BM_IntervalTreeQuery(benchmark::State& state) {
+void BM_IntervalIndexQuery(benchmark::State& state) {
   support::Rng rng(3);
-  std::vector<rt::IntervalTree::Entry> entries;
+  std::vector<rt::IntervalIndex::Entry> entries;
   for (int64_t i = 0; i < state.range(0); ++i) {
     const uint64_t lo = rng.next_below(1u << 20);
     entries.push_back({{lo, lo + 64}, static_cast<uint64_t>(i)});
   }
-  rt::IntervalTree tree(std::move(entries));
+  rt::IntervalIndex index(std::move(entries));
   std::vector<uint64_t> hits;
   for (auto _ : state) {
     hits.clear();
     const uint64_t lo = rng.next_below(1u << 20);
-    tree.query({lo, lo + 256}, hits);
+    index.query({lo, lo + 256}, [&](uint64_t c) { hits.push_back(c); });
     benchmark::DoNotOptimize(hits);
   }
 }
-BENCHMARK(BM_IntervalTreeQuery)->Arg(1024)->Arg(16384)->Arg(262144);
+BENCHMARK(BM_IntervalIndexQuery)->Arg(1024)->Arg(16384)->Arg(262144);
 
 void BM_ShallowIntersectionsHalo(benchmark::State& state) {
-  // 1D halo pattern: O(N) pairs out of N^2 candidates.
+  // 1D halo pattern: O(N) pairs out of N^2 candidates (interval keys).
   const uint64_t n = static_cast<uint64_t>(state.range(0));
   rt::RegionForest forest;
   auto fs = std::make_shared<rt::FieldSpace>();
@@ -93,6 +93,37 @@ void BM_ShallowIntersectionsHalo(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ShallowIntersectionsHalo)->Arg(64)->Arg(1024)->Arg(8192);
+
+void BM_ShallowIntersectionsTiles2D(benchmark::State& state) {
+  // 2D tiles of 16x16 against their radius-1 halos (rect keys): Arg
+  // tiles along each axis, so Arg^2 tiles with at most 9 pairs each.
+  const uint64_t t = static_cast<uint64_t>(state.range(0));
+  const int64_t side = static_cast<int64_t>(16 * t);
+  rt::RegionForest forest;
+  auto fs = std::make_shared<rt::FieldSpace>();
+  fs->add_field("v");
+  const rt::GridExtents e = rt::GridExtents::d2(16 * t, 16 * t);
+  rt::RegionId r = forest.create_region(rt::IndexSpace::grid(e), fs);
+  rt::PartitionId p = rt::partition_grid(forest, r, {t, t, 1});
+  rt::PartitionId q = rt::partition_image(
+      forest, r, p, [&](uint64_t id, std::vector<uint64_t>& out) {
+        int64_t x, y, z;
+        e.delinearize(id, x, y, z);
+        for (int64_t dx = -1; dx <= 1; ++dx) {
+          for (int64_t dy = -1; dy <= 1; ++dy) {
+            if (x + dx >= 0 && x + dx < side && y + dy >= 0 &&
+                y + dy < side) {
+              out.push_back(e.linearize(x + dx, y + dy));
+            }
+          }
+        }
+      });
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rt::shallow_intersections(forest, p, q));
+  }
+  state.SetItemsProcessed(state.iterations() * t * t);
+}
+BENCHMARK(BM_ShallowIntersectionsTiles2D)->Arg(8)->Arg(32)->Arg(64);
 
 // The event core end to end: wiring during an unroll, then the drain.
 // Arg 0 is a serial chain of 10k spawns on one core. Arg 1 is a DAG of

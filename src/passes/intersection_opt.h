@@ -6,7 +6,7 @@
 //   - allocates one intersection table per distinct (src, dst) partition
 //     pair appearing in fragment copies;
 //   - emits kIntersect statements computing those tables (shallow pass
-//     via interval tree/BVH, then complete per-pair element sets) hoisted
+//     via rt::IntervalIndex, then complete per-pair element sets) hoisted
 //     in front of the fragment — the "lifted to the beginning of program
 //     execution" placement the paper reports;
 //   - tags each copy with its table so executors iterate only the

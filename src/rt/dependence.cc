@@ -2,22 +2,21 @@
 
 #include <algorithm>
 
-#include "rt/intersect.h"
 #include "support/check.h"
 
 namespace cr::rt {
-
-DependenceTracker::DependenceTracker(const RegionForest& forest)
-    : forest_(&forest) {}
-DependenceTracker::~DependenceTracker() = default;
 
 const std::vector<DependenceTracker::Overlap>& DependenceTracker::overlaps_of(
     RegionId r) {
   // The passes create partitions, and they finish before the engine
   // records its first operation: the forest is fixed from then on, so a
   // list never misses a region.
-  if (lists_.empty()) lists_.resize(forest_->num_regions());
-  CR_CHECK_MSG(lists_.size() == forest_->num_regions(),
+  if (lists_.empty()) {
+    lists_.resize(forest_->num_regions());
+    child_index_.resize(forest_->num_partitions());
+  }
+  CR_CHECK_MSG(lists_.size() == forest_->num_regions() &&
+                   child_index_.size() == forest_->num_partitions(),
                "region forest grew after the first dependence record");
   OverlapList& list = lists_[r];
   if (list.built) return list.entries;
@@ -35,10 +34,8 @@ const std::vector<DependenceTracker::Overlap>& DependenceTracker::overlaps_of(
     stack.pop_back();
     list.entries.push_back({q.id, pts.contains_all(q.ispace.points())});
     for (PartitionId p : q.partitions) {
-      std::unique_ptr<IntervalTree>& index = child_index_[p];
-      if (!index) {
-        index = std::make_unique<IntervalTree>(subregion_index(*forest_, p));
-      }
+      std::optional<IntervalIndex>& index = child_index_[p];
+      if (!index) index = subregion_index(*forest_, p);
       overlapping_colors(*index, pts, colors);
       for (uint64_t c : colors) stack.push_back(forest_->subregion(p, c));
     }

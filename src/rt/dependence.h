@@ -26,30 +26,28 @@
 // never changes after creation, and the passes that add partitions
 // finish before the first record()), so each region's overlap list is
 // computed once, the first time a requirement names it, by descending
-// R's tree from the root through one interval index per partition. The
-// buckets on the list hold exactly the users an exhaustive scan would
-// find overlapping; sorting them by issue sequence reproduces the scan's
-// dependence set, precondition order and pruned epochs.
+// R's tree from the root through one IntervalIndex (rt/intersect.h) per
+// partition over its children's intervals. The buckets on the list hold
+// exactly the users an exhaustive scan would find overlapping; sorting
+// them by issue sequence reproduces the scan's dependence set,
+// precondition order and pruned epochs.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "rt/intersect.h"
 #include "rt/task.h"
 #include "sim/event.h"
 
 namespace cr::rt {
 
-class IntervalTree;
-
 class DependenceTracker {
  public:
-  // Out of line: the child indexes hold an IntervalTree (rt/intersect.h).
-  explicit DependenceTracker(const RegionForest& forest);
-  ~DependenceTracker();
+  explicit DependenceTracker(const RegionForest& forest) : forest_(&forest) {}
 
   // Record an operation's use of a region; returns the completion events
   // of conflicting predecessors (deduplicated: a predecessor reached via
@@ -103,10 +101,10 @@ class DependenceTracker {
   const RegionForest* forest_;
   // Keyed by (tree root, field).
   std::map<std::pair<RegionId, FieldId>, FieldState> users_;
-  // Geometry caches, indexed by region / keyed by partition. Sized at
-  // the first record(); the forest must not grow after it.
+  // Geometry caches, indexed by region / by partition. Sized at the
+  // first record(); the forest must not grow after it.
   std::vector<OverlapList> lists_;
-  std::unordered_map<PartitionId, std::unique_ptr<IntervalTree>> child_index_;
+  std::vector<std::optional<IntervalIndex>> child_index_;
   std::vector<std::pair<User*, bool>> gathered_;  // scratch: (user, covered)
   uint64_t next_seq_ = 0;
   uint64_t pairs_tested_ = 0;

@@ -61,14 +61,6 @@ struct Rect {
     }
     return out;
   }
-  Rect bbox_union(const Rect& o) const {
-    Rect out;
-    for (int d = 0; d < 3; ++d) {
-      out.lo[d] = lo[d] < o.lo[d] ? lo[d] : o.lo[d];
-      out.hi[d] = hi[d] > o.hi[d] ? hi[d] : o.hi[d];
-    }
-    return out;
-  }
   friend bool operator==(const Rect&, const Rect&) = default;
 };
 

@@ -48,40 +48,32 @@ Rect IndexSpace::bounding_rect() const {
   const support::Interval b = points_.bounds();
   if (!structured()) return Rect::d1(static_cast<int64_t>(b.lo),
                                      static_cast<int64_t>(b.hi));
-  const GridExtents& e = *extents_;
-  const int64_t nz = static_cast<int64_t>(e.n[2]);
-  const int64_t ny = static_cast<int64_t>(e.n[1]);
-  Rect out;
-  out.lo = {INT64_MAX, INT64_MAX, INT64_MAX};
-  out.hi = {INT64_MIN, INT64_MIN, INT64_MIN};
-  auto expand = [&](int d, int64_t lo, int64_t hi) {
-    out.lo[d] = std::min(out.lo[d], lo);
-    out.hi[d] = std::max(out.hi[d], hi);
+  const uint64_t ny = extents_->n[1], nz = extents_->n[2];
+  // Ids are row-major with x outermost, so the bounds alone give x.
+  Rect out = Rect::d3(static_cast<int64_t>(b.lo / (ny * nz)), INT64_MAX,
+                      INT64_MAX,
+                      static_cast<int64_t>((b.hi - 1) / (ny * nz) + 1),
+                      INT64_MIN, INT64_MIN);
+  // A run [lo, hi) of consecutive units along dimension d (extent m)
+  // covers [lo % m, (hi - 1) % m] if it stays within one row of d, and
+  // the whole extent otherwise. So the result is conservative (a
+  // superset bbox) for runs that wrap across rows: the shallow
+  // intersection confirms every rect hit exactly and needs nothing
+  // tighter. A unit extent takes no division.
+  auto expand = [&](int d, uint64_t lo, uint64_t hi, uint64_t m) {
+    uint64_t first = 0, last = m - 1;
+    if (hi - lo < m && lo % m <= (hi - 1) % m) {
+      first = lo % m;
+      last = (hi - 1) % m;
+    }
+    out.lo[d] = std::min(out.lo[d], static_cast<int64_t>(first));
+    out.hi[d] = std::max(out.hi[d], static_cast<int64_t>(last + 1));
   };
-  // Each interval covers a consecutive id range; decompose into
-  // (row = x*ny + y, z) coordinates. The result is conservative (a
-  // superset bbox) for intervals that wrap across rows, which is all the
-  // BVH pruning needs.
   for (const support::Interval& iv : points_.intervals()) {
-    const int64_t row_lo = static_cast<int64_t>(iv.lo) / nz;
-    const int64_t z_lo = static_cast<int64_t>(iv.lo) % nz;
-    const int64_t row_hi = static_cast<int64_t>(iv.hi - 1) / nz;
-    const int64_t z_hi = static_cast<int64_t>(iv.hi - 1) % nz + 1;
-    if (row_lo == row_hi) {
-      expand(2, z_lo, z_hi);
-    } else {
-      expand(2, 0, nz);
-    }
-    const int64_t x_lo = row_lo / ny, y_lo = row_lo % ny;
-    const int64_t x_hi = row_hi / ny, y_hi = row_hi % ny;
-    expand(0, x_lo, x_hi + 1);
-    if (row_hi - row_lo + 1 >= ny || (x_lo != x_hi && y_lo > y_hi)) {
-      expand(1, 0, ny);  // rows wrap around the y extent
-    } else if (x_lo == x_hi) {
-      expand(1, y_lo, y_hi + 1);
-    } else {
-      expand(1, std::min(y_lo, y_hi), std::max(y_lo, y_hi) + 1);
-    }
+    expand(2, iv.lo, iv.hi, nz);
+    // The rows (x, y) the run touches; ids are rows when nz == 1.
+    expand(1, nz == 1 ? iv.lo : iv.lo / nz,
+           nz == 1 ? iv.hi : (iv.hi - 1) / nz + 1, ny);
   }
   return out;
 }

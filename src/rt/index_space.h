@@ -1,7 +1,7 @@
 // Index spaces: named sets of element ids, the domains of logical
 // regions (paper §2.1). An index space is an IntervalSet of ids plus
 // optional structured-grid metadata (extents of the root grid it was
-// carved from), which partitioning operators and the BVH-based shallow
+// carved from), which partitioning operators and the rect-keyed shallow
 // intersection use to reason geometrically.
 #pragma once
 

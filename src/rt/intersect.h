@@ -5,14 +5,20 @@
 // intersections is unknown at compile time, so this analysis runs at
 // runtime, in two phases exactly as in the paper:
 //
-//  1. *Shallow* intersection: which (i, j) pairs overlap at all. An
-//     interval tree over the destination partition's intervals
-//     (unstructured regions) or a BVH over subregion bounding boxes
-//     (structured regions) avoids the O(N^2) all-pairs comparison.
+//  1. *Shallow* intersection: which (i, j) pairs overlap at all. One flat
+//     index over the destination partition's children avoids the O(N^2)
+//     all-pairs comparison. The paper uses an interval tree for
+//     unstructured regions and a BVH for structured ones; here both are
+//     keys into the same IntervalIndex: a child's intervals (exact), or
+//     on grids with dim >= 2 the axis-0 extent of its bounding rect
+//     (hits filtered by the full rect, then confirmed exactly).
 //  2. *Complete* intersection: the exact element set for each
 //     overlapping pair, computed per owning shard.
+//
+// The dependence tracker (rt/dependence.h) uses the interval-keyed index.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -20,63 +26,45 @@
 
 namespace cr::rt {
 
-// Augmented static interval tree: O(n log n) build, O(log n + k) query.
-class IntervalTree {
+// (interval, color) entries sorted by lo, with a running max of hi:
+// O(n log n) build. A query binary-searches the running max for the
+// first entry that can reach it, then scans while lo < q.hi.
+class IntervalIndex {
  public:
   struct Entry {
     support::Interval iv;
-    uint64_t payload = 0;
+    uint64_t color = 0;
   };
-  explicit IntervalTree(std::vector<Entry> entries);
+  explicit IntervalIndex(std::vector<Entry> entries);
 
-  // Append payloads of all entries overlapping [q.lo, q.hi) to `out`
-  // (duplicates possible if one payload owns several entries).
-  void query(support::Interval q, std::vector<uint64_t>& out) const;
-
-  size_t size() const { return entries_.size(); }
+  // Calls f(color) for every entry overlapping [q.lo, q.hi), in lo order
+  // (a color repeats if it owns several overlapping entries).
+  template <typename F>
+  void query(support::Interval q, F&& f) const {
+    if (q.empty()) return;
+    auto it = std::partition_point(max_hi_.begin(), max_hi_.end(),
+                                   [&](uint64_t hi) { return hi <= q.lo; });
+    for (size_t i = it - max_hi_.begin();
+         i < entries_.size() && entries_[i].iv.lo < q.hi; ++i) {
+      if (entries_[i].iv.hi > q.lo) f(entries_[i].color);
+    }
+  }
 
  private:
-  void build(size_t lo, size_t hi);
-  void query_rec(size_t lo, size_t hi, support::Interval q,
-                 std::vector<uint64_t>& out) const;
-  std::vector<Entry> entries_;    // sorted by iv.lo; implicit balanced tree
-  std::vector<uint64_t> max_hi_;  // subtree max of iv.hi per midpoint
-};
-
-// Bounding volume hierarchy over rectangles: median-split build.
-class Bvh {
- public:
-  struct Entry {
-    Rect box;
-    uint64_t payload = 0;
-  };
-  explicit Bvh(std::vector<Entry> entries);
-
-  void query(const Rect& q, std::vector<uint64_t>& out) const;
-
-  size_t size() const { return entries_.size(); }
-
- private:
-  struct Node {
-    Rect box;
-    uint32_t begin = 0, end = 0;   // leaf range into entries_
-    uint32_t left = 0, right = 0;  // children (0 = leaf)
-  };
-  uint32_t build(uint32_t begin, uint32_t end);
   std::vector<Entry> entries_;
-  std::vector<Node> nodes_;
+  std::vector<uint64_t> max_hi_;  // max of iv.hi over entries_[0..i]
 };
 
-// Interval tree over a partition's subregions: one entry per interval,
-// payload = color. Built once per partition and queried with another
+// Index over a partition's children: one entry per interval, color =
+// child color. Built once per partition and queried with another
 // region's intervals, it answers "which children overlap this region"
 // without touching the children that miss it.
-IntervalTree subregion_index(const RegionForest& forest, PartitionId p);
+IntervalIndex subregion_index(const RegionForest& forest, PartitionId p);
 
-// Colors (payloads) of `index` overlapping any interval of `pts`,
-// ascending and deduplicated, written to `out` (cleared first). Exact:
-// interval overlap implies element overlap for IntervalSets.
-void overlapping_colors(const IntervalTree& index,
+// Colors of `index` overlapping any interval of `pts`, ascending and
+// deduplicated, written to `out` (cleared first). Exact: interval
+// overlap implies element overlap for IntervalSets.
+void overlapping_colors(const IntervalIndex& index,
                         const support::IntervalSet& pts,
                         std::vector<uint64_t>& out);
 
@@ -91,8 +79,8 @@ struct IntersectionPair {
 
 // Phase 1: all (i, j) with src[i] ∩ dst[j] nonempty, sorted by (i, j).
 // Exact (interval overlap implies element overlap for IntervalSets).
-// Picks the BVH when the underlying region is structured with dim >= 2,
-// the interval tree otherwise.
+// Keys the index by bounding rects when the source's parent region is
+// structured with dim >= 2, by intervals otherwise.
 std::vector<IntersectionPair> shallow_intersections(const RegionForest& forest,
                                                     PartitionId src,
                                                     PartitionId dst);

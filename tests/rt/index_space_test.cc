@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "support/rng.h"
+
 namespace cr::rt {
 namespace {
 
@@ -64,6 +68,48 @@ TEST(IndexSpace, BoundingRectConservativeForWrappedInterval) {
     EXPECT_TRUE(bb.contains(Rect::d2(x, y, x + 1, y + 1)))
         << "point (" << x << "," << y << ") escapes bbox";
   });
+}
+
+// Random runs on 1-D, 2-D and 3-D grids: the rect holds every point, its
+// x extent is exact, and it is exact whenever no run leaves its
+// innermost row.
+TEST(IndexSpace, BoundingRectCoversRandomRuns) {
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    support::Rng rng(seed);
+    const uint64_t nx = 1 + rng.next_below(7), ny = 1 + rng.next_below(7),
+                   nz = 1 + rng.next_below(7);
+    const GridExtents e = seed % 3 == 0   ? GridExtents::d1(nx)
+                          : seed % 3 == 1 ? GridExtents::d2(nx, ny)
+                                          : GridExtents::d3(nx, ny, nz);
+    const uint64_t row = e.n[e.dim - 1];
+    support::IntervalSet pts;
+    for (uint64_t k = 1 + rng.next_below(4); k > 0; --k) {
+      const uint64_t lo = rng.next_below(e.volume());
+      pts.add(lo, std::min(e.volume(), lo + 1 + rng.next_below(row)));
+    }
+    bool one_row_each = true;
+    for (const support::Interval& iv : pts.intervals()) {
+      one_row_each = one_row_each && iv.lo / row == (iv.hi - 1) / row;
+    }
+    const IndexSpace sub = IndexSpace::grid(e).subspace(pts);
+    Rect exact{{INT64_MAX, INT64_MAX, INT64_MAX},
+               {INT64_MIN, INT64_MIN, INT64_MIN}};
+    pts.for_each_point([&](uint64_t id) {
+      int64_t c[3];
+      e.delinearize(id, c[0], c[1], c[2]);
+      for (int d = 0; d < 3; ++d) {
+        exact.lo[d] = std::min(exact.lo[d], c[d]);
+        exact.hi[d] = std::max(exact.hi[d], c[d] + 1);
+      }
+    });
+    const Rect bb = sub.bounding_rect();
+    EXPECT_TRUE(bb.contains(exact)) << "seed " << seed;
+    EXPECT_EQ(bb.lo[0], exact.lo[0]) << "seed " << seed;
+    EXPECT_EQ(bb.hi[0], exact.hi[0]) << "seed " << seed;
+    if (one_row_each) {
+      EXPECT_EQ(bb, exact) << "seed " << seed;
+    }
+  }
 }
 
 TEST(IndexSpace, BoundingRectUnstructured) {
