@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the runtime substrates: interval
-// set algebra, the shallow-intersection index, the DES event loop, and
-// the dynamic dependence analysis. These are the real in-process costs
-// behind the virtual-time constants documented in EXPERIMENTS.md.
+// set algebra, the shallow-intersection index, the DES event loop, the
+// dynamic dependence analysis, and the random draws behind the circuit
+// graph. These are the real in-process costs behind the virtual-time
+// constants documented in EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 
 #include "common.h"
 
+#include "apps/circuit/graph.h"
 #include "rt/dependence.h"
 #include "rt/intersect.h"
 #include "rt/partition.h"
@@ -198,6 +200,36 @@ void BM_DependenceAnalysis(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_DependenceAnalysis)->Arg(16)->Arg(64)->Arg(256);
+
+// Bounded draws: 24 takes next_below's rejection path, 128 its
+// power-of-two path.
+void BM_RngNextBelow(benchmark::State& state) {
+  const uint64_t bound = static_cast<uint64_t>(state.range(0));
+  support::Rng rng(5);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.next_below(bound));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngNextBelow)->Arg(24)->Arg(128);
+
+// The circuit graph of Figure 9 at the given machine node count (11
+// pieces of 128 nodes and 512 wires per node, 5% cross wires).
+void BM_CircuitGenerateGraph(benchmark::State& state) {
+  apps::circuit::GraphConfig gc;
+  gc.pieces = 11 * static_cast<uint64_t>(state.range(0));
+  gc.nodes_per_piece = 128;
+  gc.wires_per_piece = 512;
+  gc.pct_cross = 0.05;
+  gc.window = 2;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(apps::circuit::generate_graph(gc));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(gc.pieces * gc.wires_per_piece));
+}
+BENCHMARK(BM_CircuitGenerateGraph)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

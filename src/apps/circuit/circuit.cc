@@ -82,16 +82,13 @@ App build(rt::Runtime& rt, const Config& config) {
   app.p_shr = rt::partition_by_color(forest, app.all_shared, app.pieces,
                                      node_piece, "shr");
 
-  // Ghosts: shared nodes of *other* pieces touched by my wires.
+  // Ghosts: shared nodes of *other* pieces touched by my wires. An
+  // in-node is always local, so they are the out-nodes of the cross
+  // wires, which the generator recorded.
   {
     std::vector<std::vector<uint64_t>> ghost_pts(app.pieces);
-    for (uint64_t w = 0; w < g.num_wires(); ++w) {
-      const uint64_t piece = g.piece_of_wire(w);
-      for (uint64_t end : {g.in_node[w], g.out_node[w]}) {
-        if (g.shared[end] && g.piece_of_node(end) != piece) {
-          ghost_pts[piece].push_back(end);
-        }
-      }
+    for (uint64_t w : g.cross_wires) {
+      ghost_pts[g.piece_of_wire(w)].push_back(g.out_node[w]);
     }
     const rt::IndexSpace& shared_is =
         forest.region(app.all_shared).ispace;

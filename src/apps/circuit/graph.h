@@ -8,6 +8,12 @@
 // the intersection optimization linear (paper §3.3). A node touched by
 // any cross-piece wire is *shared*, the rest are *private* — the
 // hierarchical private/ghost structure of paper §4.5.
+//
+// The generator records the cross-piece wires as it draws them, so the
+// ghost partition is built from that list in O(cross wires) instead of a
+// scan over every wire. Node ids are 32-bit (the config must keep
+// pieces * nodes_per_piece within UINT32_MAX); the kernels widen them
+// to the int64 pointer fields.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +35,13 @@ struct GraphConfig {
 struct Graph {
   GraphConfig config;
   // Wire w (global id) connects in_node[w] -> out_node[w] (node ids).
-  std::vector<uint64_t> in_node;
-  std::vector<uint64_t> out_node;
+  std::vector<uint32_t> in_node;
+  std::vector<uint32_t> out_node;
   // Per node id: touched by a wire of another piece?
   std::vector<bool> shared;
+  // Ids of the wires whose out-node lies in another piece, ascending.
+  // Their in-nodes are always local to the wire's piece.
+  std::vector<uint64_t> cross_wires;
 
   uint64_t num_nodes() const {
     return config.pieces * config.nodes_per_piece;

@@ -1,7 +1,5 @@
 #include "support/rng.h"
 
-#include "support/check.h"
-
 namespace cr::support {
 
 namespace {
@@ -12,35 +10,11 @@ uint64_t splitmix64(uint64_t& x) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   return z ^ (z >> 31);
 }
-
-uint64_t rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t x = seed;
   for (auto& s : s_) s = splitmix64(x);
-}
-
-uint64_t Rng::next_u64() {
-  const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-uint64_t Rng::next_below(uint64_t bound) {
-  CR_CHECK(bound != 0);
-  // Rejection sampling over the largest multiple of bound <= 2^64.
-  const uint64_t threshold = -bound % bound;
-  for (;;) {
-    const uint64_t r = next_u64();
-    if (r >= threshold) return r % bound;
-  }
 }
 
 int64_t Rng::next_in(int64_t lo, int64_t hi) {
@@ -49,12 +23,6 @@ int64_t Rng::next_in(int64_t lo, int64_t hi) {
   if (span == 0) return static_cast<int64_t>(next_u64());  // full range
   return lo + static_cast<int64_t>(next_below(span));
 }
-
-double Rng::next_double() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::next_bool(double p_true) { return next_double() < p_true; }
 
 Rng Rng::split(uint64_t stream) const {
   uint64_t x = s_[0] ^ rotl(s_[3], 13) ^ (stream * 0xd1342543de82ef95ull);

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "exec/implicit_exec.h"
 #include "exec/sequential_exec.h"
+#include "support/hash.h"
 
 namespace cr::apps::circuit {
 namespace {
@@ -46,6 +51,131 @@ TEST(CircuitGraph, DeterministicBySeed) {
   Graph b = generate_graph(gc);
   EXPECT_EQ(a.in_node, b.in_node);
   EXPECT_EQ(a.out_node, b.out_node);
+}
+
+// A digest of every drawn value: both endpoints of each wire (widened to
+// 64 bits, as the kernels read them) and the shared flag of each node.
+uint64_t draw_digest(const Graph& g) {
+  uint64_t h = support::hash_mix(g.num_wires());
+  for (uint64_t n : g.in_node) h = support::hash_mix(h ^ n);
+  for (uint64_t n : g.out_node) h = support::hash_mix(h ^ n);
+  for (bool s : g.shared) h = support::hash_mix(h ^ (s ? 1u : 0u));
+  return h;
+}
+
+// The wire endpoints feed the Real-mode kernels but not the region
+// forest, so RegionForestGolden.* cannot see a reordered draw. These
+// digests must never move: a different draw order makes a different
+// graph and moves every circuit baseline.
+TEST(CircuitGraph, DrawOrderPinned) {
+  // Figure 9's geometry at 16 nodes: 128 nodes per piece, so every node
+  // draw takes next_below's power-of-two path.
+  GraphConfig fig9;
+  fig9.pieces = 16 * 11;
+  fig9.nodes_per_piece = 128;
+  fig9.wires_per_piece = 512;
+  fig9.pct_cross = 0.05;
+  fig9.window = 2;
+  fig9.seed = 42;
+  EXPECT_EQ(draw_digest(generate_graph(fig9)), 0x61ee082946e2919dull);
+
+  // 24 nodes per piece and a window of 3: the rejection path.
+  GraphConfig odd;
+  odd.pieces = 13;
+  odd.nodes_per_piece = 24;
+  odd.wires_per_piece = 72;
+  odd.pct_cross = 0.15;
+  odd.window = 3;
+  odd.seed = 7;
+  EXPECT_EQ(draw_digest(generate_graph(odd)), 0xa62a76ec1725f357ull);
+}
+
+// The ghost partition is built from `cross_wires`; check the list against
+// every wire, and the ghosts against a scan of both endpoints of every
+// wire (the loop the list replaced).
+TEST(CircuitGraph, CrossWiresAreTheCrossPieceWires) {
+  support::Rng pick(31);
+  for (int trial = 0; trial < 12; ++trial) {
+    Config cfg;
+    cfg.nodes = 1 + static_cast<uint32_t>(pick.next_below(4));
+    cfg.pieces_per_node = 1 + static_cast<uint32_t>(pick.next_below(4));
+    cfg.nodes_per_piece = 2 + pick.next_below(40);
+    cfg.wires_per_piece = 1 + pick.next_below(100);
+    cfg.pct_cross = trial == 0 ? 0.0 : 0.5 * pick.next_double();
+    cfg.window = 1 + pick.next_below(4);
+    cfg.seed = pick.next_u64();
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    rt::Runtime rt(exec::runtime_config(cfg.nodes, 4, CostModel{}, false));
+    const App app = build(rt, cfg);
+    const Graph& g = *app.graph;
+
+    std::vector<uint64_t> expected;
+    for (uint64_t w = 0; w < g.num_wires(); ++w) {
+      if (g.piece_of_node(g.out_node[w]) != g.piece_of_wire(w)) {
+        expected.push_back(w);
+      }
+    }
+    EXPECT_EQ(g.cross_wires, expected);
+    if (cfg.pct_cross == 0.0) {
+      EXPECT_TRUE(g.cross_wires.empty());
+    }
+
+    std::vector<std::vector<uint64_t>> ghost_pts(app.pieces);
+    for (uint64_t w = 0; w < g.num_wires(); ++w) {
+      const uint64_t piece = g.piece_of_wire(w);
+      for (uint64_t end : {g.in_node[w], g.out_node[w]}) {
+        if (g.shared[end] && g.piece_of_node(end) != piece) {
+          ghost_pts[piece].push_back(end);
+        }
+      }
+    }
+    const rt::RegionForest& forest = rt.forest();
+    const rt::PartitionNode& gst = forest.partition(app.p_gst);
+    ASSERT_EQ(gst.subregions.size(), app.pieces);
+    for (uint64_t piece = 0; piece < app.pieces; ++piece) {
+      EXPECT_EQ(forest.region(gst.subregions[piece]).ispace.points(),
+                support::IntervalSet::from_points(ghost_pts[piece]))
+          << "piece " << piece;
+    }
+  }
+}
+
+TEST(CircuitGraph, WindowZeroIsFineWithoutCrossWires) {
+  GraphConfig gc;
+  gc.pieces = 3;
+  gc.window = 0;
+  gc.pct_cross = 0.0;
+  EXPECT_TRUE(generate_graph(gc).cross_wires.empty());
+  gc.pieces = 1;
+  gc.pct_cross = 0.5;
+  EXPECT_TRUE(generate_graph(gc).cross_wires.empty());
+}
+
+TEST(CircuitGraphDeath, RejectsNodeIdsPast32Bits) {
+  GraphConfig gc;
+  gc.nodes_per_piece = 2;
+  gc.pieces = uint64_t{UINT32_MAX} / 2 + 1;  // 2^32 nodes
+  EXPECT_DEATH(generate_graph(gc), "must fit 32-bit node ids");
+  // A product that wraps 64 bits is caught too.
+  gc.pieces = uint64_t{1} << 40;
+  gc.nodes_per_piece = uint64_t{1} << 30;
+  EXPECT_DEATH(generate_graph(gc), "must fit 32-bit node ids");
+}
+
+TEST(CircuitGraphDeath, RejectsPctCrossOutsideUnitInterval) {
+  GraphConfig gc;
+  for (double pct : {-0.1, 1.5, std::nan("")}) {
+    gc.pct_cross = pct;
+    EXPECT_DEATH(generate_graph(gc), "must lie in \\[0, 1\\]") << pct;
+  }
+}
+
+TEST(CircuitGraphDeath, RejectsWindowZeroWithCrossWires) {
+  GraphConfig gc;
+  gc.pieces = 2;
+  gc.window = 0;
+  gc.pct_cross = 0.1;
+  EXPECT_DEATH(generate_graph(gc), "set window >= 1 or pct_cross = 0");
 }
 
 TEST(Circuit, HierarchicalTreeProvesPrivateDisjoint) {

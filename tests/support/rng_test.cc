@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 namespace cr::support {
@@ -56,6 +57,43 @@ TEST(Rng, NextBelowCoversAllResidues) {
   std::set<uint64_t> seen;
   for (int i = 0; i < 200; ++i) seen.insert(rng.next_below(8));
   EXPECT_EQ(seen.size(), 8u);
+}
+
+// The general rejection sampler, with no power-of-two path, and
+// `next_bool` spelled out: both read `rng` only through next_u64, so
+// they fix the values and the stream position.
+uint64_t reference_next_below(Rng& rng, uint64_t bound) {
+  const uint64_t threshold = -bound % bound;
+  for (;;) {
+    const uint64_t r = rng.next_u64();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+bool reference_next_bool(Rng& rng, double p_true) {
+  return static_cast<double>(rng.next_u64() >> 11) * 0x1.0p-53 < p_true;
+}
+
+TEST(Rng, NextBelowMatchesRejectionReference) {
+  const uint64_t bounds[] = {1, 2, 3, 5, 8, 24, 128,
+                             uint64_t{1} << 32,
+                             uint64_t{1} << 63,
+                             (uint64_t{1} << 63) + 1,
+                             UINT64_MAX};
+  Rng rng(2017), ref(2017);
+  for (uint64_t bound : bounds) {
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(rng.next_below(bound), reference_next_below(ref, bound))
+          << "bound " << bound << ", draw " << i;
+      // Interleaved trials: a path that consumed a different number of
+      // draws would shift every later value.
+      if (i % 3 == 0) {
+        ASSERT_EQ(rng.next_bool(0.3), reference_next_bool(ref, 0.3))
+            << "bound " << bound << ", draw " << i;
+      }
+    }
+  }
+  EXPECT_EQ(rng.next_u64(), ref.next_u64());
 }
 
 TEST(Rng, SplitIsDeterministicAndIndependent) {
