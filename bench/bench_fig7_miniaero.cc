@@ -7,89 +7,40 @@
 // penalty per cell); the rank-per-node configuration starts ahead of
 // rank-per-core but falls to its level as node count grows (its
 // single-threaded MPI progress serializes the stage exchanges, while
-// rank/core overlaps twelve flows).
-#include <cstdio>
-
+// rank/core overlaps twelve flows). The setup is
+// apps::miniaero::figure_config, figure_cost and figure_noise.
 #include "apps/miniaero/miniaero.h"
 #include "common.h"
 
 namespace {
 
 using namespace cr;
-using apps::miniaero::Config;
+namespace miniaero = apps::miniaero;
 
 constexpr double kPaperCellsPerNode = 512.0 * 1024.0;
-const apps::Noise kNoiseCore{1.0 / 128.0, 0.25};
-const apps::Noise kNoiseNode{1.0 / 128.0, 0.35};
 
-Config make_config(uint32_t nodes, uint64_t steps) {
-  Config cfg;
-  cfg.nodes = nodes;
-  cfg.pieces_per_node = 11;
-  cfg.cells_x_per_piece = 4;
-  cfg.cells_y = 8;
-  cfg.cells_z = 8;
-  cfg.steps = steps;
-  // Paper single-node Regent rate ~1.5e6 cells/s => ~0.34 s per step
-  // (4 RK stages) per node; residual + update weigh ~1.3x per stage.
-  const double cells_per_piece = static_cast<double>(
-      cfg.cells_x_per_piece * cfg.cells_y * cfg.cells_z);
-  cfg.ns_per_cell =
-      0.34e9 / (4.0 * 1.3 * cells_per_piece);
-  // Face-layer exchange: 5 doubles per face cell on a 64^2 face in the
-  // paper; widen the scaled faces accordingly.
-  cfg.state_virtual_bytes = 5 * 450;
-  return cfg;
-}
-
-bench::PointRecord run_engine(bench::Bench& bench, uint32_t nodes,
-                              bool spmd) {
-  auto total = [&](uint64_t steps) {
-    exec::CostModel cost = exec::CostModel::piz_daint();
-    cost.track_dependences = false;
-    cost.implicit_launch_ns = 150000;
-    cost.task_slow_prob = kNoiseCore.slow_prob;
-    cost.task_slow_frac = kNoiseCore.slow_frac;
-    Config cfg = make_config(nodes, steps);
-    rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
-    apps::miniaero::App app = apps::miniaero::build(rt, cfg);
-    exec::PreparedRun run = exec::prepare(
-        rt, app.program,
-        bench.config(spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit,
-                     cost));
-    return bench.run(run, spmd ? "miniaero-cr" : "miniaero-nocr", nodes);
+// The MPI+Kokkos reference with one rank per core or per node.
+auto mpi_kokkos(bool rank_per_node) {
+  return [rank_per_node](const miniaero::Config& cfg,
+                         const exec::CostModel& cost) {
+    return miniaero::run_mpi_baseline(cfg, rank_per_node, cost,
+                                      miniaero::figure_noise(rank_per_node));
   };
-  return cr::bench::steady_seconds(total, 2, 5);
-}
-
-bench::PointRecord run_mpi(uint32_t nodes, bool rank_per_node) {
-  exec::CostModel cost = exec::CostModel::piz_daint();
-  auto total = [&](uint64_t steps) {
-    Config cfg = make_config(nodes, steps);
-    return exec::to_seconds(apps::miniaero::run_mpi_baseline(
-        cfg, rank_per_node, cost, rank_per_node ? kNoiseNode : kNoiseCore));
-  };
-  return cr::bench::steady_seconds(total, 2, 5);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  cr::bench::Bench bench("miniaero", argc, argv,
-                          cr::bench::BenchKind::kSweep);
-  std::vector<cr::bench::SeriesSpec> specs = {
-      {"Regent (with CR)", [&](uint32_t n) { return run_engine(bench, n, true); }},
-      {"Regent (w/o CR)", [&](uint32_t n) { return run_engine(bench, n, false); }},
-      {"MPI+Kokkos rank/core",
-       [](uint32_t n) { return run_mpi(n, false); }},
-      {"MPI+Kokkos rank/node",
-       [](uint32_t n) { return run_mpi(n, true); }},
-  };
-  auto report = bench.sweep(
+  bench::Bench bench("miniaero", argc, argv, bench::BenchKind::kSweep);
+  const bench::Figure<miniaero::Config, miniaero::App> fig{
+      miniaero::figure_config, miniaero::build, miniaero::figure_cost(), 2,
+      5};
+  std::vector<bench::SeriesSpec> specs = bench::regent_series(bench, fig);
+  specs.push_back(bench::reference_series("MPI+Kokkos rank/core", fig,
+                                          mpi_kokkos(false)));
+  specs.push_back(bench::reference_series("MPI+Kokkos rank/node", fig,
+                                          mpi_kokkos(true)));
+  return bench.report(bench.sweep(
       "Figure 7: MiniAero weak scaling (512k cells/node)",
-      "10^3 cells/s per node", 1e3, kPaperCellsPerNode, 1.0, specs);
-  std::printf("%s\n", report.to_table().c_str());
-  bench.write_analysis_json(report);
-  bench.write_metrics_json(report);
-  return bench.finish();
+      "10^3 cells/s per node", 1e3, kPaperCellsPerNode, 1.0, specs));
 }

@@ -9,90 +9,37 @@
 //    heavy-tailed system noise costs them the max across all ranks every
 //    cycle, while Regent's deferred execution (dynamic collective +
 //    futures) only pays the mean — CR overtakes them at scale.
-#include <cstdio>
-
+// The setup is apps::pennant::figure_config, figure_cost and
+// figure_noise.
 #include "apps/pennant/pennant.h"
 #include "common.h"
 
 namespace {
 
 using namespace cr;
-using apps::pennant::Config;
+namespace pennant = apps::pennant;
 
 constexpr double kPaperZonesPerNode = 7.4e6;
-// Heavy-tailed noise: ~1/64 probability of a 30% slowdown per
-// rank-iteration; OpenMP's fork/join couples a whole node, modeled as a
-// larger hit.
-const apps::Noise kNoiseMpi{1.0 / 64.0, 0.30};
-const apps::Noise kNoiseOmp{1.0 / 64.0, 0.75};
 
-Config make_config(uint32_t nodes, uint64_t steps) {
-  Config cfg;
-  cfg.nodes = nodes;
-  cfg.pieces_per_node = 11;
-  cfg.zones_x_per_piece = 24;
-  cfg.zones_y = 24;
-  cfg.steps = steps;
-  // Paper single-node (MPI, 12 cores) ~15e6 zones/s => ~0.49 s per cycle
-  // per node; forces + dt loops weigh ~1.9x + 0.4x the per-zone base.
-  const double zones_per_piece =
-      static_cast<double>(cfg.zones_x_per_piece) * cfg.zones_y;
-  cfg.ns_per_zone = 1.33 * 0.49e9 / (2.3 * zones_per_piece) / (12.0 / 11.0);
-  cfg.ns_per_point = 0.3 * cfg.ns_per_zone;
-  // Shared point-column exchange (~6 doubles per boundary point on a
-  // 3700-point edge in the paper): widen the scaled columns to match.
-  cfg.point_virtual_bytes = 1024;
-  return cfg;
-}
-
-bench::PointRecord run_engine(bench::Bench& bench, uint32_t nodes,
-                              bool spmd) {
-  auto total = [&](uint64_t steps) {
-    exec::CostModel cost = exec::CostModel::piz_daint();
-    cost.track_dependences = false;
-    cost.implicit_launch_ns = 330000;
-    // The same heavy-tailed noise the baselines see, absorbed by
-    // asynchronous execution instead of amplified by barriers.
-    cost.task_slow_prob = kNoiseMpi.slow_prob;
-    cost.task_slow_frac = kNoiseMpi.slow_frac;
-    Config cfg = make_config(nodes, steps);
-    rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
-    apps::pennant::App app = apps::pennant::build(rt, cfg);
-    exec::PreparedRun run = exec::prepare(
-        rt, app.program,
-        bench.config(spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit,
-                     cost));
-    return bench.run(run, spmd ? "pennant-cr" : "pennant-nocr", nodes);
+// The MPI (one rank per core) or MPI+OpenMP (one rank per node)
+// reference.
+auto mpi(bool openmp) {
+  return [openmp](const pennant::Config& cfg, const exec::CostModel& cost) {
+    return pennant::run_mpi_baseline(cfg, openmp, cost,
+                                     pennant::figure_noise(openmp));
   };
-  return cr::bench::steady_seconds(total, 2, 6);
-}
-
-bench::PointRecord run_mpi(uint32_t nodes, bool openmp) {
-  exec::CostModel cost = exec::CostModel::piz_daint();
-  auto total = [&](uint64_t steps) {
-    Config cfg = make_config(nodes, steps);
-    return exec::to_seconds(apps::pennant::run_mpi_baseline(
-        cfg, openmp, cost, openmp ? kNoiseOmp : kNoiseMpi));
-  };
-  return cr::bench::steady_seconds(total, 2, 6);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  cr::bench::Bench bench("pennant", argc, argv,
-                          cr::bench::BenchKind::kSweep);
-  std::vector<cr::bench::SeriesSpec> specs = {
-      {"Regent (with CR)", [&](uint32_t n) { return run_engine(bench, n, true); }},
-      {"Regent (w/o CR)", [&](uint32_t n) { return run_engine(bench, n, false); }},
-      {"MPI", [](uint32_t n) { return run_mpi(n, false); }},
-      {"MPI+OpenMP", [](uint32_t n) { return run_mpi(n, true); }},
-  };
-  auto report = bench.sweep(
+  bench::Bench bench("pennant", argc, argv, bench::BenchKind::kSweep);
+  const bench::Figure<pennant::Config, pennant::App> fig{
+      pennant::figure_config, pennant::build, pennant::figure_cost(), 2, 6};
+  std::vector<bench::SeriesSpec> specs = bench::regent_series(bench, fig);
+  specs.push_back(bench::reference_series("MPI", fig, mpi(false)));
+  specs.push_back(bench::reference_series("MPI+OpenMP", fig, mpi(true)));
+  return bench.report(bench.sweep(
       "Figure 8: PENNANT weak scaling (7.4M zones/node)",
-      "10^6 zones/s per node", 1e6, kPaperZonesPerNode, 1.0, specs);
-  std::printf("%s\n", report.to_table().c_str());
-  bench.write_analysis_json(report);
-  bench.write_metrics_json(report);
-  return bench.finish();
+      "10^6 zones/s per node", 1e6, kPaperZonesPerNode, 1.0, specs));
 }

@@ -10,7 +10,7 @@
 
 #include "common.h"
 
-#include "apps/circuit/graph.h"
+#include "apps/circuit/circuit.h"
 #include "rt/dependence.h"
 #include "rt/intersect.h"
 #include "rt/partition.h"
@@ -214,12 +214,9 @@ BENCHMARK(BM_RngNextBelow)->Arg(24)->Arg(128);
 // The circuit graph of Figure 9 at the given machine node count (11
 // pieces of 128 nodes and 512 wires per node, 5% cross wires).
 void BM_CircuitGenerateGraph(benchmark::State& state) {
-  apps::circuit::GraphConfig gc;
-  gc.pieces = 11 * static_cast<uint64_t>(state.range(0));
-  gc.nodes_per_piece = 128;
-  gc.wires_per_piece = 512;
-  gc.pct_cross = 0.05;
-  gc.window = 2;
+  const apps::circuit::GraphConfig gc =
+      apps::circuit::graph_config(apps::circuit::figure_config(
+          static_cast<uint32_t>(state.range(0)), /*steps=*/1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(apps::circuit::generate_graph(gc));
   }

@@ -5,11 +5,11 @@
 // (one flat interval index over the destination partition's children,
 // keyed by intervals or, on structured grids, by bounding rects) and of
 // the exact per-pair element sets, on the actual partitions each
-// application builds at those node counts — the same quantities the
-// paper's Table 1 reports. "Shallow" runs on one node; "complete" is
-// divided by the node count (it runs in parallel, one shard per node,
-// paper §3.3). Each time is the minimum of 5 repetitions; single runs
-// vary by up to 40%.
+// application builds for its figure (apps::<app>::figure_config) at
+// those node counts — the same quantities the paper's Table 1 reports.
+// "Shallow" runs on one node; "complete" is divided by the node count
+// (it runs in parallel, one shard per node, paper §3.3). Each time is
+// the minimum of 5 repetitions; single runs vary by up to 40%.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -69,59 +69,23 @@ Row measure(const char* app, uint32_t nodes, const rt::RegionForest& forest,
   return Row{app, nodes, pairs.size(), shallow, complete};
 }
 
-Row run_circuit(uint32_t nodes) {
-  exec::CostModel cost;
-  rt::Runtime rt(exec::runtime_config(1, 2, cost, false));
-  apps::circuit::Config cfg;
-  cfg.nodes = nodes;
-  cfg.pieces_per_node = 11;
-  cfg.nodes_per_piece = 128;
-  cfg.wires_per_piece = 512;
-  cfg.pct_cross = 0.05;
-  auto app = apps::circuit::build(rt, cfg);
-  return measure("Circuit", nodes, rt.forest(), app.p_shr, app.p_gst);
-}
-
-Row run_miniaero(uint32_t nodes) {
-  exec::CostModel cost;
-  rt::Runtime rt(exec::runtime_config(1, 2, cost, false));
-  apps::miniaero::Config cfg;
-  cfg.nodes = nodes;
-  cfg.pieces_per_node = 11;
-  cfg.cells_x_per_piece = 4;
-  cfg.cells_y = 8;
-  cfg.cells_z = 8;
-  auto app = apps::miniaero::build(rt, cfg);
-  return measure("MiniAero", nodes, rt.forest(), app.p_bnd, app.p_halo);
-}
-
-Row run_pennant(uint32_t nodes) {
-  exec::CostModel cost;
-  rt::Runtime rt(exec::runtime_config(1, 2, cost, false));
-  apps::pennant::Config cfg;
-  cfg.nodes = nodes;
-  cfg.pieces_per_node = 11;
-  cfg.zones_x_per_piece = 24;
-  cfg.zones_y = 24;
-  auto app = apps::pennant::build(rt, cfg);
-  return measure("PENNANT", nodes, rt.forest(), app.p_shr, app.p_gst);
-}
-
-Row run_stencil(uint32_t nodes) {
-  exec::CostModel cost;
-  rt::Runtime rt(exec::runtime_config(1, 2, cost, false));
-  apps::stencil::Config cfg;
-  cfg.nodes = nodes;
-  cfg.tasks_per_node = 11;
-  cfg.tile_x = 32;
-  cfg.tile_y = 32;
-  auto app = apps::stencil::build(rt, cfg);
-  return measure("Stencil", nodes, rt.forest(), app.p_bnd, app.p_halo);
+// Builds an app from its figure setup at `nodes` machine nodes and
+// measures the intersections of its `src` x `dst` partitions; `name`
+// labels the row.
+template <class Config, class App>
+Row run_app(const char* name, uint32_t nodes,
+            Config (*figure_config)(uint32_t nodes, uint64_t steps),
+            App (*build)(rt::Runtime& rt, const Config& config),
+            rt::PartitionId App::*src, rt::PartitionId App::*dst) {
+  rt::Runtime rt(exec::runtime_config(1, 2, exec::CostModel{}, false));
+  const App app = build(rt, figure_config(nodes, /*steps=*/1));
+  return measure(name, nodes, rt.forest(), app.*src, app.*dst);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  using namespace cr::apps;
   // No engine runs here; an empty FlagSet still validates the command
   // line and answers with generated usage.
   cr::bench::FlagSet flags;
@@ -129,10 +93,18 @@ int main(int argc, char** argv) {
   const uint32_t big = std::min(1024u, cr::bench::max_nodes());
   std::vector<Row> rows;
   for (uint32_t nodes : {64u, big}) {
-    rows.push_back(run_circuit(nodes));
-    rows.push_back(run_miniaero(nodes));
-    rows.push_back(run_pennant(nodes));
-    rows.push_back(run_stencil(nodes));
+    rows.push_back(run_app("Circuit", nodes, circuit::figure_config,
+                           circuit::build, &circuit::App::p_shr,
+                           &circuit::App::p_gst));
+    rows.push_back(run_app("MiniAero", nodes, miniaero::figure_config,
+                           miniaero::build, &miniaero::App::p_bnd,
+                           &miniaero::App::p_halo));
+    rows.push_back(run_app("PENNANT", nodes, pennant::figure_config,
+                           pennant::build, &pennant::App::p_shr,
+                           &pennant::App::p_gst));
+    rows.push_back(run_app("Stencil", nodes, stencil::figure_config,
+                           stencil::build, &stencil::App::p_bnd,
+                           &stencil::App::p_halo));
   }
   std::printf(
       "Table 1: region intersection running times (measured wall clock, "

@@ -15,6 +15,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "exec/implicit_exec.h"
@@ -339,6 +340,16 @@ class Bench {
   // --metrics. A failure to write it makes finish() return nonzero.
   void write_metrics_json(const exec::ScalingReport& report);
 
+  // The end of every figure bench: prints `report` as the throughput
+  // table, writes the --selftime and --metrics artifacts and returns
+  // finish()'s exit code.
+  int report(const exec::ScalingReport& report) {
+    std::printf("%s\n", report.to_table().c_str());
+    write_analysis_json(report);
+    write_metrics_json(report);
+    return finish();
+  }
+
   // Prints the checker tally and returns the process exit code: nonzero
   // when a requested artifact could not be written; with --check, also
   // when a race was found; with --check-mutate, also when the mutant was
@@ -641,6 +652,79 @@ inline PointRecord steady_seconds(
   const double t_hi = total(steps_hi);
   return {(t_hi - t_lo) / static_cast<double>(steps_hi - steps_lo),
           std::nullopt};
+}
+
+// --- the figure benches' engine points ---------------------------------
+
+// What a figure bench runs of its app: the app-owned figure setup
+// (apps::<app>::figure_config, build and figure_cost) and the two step
+// counts whose makespans steady_seconds differences.
+template <class Config, class App>
+struct Figure {
+  Config (*config)(uint32_t nodes, uint64_t steps);
+  App (*build)(rt::Runtime& rt, const Config& config);
+  exec::CostModel cost;
+  uint64_t steps_lo = 0;
+  uint64_t steps_hi = 0;
+};
+
+// One engine point of a figure sweep: the figure app on `nodes` machine
+// nodes of 12 cores, virtual-only, run in `mode` at both step counts
+// through Bench::run. Trace artifacts are labelled <app>-cr (SPMD) or
+// <app>-nocr (implicit).
+template <class Config, class App>
+PointRecord engine_point(Bench& bench, const Figure<Config, App>& fig,
+                         exec::ExecMode mode, uint32_t nodes) {
+  const std::string label =
+      bench.app() + (mode == exec::ExecMode::kSpmd ? "-cr" : "-nocr");
+  return steady_seconds(
+      [&](uint64_t steps) {
+        rt::Runtime rt(exec::runtime_config(nodes, 12, fig.cost, false));
+        App app = fig.build(rt, fig.config(nodes, steps));
+        exec::PreparedRun run =
+            exec::prepare(rt, app.program, bench.config(mode, fig.cost));
+        return bench.run(run, label, nodes);
+      },
+      fig.steps_lo, fig.steps_hi);
+}
+
+// The two Regent series every figure plots: the engine with control
+// replication (SPMD) and without it (implicit).
+template <class Config, class App>
+std::vector<SeriesSpec> regent_series(Bench& bench,
+                                      const Figure<Config, App>& fig) {
+  auto series = [&bench, &fig](exec::ExecMode mode) {
+    return [&bench, &fig, mode](uint32_t nodes) {
+      return engine_point(bench, fig, mode, nodes);
+    };
+  };
+  return {{"Regent (with CR)", series(exec::ExecMode::kSpmd)},
+          {"Regent (w/o CR)", series(exec::ExecMode::kImplicit)}};
+}
+
+// A series of an analytic reference model: `makespan` returns the virtual
+// time of the figure config on Piz Daint, differenced over the figure's
+// step counts like the engine points.
+template <class Config, class App>
+SeriesSpec reference_series(
+    std::string name, const Figure<Config, App>& fig,
+    std::type_identity_t<
+        std::function<sim::Time(const Config&, const exec::CostModel&)>>
+        makespan,
+    std::function<bool(uint32_t)> applicable = [](uint32_t) {
+      return true;
+    }) {
+  return {std::move(name),
+          [&fig, makespan = std::move(makespan)](uint32_t nodes) {
+            const exec::CostModel cost = exec::CostModel::piz_daint();
+            return steady_seconds(
+                [&](uint64_t steps) {
+                  return exec::to_seconds(
+                      makespan(fig.config(nodes, steps), cost));
+                },
+                fig.steps_lo, fig.steps_hi);
+          },
+          std::move(applicable)};
 }
 
 inline bool is_square_power(uint32_t n) {

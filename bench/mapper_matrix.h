@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common.h"
@@ -27,7 +28,7 @@ namespace cr::bench {
 
 // One cell of the matrix: which policy to run and the machine scenario
 // it runs under. apply() folds the scenario into a RuntimeConfig built
-// by the app's usual exec::runtime_config() call.
+// by the usual exec::runtime_config() call.
 struct MatrixCell {
   uint32_t nodes = 0;
   rt::MapperOptions mapper;
@@ -42,11 +43,6 @@ struct MatrixCell {
     rc.network.jitter_seed = 1;  // fixed: same scenario for every mapper
   }
 };
-
-// Runs the app once for a cell (with the race checker on) and returns
-// the full result; the harness checks it and writes the artifact.
-using MatrixRunFn =
-    std::function<exec::ExecutionResult(const MatrixCell& cell)>;
 
 namespace detail {
 
@@ -90,15 +86,19 @@ inline MatrixCell matrix_scenario(uint32_t nodes) {
   return cell;
 }
 
-// Runs the (mapper x scenario) matrix: the race checker must come back
-// clean on every cell. Writes
+// Runs the (mapper x scenario) matrix over every rt::mapper_names()
+// policy: the figure app on 8 nodes for 3 steps, SPMD, with
+// `oversubscribe` raising its tasks per node, once per cell with the
+// race checker on, which must come back clean. Writes
 // BENCH_mapper.<app>.<policy>.json per cell and hard-fails (nonzero)
 // if the balanced policy does not beat the adversarial one on makespan
 // or a cell's artifact cannot be written.
-inline int run_mapper_matrix(Bench& bench, uint32_t nodes,
-                             const MatrixRunFn& run) {
-  const std::vector<std::string> policies = {"default", "balanced",
-                                             "adversarial"};
+template <class Config, class App>
+int run_mapper_matrix(Bench& bench, const Figure<Config, App>& fig,
+                      const std::type_identity_t<std::function<void(Config&)>>&
+                          oversubscribe) {
+  const uint32_t nodes = 8;
+  const std::vector<std::string>& policies = rt::mapper_names();
   std::map<std::string, sim::Time> makespans;
   bool ok = true;
   for (const std::string& policy : policies) {
@@ -106,7 +106,18 @@ inline int run_mapper_matrix(Bench& bench, uint32_t nodes,
     cell.mapper.name = policy;
     std::fprintf(stderr, "  [matrix] %s, %u nodes...\n", policy.c_str(),
                  nodes);
-    const exec::ExecutionResult res = run(cell);
+    Config cfg = fig.config(nodes, /*steps=*/3);
+    oversubscribe(cfg);
+    rt::RuntimeConfig rc =
+        exec::runtime_config(nodes, 12, fig.cost, /*real_data=*/false);
+    cell.apply(rc);
+    rt::Runtime rt(rc);
+    App app = fig.build(rt, cfg);
+    exec::ExecConfig ecfg = bench.config(exec::ExecMode::kSpmd, fig.cost);
+    ecfg.mapper = cell.mapper;
+    ecfg.check = true;
+    exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
+    const exec::ExecutionResult res = run.run();
     if (res.check == nullptr || !res.check->ok()) {
       std::fprintf(stderr, "FAIL: %s cell raced (or checker off)\n",
                    policy.c_str());

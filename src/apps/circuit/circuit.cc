@@ -5,36 +5,17 @@
 #include "ir/builder.h"
 #include "rt/partition.h"
 #include "support/check.h"
+#include "support/hash.h"
 
 namespace cr::apps::circuit {
-
-namespace {
-
-// Deterministic per-id parameter values (pure functions of the id, so
-// kernels stay pure and all executors agree).
-double hash01(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
 
 App build(rt::Runtime& rt, const Config& config) {
   App app;
   app.config = config;
   app.pieces = static_cast<uint64_t>(config.nodes) * config.pieces_per_node;
 
-  GraphConfig gc;
-  gc.pieces = app.pieces;
-  gc.nodes_per_piece = config.nodes_per_piece;
-  gc.wires_per_piece = config.wires_per_piece;
-  gc.pct_cross = config.pct_cross;
-  gc.window = config.window;
-  gc.seed = config.seed;
-  const auto graph = std::make_shared<const Graph>(generate_graph(gc));
+  const auto graph =
+      std::make_shared<const Graph>(generate_graph(graph_config(config)));
   app.graph = graph;
 
   rt::RegionForest& forest = rt.forest();
@@ -132,7 +113,7 @@ App build(rt::Runtime& rt, const Config& config) {
                         static_cast<int64_t>(graph->in_node[w]));
           ctx.write_i64(0, fOut, w,
                         static_cast<int64_t>(graph->out_node[w]));
-          ctx.write_f64(0, fR, w, 1.0 + 4.0 * hash01(w * 3 + 1));
+          ctx.write_f64(0, fR, w, 1.0 + 4.0 * support::hash_unit(w * 3 + 1));
           ctx.write_f64(0, fI, w, 0.0);
         });
       });
@@ -142,9 +123,9 @@ App build(rt::Runtime& rt, const Config& config) {
       800, 0.5 * config.ns_per_node,
       [fV, fQ, fC](ir::TaskContext& ctx) {
         ctx.domain().points().for_each_point([&](uint64_t n) {
-          ctx.write_f64(0, fV, n, 2.0 * hash01(n * 7 + 3) - 1.0);
+          ctx.write_f64(0, fV, n, 2.0 * support::hash_unit(n * 7 + 3) - 1.0);
           ctx.write_f64(0, fQ, n, 0.0);
-          ctx.write_f64(0, fC, n, 0.5 + hash01(n * 11 + 5));
+          ctx.write_f64(0, fC, n, 0.5 + support::hash_unit(n * 11 + 5));
         });
       });
 
@@ -243,6 +224,45 @@ App build(rt::Runtime& rt, const Config& config) {
   b.end_for_time();
   app.program = b.finish();
   return app;
+}
+
+GraphConfig graph_config(const Config& config) {
+  GraphConfig gc;
+  gc.pieces = static_cast<uint64_t>(config.nodes) * config.pieces_per_node;
+  gc.nodes_per_piece = config.nodes_per_piece;
+  gc.wires_per_piece = config.wires_per_piece;
+  gc.pct_cross = config.pct_cross;
+  gc.window = config.window;
+  gc.seed = config.seed;
+  return gc;
+}
+
+Config figure_config(uint32_t nodes, uint64_t steps) {
+  Config cfg;
+  cfg.nodes = nodes;
+  cfg.pieces_per_node = 11;  // one piece per compute core
+  cfg.nodes_per_piece = 128;
+  cfg.wires_per_piece = 512;
+  cfg.pct_cross = 0.05;
+  cfg.window = 2;
+  cfg.steps = steps;
+  // Paper single-node rate ~80e3 graph nodes/s => ~0.31 s per iteration
+  // per machine node; the CNC + DC wire loops dominate.
+  cfg.ns_per_wire =
+      0.31e9 / (1.6 * static_cast<double>(cfg.wires_per_piece));
+  cfg.ns_per_node = 0.2 * cfg.ns_per_wire;
+  // Ghost voltage exchange: a few hundred shared nodes per piece in the
+  // paper's graph; scale the per-element width to a ~1 MB/node/iter
+  // exchange.
+  cfg.voltage_virtual_bytes = 2048;
+  return cfg;
+}
+
+exec::CostModel figure_cost() {
+  exec::CostModel cost = exec::CostModel::piz_daint();
+  cost.track_dependences = false;
+  cost.implicit_launch_ns = 300000;
+  return cost;
 }
 
 }  // namespace cr::apps::circuit

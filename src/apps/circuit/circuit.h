@@ -66,6 +66,21 @@ struct App {
 
 App build(rt::Runtime& rt, const Config& config);
 
+// The graph `build` generates for `config`: one piece per task, so
+// nodes * pieces_per_node pieces.
+GraphConfig graph_config(const Config& config);
+
+// Figure 9's setup (paper §5.4; calibration table in EXPERIMENTS.md):
+// the paper's 100k edges and 25k vertices per node scaled down to 11
+// pieces of 128 nodes and 512 wires per node, 5% of the wires crossing
+// to a piece at most 2 away, with the per-wire cost and ghost width
+// chosen to match the paper's single-node rate and exchange volume.
+Config figure_config(uint32_t nodes, uint64_t steps);
+
+// Figure 9's cost model: Piz Daint without dynamic dependence tracking
+// and the implicit master's per-point-task cost.
+exec::CostModel figure_cost();
+
 // Sum of V*C over all circuit nodes — invariant when leakage is 0.
 // Computed from an execution engine's final root data by the tests.
 

@@ -15,6 +15,7 @@
 #include "sim/machine.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "support/hash.h"
 
 namespace cr::apps {
 
@@ -36,12 +37,8 @@ struct Noise {
 
 inline double noise_factor(uint64_t key, const Noise& noise) {
   if (noise.slow_prob <= 0) return 1.0;
-  uint64_t x = key + 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  const double u = static_cast<double>(x >> 11) * 0x1.0p-53;
-  return u < noise.slow_prob ? 1.0 + noise.slow_frac : 1.0;
+  return support::hash_unit(key) < noise.slow_prob ? 1.0 + noise.slow_frac
+                                                    : 1.0;
 }
 
 struct BspConfig {

@@ -8,18 +8,11 @@
 #include "ir/builder.h"
 #include "rt/partition.h"
 #include "support/check.h"
+#include "support/hash.h"
 
 namespace cr::apps::miniaero {
 
 namespace {
-
-double hash01(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
 
 // Conserved state and the Euler flux in direction d with Rusanov
 // dissipation.
@@ -170,7 +163,7 @@ App build(rt::Runtime& rt, const Config& config) {
           const double rho =
               1.0 + 0.1 * std::sin(0.35 * static_cast<double>(x + y)) *
                         std::cos(0.21 * static_cast<double>(z));
-          const double en = 2.0 + 0.05 * hash01(id * 13 + 7);
+          const double en = 2.0 + 0.05 * support::hash_unit(id * 13 + 7);
           const double vals[5] = {rho, 0.0, 0.0, 0.0, en};
           for (int k = 0; k < 5; ++k) {
             ctx.write_f64(0, f_sol[static_cast<size_t>(k)], id, vals[k]);
@@ -368,6 +361,39 @@ sim::Time run_mpi_baseline(const Config& config, bool rank_per_node,
     return out;
   };
   return run_bsp(bsp, cost);
+}
+
+Config figure_config(uint32_t nodes, uint64_t steps) {
+  Config cfg;
+  cfg.nodes = nodes;
+  cfg.pieces_per_node = 11;
+  cfg.cells_x_per_piece = 4;
+  cfg.cells_y = 8;
+  cfg.cells_z = 8;
+  cfg.steps = steps;
+  // Paper single-node Regent rate ~1.5e6 cells/s => ~0.34 s per step
+  // (4 RK stages) per node; residual + update weigh ~1.3x per stage.
+  const double cells_per_piece = static_cast<double>(
+      cfg.cells_x_per_piece * cfg.cells_y * cfg.cells_z);
+  cfg.ns_per_cell = 0.34e9 / (4.0 * 1.3 * cells_per_piece);
+  // Face-layer exchange: 5 doubles per face cell on a 64^2 face in the
+  // paper; widen the scaled faces accordingly.
+  cfg.state_virtual_bytes = 5 * 450;
+  return cfg;
+}
+
+exec::CostModel figure_cost() {
+  exec::CostModel cost = exec::CostModel::piz_daint();
+  cost.track_dependences = false;
+  cost.implicit_launch_ns = 150000;
+  const Noise noise = figure_noise(/*rank_per_node=*/false);
+  cost.task_slow_prob = noise.slow_prob;
+  cost.task_slow_frac = noise.slow_frac;
+  return cost;
+}
+
+Noise figure_noise(bool rank_per_node) {
+  return {1.0 / 128.0, rank_per_node ? 0.35 : 0.25};
 }
 
 }  // namespace cr::apps::miniaero

@@ -73,4 +73,19 @@ sim::Time run_mpi_baseline(const Config& config, bool rank_per_node,
                            const exec::CostModel& cost,
                            const Noise& noise);
 
+// Figure 7's setup (paper §5.2; calibration table in EXPERIMENTS.md):
+// the paper's 512k cells per node scaled down to 11 slabs of 4x8x8 cells
+// per node, with the per-cell cost and face width chosen to match the
+// paper's single-node rate and exchange volume.
+Config figure_config(uint32_t nodes, uint64_t steps);
+
+// Figure 7's cost model: Piz Daint without dynamic dependence tracking,
+// the implicit master's per-point-task cost, and the rank-per-core
+// references' system noise on every task.
+exec::CostModel figure_cost();
+
+// Figure 7's system noise for the references: one rank per node is hit
+// harder than one rank per core.
+Noise figure_noise(bool rank_per_node);
+
 }  // namespace cr::apps::miniaero

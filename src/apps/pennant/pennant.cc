@@ -8,20 +8,9 @@
 #include "ir/builder.h"
 #include "rt/partition.h"
 #include "support/check.h"
+#include "support/hash.h"
 
 namespace cr::apps::pennant {
-
-namespace {
-
-double hash01(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
 
 App build(rt::Runtime& rt, const Config& config) {
   App app;
@@ -136,10 +125,10 @@ App build(rt::Runtime& rt, const Config& config) {
       800, 0.5 * config.ns_per_zone,
       [zm, ze, zr, zp, zvol, zone_area](ir::TaskContext& ctx) {
         ctx.domain().points().for_each_point([&](uint64_t z) {
-          const double rho = 1.0 + 0.2 * hash01(z * 5 + 1);
+          const double rho = 1.0 + 0.2 * support::hash_unit(z * 5 + 1);
           ctx.write_f64(0, zr, z, rho);
           ctx.write_f64(0, zm, z, rho * zone_area);
-          ctx.write_f64(0, ze, z, 1.0 + 0.5 * hash01(z * 9 + 4));
+          ctx.write_f64(0, ze, z, 1.0 + 0.5 * support::hash_unit(z * 9 + 4));
           ctx.write_f64(0, zp, z, 0.0);
           ctx.write_f64(0, zvol, z, zone_area);
         });
@@ -364,6 +353,39 @@ sim::Time run_mpi_baseline(const Config& config, bool rank_per_node,
   // The reference's dt reduction is a *blocking* MPI_Allreduce.
   bsp.allreduce_per_iteration = true;
   return run_bsp(bsp, cost);
+}
+
+Config figure_config(uint32_t nodes, uint64_t steps) {
+  Config cfg;
+  cfg.nodes = nodes;
+  cfg.pieces_per_node = 11;
+  cfg.zones_x_per_piece = 24;
+  cfg.zones_y = 24;
+  cfg.steps = steps;
+  // Paper single-node (MPI, 12 cores) ~15e6 zones/s => ~0.49 s per cycle
+  // per node; forces + dt loops weigh ~1.9x + 0.4x the per-zone base.
+  const double zones_per_piece =
+      static_cast<double>(cfg.zones_x_per_piece) * cfg.zones_y;
+  cfg.ns_per_zone = 1.33 * 0.49e9 / (2.3 * zones_per_piece) / (12.0 / 11.0);
+  cfg.ns_per_point = 0.3 * cfg.ns_per_zone;
+  // Shared point-column exchange (~6 doubles per boundary point on a
+  // 3700-point edge in the paper): widen the scaled columns to match.
+  cfg.point_virtual_bytes = 1024;
+  return cfg;
+}
+
+exec::CostModel figure_cost() {
+  exec::CostModel cost = exec::CostModel::piz_daint();
+  cost.track_dependences = false;
+  cost.implicit_launch_ns = 330000;
+  const Noise noise = figure_noise(/*rank_per_node=*/false);
+  cost.task_slow_prob = noise.slow_prob;
+  cost.task_slow_frac = noise.slow_frac;
+  return cost;
+}
+
+Noise figure_noise(bool rank_per_node) {
+  return {1.0 / 64.0, rank_per_node ? 0.75 : 0.30};
 }
 
 }  // namespace cr::apps::pennant

@@ -79,4 +79,21 @@ sim::Time run_mpi_baseline(const Config& config, bool rank_per_node,
                            const exec::CostModel& cost,
                            const Noise& noise);
 
+// Figure 8's setup (paper §5.3; calibration table in EXPERIMENTS.md):
+// the paper's 7.4M zones per node scaled down to 11 pieces of 24x24
+// zones per node, with the per-zone cost and point-column width chosen
+// to match the paper's single-node rate and exchange volume.
+Config figure_config(uint32_t nodes, uint64_t steps);
+
+// Figure 8's cost model: Piz Daint without dynamic dependence tracking,
+// the implicit master's per-point-task cost, and the MPI reference's
+// heavy-tailed noise on every task, absorbed by asynchronous execution
+// instead of amplified by blocking collectives.
+exec::CostModel figure_cost();
+
+// Figure 8's system noise for the references: ~1/64 probability of a
+// slowdown per rank-iteration; OpenMP's fork/join couples a whole node,
+// modeled as a larger hit.
+Noise figure_noise(bool rank_per_node);
+
 }  // namespace cr::apps::pennant

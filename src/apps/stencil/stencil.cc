@@ -287,4 +287,31 @@ sim::Time run_mpi_baseline(const Config& config, bool rank_per_node,
   return run_bsp(bsp, cost);
 }
 
+Config figure_config(uint32_t nodes, uint64_t steps) {
+  Config cfg;
+  cfg.nodes = nodes;
+  cfg.tasks_per_node = 11;  // one per compute core
+  cfg.tile_x = 32;
+  cfg.tile_y = 32;
+  cfg.steps = steps;
+  // Per-node per-iteration compute ~= 1.07 s (the paper's single-node
+  // rate), spread over the scaled points; stencil + the two increment
+  // launches weigh ~1.3x the base per-point cost.
+  cfg.ns_per_point =
+      1.067e9 / static_cast<double>(cfg.tile_x * cfg.tile_y) / 1.15;
+  // Halo width: the paper's node boundary is ~40000 x 2(radius) x 2 dirs
+  // x 8 B ~= 2.6 MB/iter; the scaled ring moves ~5.5k elements per node.
+  cfg.halo_virtual_bytes = 480;
+  return cfg;
+}
+
+exec::CostModel figure_cost() {
+  exec::CostModel cost = exec::CostModel::piz_daint();
+  cost.track_dependences = false;
+  // Master-side per-point-task cost without CR: dynamic dependence +
+  // physical analysis + remote mapping, see EXPERIMENTS.md.
+  cost.implicit_launch_ns = 2.0e6;
+  return cost;
+}
+
 }  // namespace cr::apps::stencil

@@ -73,4 +73,16 @@ double expected_interior(const Config& config, uint64_t steps, int64_t x,
 sim::Time run_mpi_baseline(const Config& config, bool rank_per_node,
                            const exec::CostModel& cost);
 
+// Figure 6's setup (paper §5.1; calibration table in EXPERIMENTS.md):
+// the paper's 40k^2 points per node scaled down to 11 tiles of 32^2 per
+// node, one per compute core, with the per-point cost and halo width
+// chosen so per-node iteration time and the communication/computation
+// ratio match the paper's problem.
+Config figure_config(uint32_t nodes, uint64_t steps);
+
+// Figure 6's cost model: Piz Daint without dynamic dependence tracking
+// (the sweep charges the implicit master per launch instead) and that
+// master's per-point-task cost.
+exec::CostModel figure_cost();
+
 }  // namespace cr::apps::stencil

@@ -109,35 +109,6 @@ void PhysicalInstance::fill_f64(FieldId f, double v) {
   std::fill(col.begin(), col.end(), v);
 }
 
-void PhysicalInstance::copy_from(const PhysicalInstance& src,
-                                 const support::IntervalSet& points,
-                                 const std::vector<FieldId>& fields) {
-  for (FieldId f : fields) {
-    points.for_each_point([&](uint64_t p) {
-      if (fields_->field(f).type == FieldType::kF64) {
-        write_f64(f, p, src.read_f64(f, p));
-      } else {
-        write_i64(f, p, src.read_i64(f, p));
-      }
-    });
-  }
-}
-
-void PhysicalInstance::fold_from(const PhysicalInstance& src,
-                                 const support::IntervalSet& points,
-                                 const std::vector<FieldId>& fields,
-                                 ReduceOp op) {
-  for (FieldId f : fields) {
-    CR_CHECK_MSG(fields_->field(f).type == FieldType::kF64,
-                 "reduction copies support f64 fields only");
-    points.for_each_point([&](uint64_t p) {
-      auto& col = std::get<std::vector<double>>(column(f));
-      const uint64_t r = domain_->rank(p);
-      col[r] = reduce_fold(op, col[r], src.read_f64(f, p));
-    });
-  }
-}
-
 PhysicalInstance::StagedPayload PhysicalInstance::gather(
     const support::IntervalSet& points,
     const std::vector<FieldId>& fields) const {

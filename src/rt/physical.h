@@ -50,22 +50,14 @@ class PhysicalInstance {
   // instances to the identity).
   void fill_f64(FieldId f, double v);
 
-  // Pull `points` (must be within both domains) of `fields` from `src`.
-  // With `fold` set, applies the reduction instead of overwriting (the
-  // paper's reduction copies, §4.3).
-  void copy_from(const PhysicalInstance& src,
-                 const support::IntervalSet& points,
-                 const std::vector<FieldId>& fields);
-  void fold_from(const PhysicalInstance& src,
-                 const support::IntervalSet& points,
-                 const std::vector<FieldId>& fields, ReduceOp op);
-
   // A gathered payload: one column per requested field, values in
-  // point-iteration order. Copies gather on the source side at network
-  // injection and scatter on the destination side at delivery, the way
-  // RDMA reads the payload when the message is injected. (Equivalent to
-  // reading at delivery time: anti-dependences order any writer of the
-  // source after the copy completes.)
+  // point-iteration order. Copies gather `points` (within both domains)
+  // on the source side at network injection and scatter them on the
+  // destination side at delivery, the way RDMA reads the payload when
+  // the message is injected. (Equivalent to reading at delivery time:
+  // anti-dependences order any writer of the source after the copy
+  // completes.) scatter_fold applies the reduction instead of
+  // overwriting (the paper's reduction copies, §4.3).
   struct StagedPayload {
     std::vector<std::variant<std::vector<double>, std::vector<int64_t>>>
         cols;

@@ -19,6 +19,13 @@ inline uint64_t hash_mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// A deterministic value in [0, 1) for `x`: the top 53 bits of its mix.
+// The apps draw per-element parameters and per-(rank, iteration) noise
+// from it, so every executor agrees without sharing a generator.
+inline double hash_unit(uint64_t x) {
+  return static_cast<double>(hash_mix(x) >> 11) * 0x1.0p-53;
+}
+
 // Two 32-bit ids packed into one cache key (order-sensitive; callers
 // normalize to (min, max) when the relation is symmetric).
 inline constexpr uint64_t pack_pair32(uint32_t a, uint32_t b) {

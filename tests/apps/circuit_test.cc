@@ -70,13 +70,7 @@ uint64_t draw_digest(const Graph& g) {
 TEST(CircuitGraph, DrawOrderPinned) {
   // Figure 9's geometry at 16 nodes: 128 nodes per piece, so every node
   // draw takes next_below's power-of-two path.
-  GraphConfig fig9;
-  fig9.pieces = 16 * 11;
-  fig9.nodes_per_piece = 128;
-  fig9.wires_per_piece = 512;
-  fig9.pct_cross = 0.05;
-  fig9.window = 2;
-  fig9.seed = 42;
+  const GraphConfig fig9 = graph_config(figure_config(16, /*steps=*/1));
   EXPECT_EQ(draw_digest(generate_graph(fig9)), 0x61ee082946e2919dull);
 
   // 24 nodes per piece and a window of 3: the rejection path.

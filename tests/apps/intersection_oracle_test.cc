@@ -1,10 +1,10 @@
 // The shallow intersections of the four apps against an all-pairs
-// oracle. Each app is built at 16 nodes with its figure bench's
-// geometry and control-replicated; every kIntersect statement of the
-// transformed program must get exactly the (i, j) pairs whose subregions
-// share an element, in (i, j) order. Stencil and MiniAero take the
-// rect-keyed path (structured grids), circuit and PENNANT the
-// interval-keyed one.
+// oracle. Each app is built at 16 nodes from its figure setup
+// (apps::<app>::figure_config) and control-replicated; every kIntersect
+// statement of the transformed program must get exactly the (i, j)
+// pairs whose subregions share an element, in (i, j) order. Stencil and
+// MiniAero take the rect-keyed path (structured grids), circuit and
+// PENNANT the interval-keyed one.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -62,44 +62,30 @@ rt::Runtime make_runtime() {
 
 TEST(IntersectionOracle, Stencil16) {
   rt::Runtime rt = make_runtime();
-  stencil::Config cfg;
-  cfg.nodes = 16;
-  cfg.tasks_per_node = 11;
-  cfg.tile_x = 32;
-  cfg.tile_y = 32;
-  check_intersections(rt.forest(), stencil::build(rt, cfg).program);
+  check_intersections(
+      rt.forest(),
+      stencil::build(rt, stencil::figure_config(16, /*steps=*/1)).program);
 }
 
 TEST(IntersectionOracle, MiniAero16) {
   rt::Runtime rt = make_runtime();
-  miniaero::Config cfg;
-  cfg.nodes = 16;
-  cfg.pieces_per_node = 11;
-  cfg.cells_x_per_piece = 4;
-  cfg.cells_y = 8;
-  cfg.cells_z = 8;
-  check_intersections(rt.forest(), miniaero::build(rt, cfg).program);
+  check_intersections(
+      rt.forest(),
+      miniaero::build(rt, miniaero::figure_config(16, /*steps=*/1)).program);
 }
 
 TEST(IntersectionOracle, Pennant16) {
   rt::Runtime rt = make_runtime();
-  pennant::Config cfg;
-  cfg.nodes = 16;
-  cfg.pieces_per_node = 11;
-  cfg.zones_x_per_piece = 24;
-  cfg.zones_y = 24;
-  check_intersections(rt.forest(), pennant::build(rt, cfg).program);
+  check_intersections(
+      rt.forest(),
+      pennant::build(rt, pennant::figure_config(16, /*steps=*/1)).program);
 }
 
 TEST(IntersectionOracle, Circuit16) {
   rt::Runtime rt = make_runtime();
-  circuit::Config cfg;
-  cfg.nodes = 16;
-  cfg.pieces_per_node = 11;
-  cfg.nodes_per_piece = 128;
-  cfg.wires_per_piece = 512;
-  cfg.pct_cross = 0.05;
-  check_intersections(rt.forest(), circuit::build(rt, cfg).program);
+  check_intersections(
+      rt.forest(),
+      circuit::build(rt, circuit::figure_config(16, /*steps=*/1)).program);
 }
 
 }  // namespace

@@ -6,9 +6,9 @@
 // tests/apps/golden/, so any change in the point sets an app colors —
 // a different partitioning operator, a different coloring of the same
 // pieces — shows up here as a diff naming the region. The 16-node cases
-// use the figure benches' geometry; the uneven cases use odd, non-square
-// pieces and tiles so run boundaries fall off any power of two. If a
-// change is intended, regenerate with
+// use the figures' setups (apps::<app>::figure_config); the uneven cases
+// use odd, non-square pieces and tiles so run boundaries fall off any
+// power of two. If a change is intended, regenerate with
 //
 //   CR_UPDATE_GOLDEN=1 ./tests/test_apps --gtest_filter='RegionForestGolden.*'
 #include <gtest/gtest.h>
@@ -100,12 +100,7 @@ void check_golden(const std::string& name, const std::string& text) {
 // Figure 6's geometry: 11 tiles of 32x32 per node, radius 2.
 TEST(RegionForestGolden, Stencil16) {
   rt::Runtime rt = make_runtime(16);
-  stencil::Config cfg;
-  cfg.nodes = 16;
-  cfg.tasks_per_node = 11;
-  cfg.tile_x = 32;
-  cfg.tile_y = 32;
-  stencil::build(rt, cfg);
+  stencil::build(rt, stencil::figure_config(16, /*steps=*/1));
   check_golden("stencil_16", dump_forest(rt.forest()));
 }
 
@@ -124,13 +119,7 @@ TEST(RegionForestGolden, StencilUneven) {
 // Figure 7's geometry: 11 slabs of 4x8x8 cells per node.
 TEST(RegionForestGolden, MiniAero16) {
   rt::Runtime rt = make_runtime(16);
-  miniaero::Config cfg;
-  cfg.nodes = 16;
-  cfg.pieces_per_node = 11;
-  cfg.cells_x_per_piece = 4;
-  cfg.cells_y = 8;
-  cfg.cells_z = 8;
-  miniaero::build(rt, cfg);
+  miniaero::build(rt, miniaero::figure_config(16, /*steps=*/1));
   check_golden("miniaero_16", dump_forest(rt.forest()));
 }
 
@@ -149,12 +138,7 @@ TEST(RegionForestGolden, MiniAeroUneven) {
 // Figure 8's geometry: 11 pieces of 24x24 zones per node.
 TEST(RegionForestGolden, Pennant16) {
   rt::Runtime rt = make_runtime(16);
-  pennant::Config cfg;
-  cfg.nodes = 16;
-  cfg.pieces_per_node = 11;
-  cfg.zones_x_per_piece = 24;
-  cfg.zones_y = 24;
-  pennant::build(rt, cfg);
+  pennant::build(rt, pennant::figure_config(16, /*steps=*/1));
   check_golden("pennant_16", dump_forest(rt.forest()));
 }
 
@@ -173,14 +157,7 @@ TEST(RegionForestGolden, PennantUneven) {
 // 512 wires.
 TEST(RegionForestGolden, Circuit16) {
   rt::Runtime rt = make_runtime(16);
-  circuit::Config cfg;
-  cfg.nodes = 16;
-  cfg.pieces_per_node = 11;
-  cfg.nodes_per_piece = 128;
-  cfg.wires_per_piece = 512;
-  cfg.pct_cross = 0.05;
-  cfg.window = 2;
-  circuit::build(rt, cfg);
+  circuit::build(rt, circuit::figure_config(16, /*steps=*/1));
   check_golden("circuit_16", dump_forest(rt.forest()));
 }
 

@@ -149,20 +149,15 @@ TEST(Stencil, MpiBaselinesRunAndScaleFlat) {
 // Host-side growth gate for the implicit master's dependence analysis:
 // the privilege tests run per issued operation must stay flat as the
 // machine grows (the exhaustive pairs_scanned cost basis is what grows).
-// Stencil config of the host benchmark: 11 tiles per node, 32x32 tiles,
-// 4 steps, kernels off. Deterministic: the counts never depend on timing.
+// Figure 6's setup with dependence tracking on, as in the host
+// benchmark's audit workload: 11 tiles per node, 32x32 tiles, 4 steps,
+// kernels off. Deterministic: the counts never depend on timing.
 TEST(Stencil, ImplicitDependenceTestsPerOpStayFlat) {
   auto tested_per_op = [](uint32_t nodes) {
-    CostModel cost = CostModel::piz_daint();
+    CostModel cost = figure_cost();
     cost.track_dependences = true;
     rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
-    Config cfg;
-    cfg.nodes = nodes;
-    cfg.tasks_per_node = 11;
-    cfg.tile_x = 32;
-    cfg.tile_y = 32;
-    cfg.steps = 4;
-    App app = build(rt, cfg);
+    App app = build(rt, figure_config(nodes, /*steps=*/4));
     exec::ExecConfig ecfg;
     ecfg.cost = cost;
     ecfg.mode = exec::ExecMode::kImplicit;

@@ -64,7 +64,8 @@ TEST(PhysicalInstance, CopyFromMovesOnlyRequestedPoints) {
   auto& a = mgr.get(mgr.create(f.r, 0));
   auto& b = mgr.get(mgr.create(f.r, 1));
   for (uint64_t i = 0; i < 10; ++i) a.write_f64(f.v, i, double(i));
-  b.copy_from(a, support::IntervalSet::range(2, 5), {f.v});
+  const support::IntervalSet points = support::IntervalSet::range(2, 5);
+  b.scatter(a.gather(points, {f.v}), points, {f.v});
   EXPECT_EQ(b.read_f64(f.v, 2), 2.0);
   EXPECT_EQ(b.read_f64(f.v, 4), 4.0);
   EXPECT_EQ(b.read_f64(f.v, 5), 0.0);  // outside the copy set
@@ -76,7 +77,8 @@ TEST(PhysicalInstance, CopyMovesI64Fields) {
   auto& a = mgr.get(mgr.create(f.r, 0));
   auto& b = mgr.get(mgr.create(f.r, 1));
   a.write_i64(f.ptr, 1, 42);
-  b.copy_from(a, support::IntervalSet::range(0, 10), {f.ptr});
+  const support::IntervalSet points = support::IntervalSet::range(0, 10);
+  b.scatter(a.gather(points, {f.ptr}), points, {f.ptr});
   EXPECT_EQ(b.read_i64(f.ptr, 1), 42);
 }
 
@@ -87,9 +89,10 @@ TEST(PhysicalInstance, FoldFromAppliesReduction) {
   auto& b = mgr.get(mgr.create(f.r, 1));
   a.write_f64(f.v, 0, 3.0);
   b.write_f64(f.v, 0, 10.0);
-  b.fold_from(a, support::IntervalSet::range(0, 1), {f.v}, ReduceOp::kSum);
+  const support::IntervalSet points = support::IntervalSet::range(0, 1);
+  b.scatter_fold(a.gather(points, {f.v}), points, {f.v}, ReduceOp::kSum);
   EXPECT_EQ(b.read_f64(f.v, 0), 13.0);
-  b.fold_from(a, support::IntervalSet::range(0, 1), {f.v}, ReduceOp::kMin);
+  b.scatter_fold(a.gather(points, {f.v}), points, {f.v}, ReduceOp::kMin);
   EXPECT_EQ(b.read_f64(f.v, 0), 3.0);
 }
 

@@ -5,10 +5,14 @@
 #
 # Metrics mode: runs a figure bench capped at 4 nodes with --metrics and
 # byte-compares what it writes with the committed
-# bench/baselines/BENCH_metrics.<app>.json.
+# bench/baselines/BENCH_metrics.<app>.json, and its stdout (the figure's
+# throughput table, MPI references included) with the committed
+# bench/baselines/table.<app>.txt. The stdout lands next to OUT, with
+# .table.txt in place of .json.
 #
 #   cmake -DBENCH=<bench binary> -DOUT=<metrics path>
-#         -DBASELINE=<committed baseline> -P tools/check_bench_baseline.cmake
+#         -DBASELINE=<committed baseline> -DTABLE=<committed table>
+#         -P tools/check_bench_baseline.cmake
 #
 # Matrix mode: runs a bench's --mapper-matrix in WORKDIR (where it writes
 # BENCH_mapper.<app>.<policy>.json) and byte-compares every committed
@@ -20,7 +24,7 @@
 if(DEFINED WORKDIR)
   set(required BENCH APP WORKDIR BASELINE_DIR)
 else()
-  set(required BENCH OUT BASELINE)
+  set(required BENCH OUT BASELINE TABLE)
 endif()
 foreach(var ${required})
   if(NOT DEFINED ${var})
@@ -46,12 +50,14 @@ if(DEFINED WORKDIR)
     list(APPEND pairs "${WORKDIR}/${name}" "${baseline}")
   endforeach()
 else()
-  file(REMOVE "${OUT}")
+  string(REGEX REPLACE "\\.json$" "" table_out "${OUT}")
+  string(APPEND table_out ".table.txt")
+  file(REMOVE "${OUT}" "${table_out}")
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E env CR_BENCH_MAX_NODES=4
             "${BENCH}" "--metrics=${OUT}"
-    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-  set(pairs "${OUT}" "${BASELINE}")
+    RESULT_VARIABLE rc OUTPUT_FILE "${table_out}" ERROR_VARIABLE err)
+  set(pairs "${OUT}" "${BASELINE}" "${table_out}" "${TABLE}")
 endif()
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${BENCH} exited with ${rc}:\n${err}")
