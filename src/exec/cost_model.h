@@ -38,9 +38,6 @@ struct CostModel {
   // --- network (forwarded into sim::Network).
   sim::NetworkConfig network;
 
-  // (Cores reserved for the runtime moved to rt::MapperOptions — the
-  // mapper owns every placement decision; see ExecConfig::mapper.)
-
   // Deterministic pseudo-random compute-time noise per point task: with
   // probability task_slow_prob (a hash of the op id) it runs
   // (1 + task_slow_frac) times longer. Models heavy-tailed OS/system

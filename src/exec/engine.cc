@@ -11,6 +11,7 @@ namespace cr::exec {
 Engine::Impl::Impl(rt::Runtime& rt, const ir::Program& program,
                    const ExecConfig& config)
     : rt_(rt),
+      mapper_(rt.machine(), config.mapper),
       p_(program),
       cost_(config.cost),
       mode_(config.mode),
@@ -24,9 +25,6 @@ Engine::Impl::Impl(rt::Runtime& rt, const ir::Program& program,
       m_barrier_arrivals_(rt.metrics().counter("rt.barrier.arrivals")),
       m_collective_rounds_(rt.metrics().counter("rt.collective.rounds")) {
   proc_rr_.assign(rt_.machine().nodes(), 0);
-  // Install the configured placement policy before anything queries
-  // placement (ExecConfig::mapper is the one way to configure it).
-  rt_.select_mapper(config.mapper);
   if (config.trace && rt_.sim().tracer() == nullptr) {
     owned_tracer_ = std::make_unique<support::Tracer>();
     rt_.sim().set_tracer(owned_tracer_.get());
@@ -72,25 +70,30 @@ std::shared_ptr<double> Engine::Impl::new_version(uint32_t env, ir::ScalarId s,
 
 // --- physical instances and per-instance synchronization ---------------
 
-Engine::Impl::InstanceRef& Engine::Impl::part_instance(rt::PartitionId p,
-                                                       uint64_t color) {
+Engine::Impl::PartitionRow& Engine::Impl::part_row(rt::PartitionId p) {
   if (p >= part_inst_.size()) part_inst_.resize(p + 1);
   PartitionRow& row = part_inst_[p];
   const rt::PartitionNode& pn = forest().partition(p);
   if (row.insts.empty()) {
     row.insts.resize(pn.subregions.size());
-    row.weights.reserve(pn.subregions.size());
+    std::vector<uint64_t> weights;
+    weights.reserve(pn.subregions.size());
     for (rt::RegionId r : pn.subregions) {
-      row.weights.push_back(forest().region(r).ispace.size());
+      weights.push_back(forest().region(r).ispace.size());
     }
+    row.nodes = mapper_.place(weights);
   }
+  return row;
+}
+
+Engine::Impl::InstanceRef& Engine::Impl::part_instance(rt::PartitionId p,
+                                                       uint64_t color) {
+  PartitionRow& row = part_row(p);
+  const rt::PartitionNode& pn = forest().partition(p);
   CR_CHECK(color < pn.subregions.size());
   InstanceRef& ref = row.insts[color];
   if (ref.region == rt::kNoId) {
-    make_instance(ref, pn.subregions[color],
-                  rt_.mapper().node_of_color(
-                      color, rt::LaunchShape{pn.subregions.size(),
-                                             &row.weights}));
+    make_instance(ref, pn.subregions[color], row.nodes[color]);
   }
   return ref;
 }
@@ -209,7 +212,7 @@ void Engine::Impl::declare_tracks() {
   const sim::Machine& m = rt_.machine();
   for (uint32_t n = 0; n < m.nodes(); ++n) {
     t->set_process_name(n, "node " + std::to_string(n));
-    const uint32_t ctl = rt_.mapper().control_proc(n).core;
+    const uint32_t ctl = mapper_.control_proc(n).core;
     for (uint32_t c = 0; c < m.cores_per_node(); ++c) {
       t->declare_track(n, c,
                        c == ctl ? "control" : "core " + std::to_string(c));
@@ -228,7 +231,7 @@ void Engine::Impl::export_metrics(support::MetricsRegistry& m) {
   m.counter("exec.bytes_moved").set(rt_.copies().bytes_moved());
   m.counter("exec.messages").set(rt_.network().messages_sent());
   m.counter("exec.control_busy_ns")
-      .set(rt_.machine().proc(rt_.mapper().control_proc(0)).busy_time());
+      .set(rt_.machine().proc(mapper_.control_proc(0)).busy_time());
 
   m.counter("sim.events_processed").set(sim().events_processed());
   m.counter("sim.queue.max_depth").set(sim().max_queue_depth());
@@ -326,7 +329,7 @@ void Engine::Impl::unroll() {
   std::vector<Ctx> main(1);
   main[0].node = 0;
   main[0].shard = kMainEnv;
-  main[0].proc = &rt_.machine().proc(rt_.mapper().control_proc(0));
+  main[0].proc = &rt_.machine().proc(mapper_.control_proc(0));
   exec_body(p_.body, main, 1);
 }
 

@@ -249,8 +249,8 @@ void Engine::Impl::exec_shards(const ir::Stmt& s, std::vector<Ctx>& main) {
   if (shard_envs_.size() < num_shards) shard_envs_.resize(num_shards);
   for (uint32_t x = 0; x < num_shards; ++x) {
     shards[x].shard = x;
-    shards[x].node = rt_.mapper().shard_node(x, num_shards);
-    const sim::ProcId ctl = rt_.mapper().control_proc(shards[x].node);
+    shards[x].node = mapper_.shard_node(x, num_shards);
+    const sim::ProcId ctl = mapper_.control_proc(shards[x].node);
     shards[x].proc = &rt_.machine().proc(ctl);
     if (support::Tracer* t = tracer()) {
       t->declare_track(ctl.node, ctl.core,

@@ -156,21 +156,21 @@ struct Engine::Impl {
 
   // Instances are made at first touch, so sync keys (and the checker's
   // place keys) follow the unroll's first-touch order. The tables are
-  // flat, indexed by dense ids: a partition's row of instances (one per
-  // color) and its per-color work weights (subregion sizes, what
-  // weight-aware mappers see) are allocated at its first touch and never
-  // resized, so an InstanceRef& stays valid for the engine's lifetime.
-  // Both tables are deques, so growing them moves no row: the balanced
-  // mapper memoizes its cuts by the address of a row's `weights`.
+  // flat, indexed by dense ids: a partition's row of instances and its
+  // row of nodes (the mapper's placement of each color, from the
+  // subregion sizes) are filled at its first touch and never resized,
+  // so an InstanceRef& stays valid for the engine's lifetime; growing
+  // the root table (a deque) moves no entry either.
   // An entry whose `region` is kNoId has no instance yet.
   struct PartitionRow {
     std::vector<InstanceRef> insts;  // by color
-    std::vector<uint64_t> weights;   // by color
+    std::vector<uint32_t> nodes;     // by color
   };
   std::deque<PartitionRow> part_inst_;  // by PartitionId
   std::deque<InstanceRef> root_inst_;   // by root RegionId
   std::vector<std::unique_ptr<InstanceSync>> sync_;
 
+  PartitionRow& part_row(rt::PartitionId p);
   InstanceRef& part_instance(rt::PartitionId p, uint64_t color);
   InstanceRef& root_instance(rt::RegionId root);
   // Create `ref`'s instance of `region` on `node` and its sync record.
@@ -430,15 +430,16 @@ struct Engine::Impl {
   // engine_tasks.cc
   void exec_launch(const ir::Stmt& s, std::vector<Ctx>& ctxs,
                    uint32_t num_shards);
-  // The launch's per-color work weights for weight-aware mappers: the
-  // domain argument's subregion size at each color (through its
-  // projection). Cached per statement and looked up once per launch;
-  // the default mapper ignores weights, so this changes nothing under
-  // the legacy policy.
-  std::map<const ir::Stmt*, std::vector<uint64_t>> launch_weights_;
-  rt::LaunchShape launch_shape(const ir::Stmt& s, const ir::TaskDecl& decl);
+  // The node of each point task of a launch. An identity launch over
+  // all of its domain partition's colors (every launch in a CR
+  // fragment) uses that partition's row; any other launch gets a row
+  // of its own, placed by the domain argument's subregion size at each
+  // color (through its projection), or uniformly without one.
+  std::map<const ir::Stmt*, std::vector<uint32_t>> launch_nodes_;
+  std::span<const uint32_t> launch_nodes(const ir::Stmt& s,
+                                         const ir::TaskDecl& decl);
   void issue_point_task(const ir::Stmt& s, const ir::TaskDecl& decl,
-                        const rt::LaunchShape& shape, uint64_t color, Ctx& ctx,
+                        uint32_t node, uint64_t color, Ctx& ctx,
                         PendingReduction* red);
   void exec_single(const ir::Stmt& s, Ctx& ctx);
   void exec_fill(const ir::Stmt& s, std::vector<Ctx>& ctxs,
@@ -460,6 +461,7 @@ struct Engine::Impl {
   // ---------------------------------------------------------------------
 
   rt::Runtime& rt_;
+  const rt::Mapper mapper_;  // ExecConfig::mapper, the only placement route
   const ir::Program& p_;
   CostModel cost_;
   ExecMode mode_;

@@ -14,7 +14,7 @@ sim::Event Engine::Impl::spawn_on(uint32_t node,
                                   double duration_ns,
                                   std::function<void()> work,
                                   support::TraceTag tag) {
-  const sim::ProcId proc = rt_.mapper().compute_proc(node, proc_rr_.at(node)++);
+  const sim::ProcId proc = mapper_.compute_proc(node, proc_rr_.at(node)++);
   return rt_.machine().proc(proc).spawn(sim().merge(pre), ns(duration_ns),
                                         std::move(work), std::move(tag));
 }
@@ -58,44 +58,50 @@ void Engine::Impl::exec_launch(const ir::Stmt& s, std::vector<Ctx>& ctxs,
     red = &pr;
   }
 
-  const rt::LaunchShape shape = launch_shape(s, decl);
+  const std::span<const uint32_t> nodes = launch_nodes(s, decl);
   for (Ctx& ctx : ctxs) {
     const rt::BlockRange owned = owned_colors(s.launch_colors, ctx, num_shards);
     for (uint64_t c = owned.begin; c < owned.end; ++c) {
-      issue_point_task(s, decl, shape, c, ctx, red);
+      issue_point_task(s, decl, nodes[c], c, ctx, red);
     }
   }
 }
 
-rt::LaunchShape Engine::Impl::launch_shape(const ir::Stmt& s,
-                                           const ir::TaskDecl& decl) {
-  rt::LaunchShape shape{s.launch_colors, nullptr};
-  if (s.args.empty() || decl.domain_param >= s.args.size()) return shape;
-  auto [it, inserted] = launch_weights_.try_emplace(&s);
-  if (inserted) {
+std::span<const uint32_t> Engine::Impl::launch_nodes(const ir::Stmt& s,
+                                                     const ir::TaskDecl& decl) {
+  const bool has_domain = decl.domain_param < s.args.size();
+  if (has_domain) {
     const ir::RegionArg& a = s.args[decl.domain_param];
-    const rt::PartitionNode& pn = forest().partition(a.partition);
-    it->second.reserve(s.launch_colors);
-    for (uint64_t c = 0; c < s.launch_colors; ++c) {
-      const uint64_t sub = a.proj(c);
-      CR_CHECK(sub < pn.subregions.size());
-      it->second.push_back(forest().region(pn.subregions[sub]).ispace.size());
+    if (a.proj.identity() &&
+        forest().partition(a.partition).subregions.size() == s.launch_colors) {
+      return part_row(a.partition).nodes;
     }
   }
-  shape.weights = &it->second;
-  return shape;
+  auto [it, inserted] = launch_nodes_.try_emplace(&s);
+  if (inserted) {
+    std::vector<uint64_t> weights(s.launch_colors, 1);
+    if (has_domain) {
+      const ir::RegionArg& a = s.args[decl.domain_param];
+      const rt::PartitionNode& pn = forest().partition(a.partition);
+      for (uint64_t c = 0; c < s.launch_colors; ++c) {
+        const uint64_t sub = a.proj(c);
+        CR_CHECK(sub < pn.subregions.size());
+        weights[c] = forest().region(pn.subregions[sub]).ispace.size();
+      }
+    }
+    it->second = mapper_.place(weights);
+  }
+  return it->second;
 }
 
 void Engine::Impl::issue_point_task(const ir::Stmt& s,
-                                    const ir::TaskDecl& decl,
-                                    const rt::LaunchShape& shape,
+                                    const ir::TaskDecl& decl, uint32_t node,
                                     uint64_t color, Ctx& ctx,
                                     PendingReduction* red) {
   m_point_tasks_.add();
   ++op_id_;
 
   const sim::Event done = sim().make_event();
-  const uint32_t node = rt_.mapper().node_of_color(color, shape);
   std::vector<Use> uses;
   uses.reserve(s.args.size());
   for (const ir::RegionArg& a : s.args) {

@@ -22,9 +22,8 @@ struct ExecConfig {
   ExecMode mode = ExecMode::kSpmd;
 
   // Placement policy: a rt::mapper_names() entry ("default", "balanced",
-  // "adversarial") plus its reserved cores. The Engine installs the
-  // selected mapper on the Runtime at construction; this field is the
-  // only way to configure placement (one-struct rule).
+  // "adversarial"). The Engine builds its rt::Mapper from it; this field
+  // is the only way to configure placement (one-struct rule).
   rt::MapperOptions mapper;
 
   // Instrumentation sinks. All host-side: enabling any of them leaves

@@ -9,12 +9,6 @@ Runtime::Runtime(RuntimeConfig config)
       instances_(forest_),
       deps_(forest_),
       copies_(network_, forest_,
-              config.real_data ? &instances_ : nullptr),
-      mapper_(make_mapper(machine_, MapperOptions{})) {}
-
-Mapper& Runtime::select_mapper(const MapperOptions& options) {
-  mapper_ = make_mapper(machine_, options);
-  return *mapper_;
-}
+              config.real_data ? &instances_ : nullptr) {}
 
 }  // namespace cr::rt

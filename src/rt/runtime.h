@@ -4,14 +4,12 @@
 // one job allocation on the cluster. One Runtime hosts one run: its
 // clock, dependence tracker, copy and network totals and metrics are
 // that run's, and Engine::run() aborts on a runtime that has already
-// run.
+// run. Placement is not the runtime's: each Engine owns its rt::Mapper,
+// built from ExecConfig::mapper.
 #pragma once
-
-#include <memory>
 
 #include "rt/copy.h"
 #include "rt/dependence.h"
-#include "rt/mapper.h"
 #include "rt/partition.h"
 #include "rt/physical.h"
 #include "rt/region_tree.h"
@@ -42,12 +40,6 @@ class Runtime {
   const RegionForest& forest() const { return forest_; }
   DependenceTracker& deps() { return deps_; }
   CopyEngine& copies() { return copies_; }
-  Mapper& mapper() { return *mapper_; }
-  // Install the named placement policy (make_mapper) as the active
-  // mapper. Called by the Engine at construction from ExecConfig::mapper
-  // — the one way to configure placement. A fresh Runtime starts with
-  // the default policy.
-  Mapper& select_mapper(const MapperOptions& options);
   support::MetricsRegistry& metrics() { return metrics_; }
 
   bool real_data() const { return config_.real_data; }
@@ -67,7 +59,6 @@ class Runtime {
   InstanceManager instances_;
   DependenceTracker deps_;
   CopyEngine copies_;
-  std::unique_ptr<Mapper> mapper_;
   support::MetricsRegistry metrics_;
 };
 

@@ -40,26 +40,6 @@ inline bool privileges_conflict(Privilege a, ReduceOp a_op, Privilege b,
   return true;
 }
 
-// `sub` may be demanded by a callee only if the caller holds `sup` on a
-// covering region: strictness of privileges (paper §2.1).
-inline bool privilege_subsumes(Privilege sup, ReduceOp sup_op, Privilege sub,
-                               ReduceOp sub_op) {
-  switch (sub) {
-    case Privilege::kReadOnly:
-      return privilege_reads(sup);
-    case Privilege::kReadWrite:
-      return sup == Privilege::kReadWrite || sup == Privilege::kWriteDiscard;
-    case Privilege::kWriteDiscard:
-      return privilege_writes(sup);
-    case Privilege::kReduce:
-      // Read-write subsumes any reduction; a reduce privilege subsumes
-      // only the same operator.
-      return sup == Privilege::kReadWrite ||
-             (sup == Privilege::kReduce && sup_op == sub_op);
-  }
-  return false;
-}
-
 inline const char* privilege_name(Privilege p) {
   switch (p) {
     case Privilege::kReadOnly:

@@ -72,8 +72,6 @@ class Processor {
 
   // Total busy time accumulated (for utilization reports).
   Time busy_time() const { return busy_; }
-  // The time this core finished (or will finish) its last accepted item.
-  Time next_free() const { return next_free_; }
 
  private:
   friend class Simulator;

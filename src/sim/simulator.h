@@ -149,10 +149,6 @@ class Simulator {
 
   // Schedule fn at absolute virtual time t (>= now()).
   void schedule_at(Time t, Work fn);
-  // Schedule fn dt ns from now.
-  void schedule_after(Time dt, Work fn) {
-    schedule_at(now_ + dt, std::move(fn));
-  }
 
   // Run until the queue drains. Returns the final time.
   Time run();
@@ -208,7 +204,7 @@ class Simulator {
   struct Entry {
     Time time;
     uint64_t order;
-    uint32_t cause;  // ambient current_cause() at schedule time
+    uint32_t cause;  // current_cause_ at schedule time
     uint32_t arg;
   };
 

@@ -70,10 +70,8 @@ Placement run_circuit(ExecMode mode, const std::string& mapper) {
   for (rt::InstanceId id = 0; id < mgr.count(); ++id) {
     const rt::PhysicalInstance& inst = mgr.get(id);
     out.instances.emplace_back(inst.region(), inst.node());
-    // A partition's instance sits where the mapper puts its color (with
-    // the subregion sizes as weights); master data lives on node 0. A
-    // fresh mapper answers each query, so nothing it memoized for the
-    // engine (or for an earlier query) can be what the check sees.
+    // A partition's instance sits where the mapper places its color
+    // (with the subregion sizes as weights); master data lives on node 0.
     const rt::PartitionId p = forest.region(inst.region()).parent;
     if (p == rt::kNoId) {
       EXPECT_EQ(inst.node(), 0u) << "root instance " << id;
@@ -86,9 +84,8 @@ Placement run_circuit(ExecMode mode, const std::string& mapper) {
     for (rt::RegionId r : subs) {
       weights.push_back(forest.region(r).ispace.size());
     }
-    const auto fresh = rt::make_mapper(rt.machine(), ecfg.mapper);
-    EXPECT_EQ(inst.node(), fresh->node_of_color(
-                               color, rt::LaunchShape{subs.size(), &weights}))
+    EXPECT_EQ(inst.node(), rt::Mapper(rt.machine(), ecfg.mapper)
+                               .place(weights)[color])
         << mapper << " instance " << id;
   }
   // One instance per region, and one for every launched color.
@@ -122,9 +119,8 @@ TEST(InstanceTables, ImplicitPlacementKeyAndPlaceOrderReplay) {
   EXPECT_EQ(a.places, b.places);
 }
 
-// The balanced mapper memoizes its cuts by the identity of the weights
-// vector the engine hands it, so each partition's weights must keep one
-// address while the tables grow.
+// Under the balanced mapper each partition's row of nodes follows its
+// subregion sizes, and replays exactly.
 TEST(InstanceTables, BalancedMapperPlacementAndKeyOrderReplay) {
   for (ExecMode mode : {ExecMode::kSpmd, ExecMode::kImplicit}) {
     const Placement a = run_circuit(mode, "balanced");

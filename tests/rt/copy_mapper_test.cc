@@ -116,35 +116,29 @@ TEST(CopyEngine, VirtualBytesScaleCost) {
 
 TEST(Mapper, BlockDistributionOfColors) {
   Fixture f;  // 4 nodes
-  Mapper& m = f.rt.mapper();
+  const Mapper m(f.rt.machine(), {});
   // 8 colors over 4 nodes: 2 each.
-  EXPECT_EQ(m.node_of_color(0, 8), 0u);
-  EXPECT_EQ(m.node_of_color(1, 8), 0u);
-  EXPECT_EQ(m.node_of_color(2, 8), 1u);
-  EXPECT_EQ(m.node_of_color(7, 8), 3u);
+  EXPECT_EQ(m.place(std::vector<uint64_t>(8, 1)),
+            (std::vector<uint32_t>{0, 0, 1, 1, 2, 2, 3, 3}));
 }
 
 TEST(Mapper, BlockDistributionWithRemainder) {
   Fixture f;
-  Mapper& m = f.rt.mapper();
+  const Mapper m(f.rt.machine(), {});
   // 6 colors over 4 nodes: sizes 2,2,1,1.
-  EXPECT_EQ(m.node_of_color(0, 6), 0u);
-  EXPECT_EQ(m.node_of_color(1, 6), 0u);
-  EXPECT_EQ(m.node_of_color(2, 6), 1u);
-  EXPECT_EQ(m.node_of_color(3, 6), 1u);
-  EXPECT_EQ(m.node_of_color(4, 6), 2u);
-  EXPECT_EQ(m.node_of_color(5, 6), 3u);
+  EXPECT_EQ(m.place(std::vector<uint64_t>(6, 1)),
+            (std::vector<uint32_t>{0, 0, 1, 1, 2, 3}));
 }
 
 TEST(Mapper, ShardPerNode) {
   Fixture f;
-  Mapper& m = f.rt.mapper();
+  const Mapper m(f.rt.machine(), {});
   for (uint32_t s = 0; s < 4; ++s) EXPECT_EQ(m.shard_node(s, 4), s);
 }
 
 TEST(Mapper, ComputeProcsAvoidReservedCore) {
   Fixture f;  // 2 cores/node, 1 reserved
-  Mapper& m = f.rt.mapper();
+  const Mapper m(f.rt.machine(), {});
   EXPECT_EQ(m.compute_cores_per_node(), 1u);
   for (uint64_t seq = 0; seq < 5; ++seq) {
     EXPECT_EQ(m.compute_proc(2, seq).core, 1u);
@@ -153,22 +147,13 @@ TEST(Mapper, ComputeProcsAvoidReservedCore) {
   EXPECT_EQ(m.control_proc(3).core, 0u);
 }
 
-TEST(Mapper, NoReservationUsesAllCores) {
-  sim::Simulator sim;
-  sim::Machine machine(sim, {.nodes = 1, .cores_per_node = 4});
-  Mapper m(machine, MapperOptions{.reserved_cores = 0});
-  EXPECT_EQ(m.compute_cores_per_node(), 4u);
-  EXPECT_EQ(m.compute_proc(0, 0).core, 0u);
-  EXPECT_EQ(m.compute_proc(0, 5).core, 1u);
-}
-
-// Regression: cores == reserved_cores used to leave compute_cores_ == 0
-// and divide by zero in compute_proc's round-robin. The constructor now
-// clamps the reservation so at least one compute core survives.
+// Regression: reserving the only core used to leave no compute core and
+// divide by zero in compute_proc's round-robin. A 1-core node runs its
+// control thread and its tasks on core 0.
 TEST(Mapper, SingleCoreNodeClampsReservation) {
   sim::Simulator sim;
   sim::Machine machine(sim, {.nodes = 2, .cores_per_node = 1});
-  Mapper m(machine, MapperOptions{.reserved_cores = 1});
+  const Mapper m(machine, {});
   EXPECT_EQ(m.compute_cores_per_node(), 1u);
   for (uint64_t seq = 0; seq < 3; ++seq) {
     EXPECT_EQ(m.compute_proc(1, seq).core, 0u);  // no div/mod by zero
@@ -177,20 +162,24 @@ TEST(Mapper, SingleCoreNodeClampsReservation) {
   EXPECT_EQ(m.control_proc(0).core, 0u);
 }
 
-TEST(Mapper, OverReservationClampsToOneComputeCore) {
-  sim::Simulator sim;
-  sim::Machine machine(sim, {.nodes = 1, .cores_per_node = 3});
-  Mapper m(machine, MapperOptions{.reserved_cores = 7});
-  EXPECT_EQ(m.compute_cores_per_node(), 1u);
-  EXPECT_EQ(m.compute_proc(0, 4).core, 2u);  // the one surviving core
-}
-
 TEST(Mapper, FewerColorsThanNodes) {
   Fixture f;
-  Mapper& m = f.rt.mapper();
+  const Mapper m(f.rt.machine(), {});
   // 2 colors over 4 nodes: one per node on the first two nodes.
-  EXPECT_EQ(m.node_of_color(0, 2), 0u);
-  EXPECT_EQ(m.node_of_color(1, 2), 1u);
+  EXPECT_EQ(m.place(std::vector<uint64_t>(2, 1)),
+            (std::vector<uint32_t>{0, 1}));
+}
+
+// The per-color rule block_range must agree with: ceil(colors/parts)
+// per part, the remainder on the leading parts.
+uint32_t block_owner(uint64_t c, uint64_t colors, uint32_t parts) {
+  const uint64_t base = colors / parts;
+  const uint64_t rem = colors % parts;
+  const uint64_t cut = rem * (base + 1);
+  // With fewer colors than parts, base == 0 and every color is below
+  // the cut: color c is part c's only color.
+  if (c < cut) return static_cast<uint32_t>(c / (base + 1));
+  return static_cast<uint32_t>(rem + (c - cut) / base);
 }
 
 // The engine issues a shard's copies from the slice of each pair table

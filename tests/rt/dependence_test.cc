@@ -48,21 +48,6 @@ TEST(Privileges, ConflictMatrix) {
   EXPECT_TRUE(c(P::kReduce, P::kReadOnly));
 }
 
-TEST(Privileges, SubsumptionIsStrict) {
-  using P = Privilege;
-  auto s = [](P sup, P sub) {
-    return privilege_subsumes(sup, ReduceOp::kSum, sub, ReduceOp::kSum);
-  };
-  EXPECT_TRUE(s(P::kReadWrite, P::kReadOnly));
-  EXPECT_TRUE(s(P::kReadWrite, P::kReduce));
-  EXPECT_TRUE(s(P::kReadWrite, P::kWriteDiscard));
-  EXPECT_FALSE(s(P::kReadOnly, P::kReadWrite));
-  EXPECT_FALSE(s(P::kReduce, P::kReadOnly));
-  EXPECT_TRUE(s(P::kReduce, P::kReduce));
-  EXPECT_FALSE(privilege_subsumes(P::kReduce, ReduceOp::kSum, P::kReduce,
-                                  ReduceOp::kMin));
-}
-
 TEST(Dependence, ReadersDontConflict) {
   Fixture f;
   DependenceTracker deps(f.forest);

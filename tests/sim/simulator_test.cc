@@ -32,7 +32,7 @@ TEST(Simulator, EventsCanScheduleMoreEvents) {
   Simulator sim;
   int fired = 0;
   sim.schedule_at(1, [&] {
-    sim.schedule_after(9, [&] {
+    sim.schedule_at(sim.now() + 9, [&] {
       EXPECT_EQ(sim.now(), 10u);
       ++fired;
     });

@@ -1,9 +1,10 @@
 # The event-core seam lint. Everything above src/sim/ wires events
 # through the typed builder (Simulator::merge / merge_remote /
 # trigger_when / trigger_after, Processor::spawn, Network::send);
-# only src/sim/ may name the event core's internals or subscribe a
-# callable. Fails when a file under SRC outside SRC/sim/ names
-# EventState or UserEvent, or calls .subscribe(.
+# only src/sim/ may name the event core's internals, subscribe a
+# callable or schedule one on the queue. Fails when a file under SRC
+# outside SRC/sim/ names EventState or UserEvent, or calls .subscribe(
+# or .schedule_at(.
 #
 #   cmake -DSRC=<repo>/src -P tools/check_sim_seam.cmake
 if(NOT DEFINED SRC OR NOT IS_DIRECTORY "${SRC}")
@@ -16,7 +17,7 @@ foreach(rel IN LISTS files)
   if(rel MATCHES "^sim/")
     continue()
   endif()
-  file(STRINGS "${SRC}/${rel}" hits REGEX "EventState|UserEvent|\\.subscribe\\(")
+  file(STRINGS "${SRC}/${rel}" hits REGEX "EventState|UserEvent|\\.subscribe\\(|\\.schedule_at\\(")
   foreach(line IN LISTS hits)
     string(STRIP "${line}" line)
     string(APPEND violations "\n  ${rel}: ${line}")
